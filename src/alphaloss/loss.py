@@ -213,19 +213,6 @@ def loss_hess(alpha: float, theta, s: Sample) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sigmoid_vec(z: np.ndarray) -> np.ndarray:
-    """Element-wise sigmoid with the same two branches as the scalar one."""
-    z = np.asarray(z, dtype=float)
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-
-
-def loss_from_margins(alpha: float, z: np.ndarray) -> np.ndarray:
-    """Pointwise losses for an array of margins y * <theta, x>."""
-    alpha = check_alpha(alpha)
-    return np.asarray(_loss_from_logp(alpha, log_sigmoid_vec(z)), dtype=float)
-
-
 def loss_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:
     """Pointwise losses from precomputed log-probabilities (so several
     orders can share one log_sigmoid pass over the same margins)."""
@@ -240,11 +227,6 @@ def grad_weight_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:
     u = _exponent(alpha)
     logp = np.asarray(logp, dtype=float)
     return np.exp(u * logp) * (-np.expm1(logp))
-
-
-def grad_weight_from_margins(alpha: float, z: np.ndarray) -> np.ndarray:
-    """Gradient weights for an array of margins."""
-    return grad_weight_from_logp(alpha, log_sigmoid_vec(z))
 
 
 def hess_factor_from_margins(alpha: float, z: np.ndarray) -> np.ndarray:

@@ -116,8 +116,12 @@ def projected_gd_reference(objective, theta1, steps: int, step_size: float,
                            radius: float | None = None) -> tuple[np.ndarray, float]:
     """Plain projected gradient descent, used as a reference minimizer.
 
-    Returns the best visited iterate and its value after ``steps`` updates
-    of size ``step_size`` (unnormalized gradient steps).
+    Returns the best visited iterate and its value after at most ``steps``
+    updates of size ``step_size`` (unnormalized gradient steps). The loop
+    exits early once the projected next iterate equals the current one bit
+    for bit: the objective is deterministic, so every later step would
+    revisit the same point and value, and the result is the one the full
+    ``steps`` would return.
     """
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
@@ -136,9 +140,12 @@ def projected_gd_reference(objective, theta1, steps: int, step_size: float,
         if value < best_value:
             best_value = value
             best_theta = theta.copy()
-        theta = theta - step_size * grad
+        nxt = theta - step_size * grad
         if radius is not None:
-            theta = project_ball(theta, radius)
+            nxt = project_ball(nxt, radius)
+        if np.array_equal(nxt, theta):
+            break
+        theta = nxt
     return best_theta, best_value
 
 

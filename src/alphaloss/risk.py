@@ -3,12 +3,21 @@ Hessian, landscape grid scans, and the saturation-distance scan.
 
 The population risk is an expectation; this artifact works with its
 empirical counterpart over seeded finite samples and says so in every
-output's metadata. Sample sums use exactly-rounded compensated summation
-(math.fsum), which makes every risk value independent of summation order
-and therefore identical across platforms and worker counts. Heavy paths
-(grid scans, point sweeps) evaluate margins for blocks of parameter
-points at once but feed the same per-sample quantities to the same
-summation, so batched and one-at-a-time calls agree bit for bit.
+output's metadata. Every sample sum is exactly rounded: the result is the
+bits of ``math.fsum`` over the row, which makes every risk value
+independent of summation order and therefore identical across platforms,
+block shapes and worker counts.
+
+``exact_row_sums`` computes those bits with numpy reductions, after the
+small superaccumulators of Neal (2015, arXiv:1505.05571). Each entry is
+split by exponent into two halves whose per-(row, exponent) bin sums stay
+exact in float64; one ``math.fsum`` over the few scaled bin sums per row
+then rounds the exact total once. Rows holding non-finite entries, or
+magnitudes whose rescaling could overflow, go through ``math.fsum``
+directly, which also stays the tests' oracle. Heavy paths
+(grid scans, point sweeps) evaluate margins for blocks of parameter points
+at once but feed the same per-sample quantities to the same summation, so
+batched and one-at-a-time calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericError, UsageError
 from .loss import (
     Sample,
     UNIT_BALL_TOL,
@@ -37,6 +46,18 @@ MAX_GRID_NODES = 10_000_000
 # Cap on elements per evaluation block; keeps intermediates ~tens of MB.
 _BLOCK_ELEMENTS = 4_000_000
 
+# Cap on elements per exact-sum chunk; keeps the reducer's temporaries ~MB
+# and every bin sum far below 2^53.
+_SUM_CHUNK = 1 << 16
+# Mantissa split point: the high half is an integer below 2^27, the low
+# half lies on a 2^-26 grid, so bin sums of either stay exact. Both halves
+# keep only bits of the entry, so rescaled bin sums are exact down to the
+# subnormals.
+_SPLIT_BITS = 27
+# Largest frexp exponent whose bin sums rescale far from overflow; chunks
+# with larger entries (above ~1e289) use math.fsum.
+_EXP_MAX = 960
+
 __all__ = [
     "Dataset",
     "GridSpec",
@@ -49,6 +70,7 @@ __all__ = [
     "risk_values",
     "risk_values_multi",
     "risk_grads",
+    "exact_row_sums",
     "landscape_scan",
     "saturation_sup",
 ]
@@ -80,6 +102,9 @@ class Dataset:
             )
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", np.ascontiguousarray(ys.astype(np.int64)))
+        # Label-signed features: margins are theta . (y x). A plain
+        # attribute, not a field, so equality and repr are unchanged.
+        object.__setattr__(self, "signed", xs * self.ys[:, None])
 
     @classmethod
     def from_samples(cls, samples) -> "Dataset":
@@ -105,14 +130,7 @@ class Dataset:
 
     def second_moment(self) -> np.ndarray:
         """Sample mean of x x^T (exactly-rounded entry sums)."""
-        d = self.dim
-        out = np.empty((d, d))
-        for j in range(d):
-            for k in range(j, d):
-                v = math.fsum((self.xs[:, j] * self.xs[:, k]).tolist()) / self.n
-                out[j, k] = v
-                out[k, j] = v
-        return out
+        return _second_moment(self.xs)
 
     def content_digest(self) -> str:
         """Short stable identifier of the dataset contents."""
@@ -144,8 +162,72 @@ def _blocks(m: int, n: int) -> Iterator[slice]:
         yield slice(start, min(start + rows, m))
 
 
-def _fsum_rows(block: np.ndarray) -> list[float]:
-    return [math.fsum(block[i].tolist()) for i in range(block.shape[0])]
+def _fsum_row(row: np.ndarray) -> float:
+    try:
+        return math.fsum(row.tolist())
+    except (ValueError, OverflowError) as exc:
+        raise NumericError(f"sample sum is undefined: {exc}") from None
+
+
+def _bin_terms(chunk: np.ndarray) -> np.ndarray | None:
+    """Per row of ``chunk``, its per-exponent bin sums scaled back to
+    values: terms whose exact sum is the row's exact sum. None when the
+    chunk holds non-finite entries or entries above 2^_EXP_MAX."""
+    mant, exps = np.frexp(chunk)
+    lo_exp, hi_exp = int(exps.min()), int(exps.max())
+    if hi_exp > _EXP_MAX:
+        return None
+    rows = chunk.shape[0]
+    span = hi_exp - lo_exp + 1
+    size = rows * span
+    # Bin of entry (i, e) is i * span + (e - lo_exp).
+    bins = (exps - (lo_exp - np.arange(0, size, span)[:, None])).ravel()
+    mant *= 2.0 ** _SPLIT_BITS
+    high = np.trunc(mant)
+    with np.errstate(invalid="ignore"):  # inf - inf marks non-finite entries
+        mant -= high
+    sums = np.stack([np.bincount(bins, high.ravel(), size).reshape(rows, span),
+                     np.bincount(bins, mant.ravel(), size).reshape(rows, span)], axis=1)
+    if not np.isfinite(sums).all():  # inf or nan entries leave nan low halves
+        return None
+    scale = np.arange(lo_exp - _SPLIT_BITS, lo_exp - _SPLIT_BITS + span)
+    return np.ldexp(sums, scale).reshape(rows, 2 * span)
+
+
+def exact_row_sums(block) -> np.ndarray:
+    """Exactly-rounded sum of each row of a 2-D block: the bits of
+    ``math.fsum(row.tolist())``, from numpy bin reductions in chunks of at
+    most 2^16 elements. A row with both +inf and -inf has no sum and raises
+    NumericError; a row with infinities of one sign sums to that infinity.
+    """
+    block = np.asarray(block, dtype=float)
+    rows, n = block.shape
+    out = np.zeros(rows)
+    if n == 0:
+        return out
+    cols = min(n, _SUM_CHUNK)
+    step = _SUM_CHUNK // cols
+    for start in range(0, rows, step):
+        group = block[start:start + step]
+        parts = [_bin_terms(group[:, c:c + cols]) for c in range(0, n, cols)]
+        if any(part is None for part in parts):
+            out[start:start + step] = [_fsum_row(row) for row in group]
+        else:
+            terms = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            out[start:start + step] = [math.fsum(row) for row in terms.tolist()]
+    return out
+
+
+def _second_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Sample mean of w * x x^T (w = 1 when omitted), with exact entry sums."""
+    n, d = xs.shape
+    scaled = xs if weights is None else weights[:, None] * xs
+    pairs = [(j, k) for j in range(d) for k in range(j, d)]
+    means = exact_row_sums(np.stack([scaled[:, j] * xs[:, k] for j, k in pairs])) / n
+    out = np.empty((d, d))
+    for (j, k), v in zip(pairs, means):
+        out[j, k] = out[k, j] = v
+    return out
 
 
 def risk_values_multi(alphas, thetas, data: Dataset) -> np.ndarray:
@@ -155,12 +237,11 @@ def risk_values_multi(alphas, thetas, data: Dataset) -> np.ndarray:
     pts = _as_points(thetas)
     _check_dims(pts, data)
     n = data.n
-    signed = data.xs * data.ys[:, None]  # margins are theta . (y x)
     out = np.empty((pts.shape[0], len(alphas)))
     for sl in _blocks(pts.shape[0], n):
-        logp = log_sigmoid_vec(pts[sl] @ signed.T)
+        logp = log_sigmoid_vec(pts[sl] @ data.signed.T)
         for k, alpha in enumerate(alphas):
-            out[sl, k] = [s / n for s in _fsum_rows(loss_from_logp(alpha, logp))]
+            out[sl, k] = exact_row_sums(loss_from_logp(alpha, logp)) / n
     return out
 
 
@@ -175,13 +256,12 @@ def risk_grads(alpha: float, thetas, data: Dataset) -> np.ndarray:
     pts = _as_points(thetas)
     _check_dims(pts, data)
     n, d = data.n, data.dim
-    signed = data.xs * data.ys[:, None]
     out = np.empty((pts.shape[0], d))
     for sl in _blocks(pts.shape[0], n):
-        logp = log_sigmoid_vec(pts[sl] @ signed.T)
-        factors = -grad_weight_from_logp(alpha, logp) * data.ys[None, :]
+        logp = log_sigmoid_vec(pts[sl] @ data.signed.T)
+        factors = -grad_weight_from_logp(alpha, logp)
         for j in range(d):
-            out[sl, j] = [s / n for s in _fsum_rows(factors * data.xs[None, :, j])]
+            out[sl, j] = exact_row_sums(factors * data.signed[:, j]) / n
     return out
 
 
@@ -200,29 +280,23 @@ def empirical_risk_hess(alpha: float, theta, data: Dataset) -> np.ndarray:
     alpha = check_alpha(alpha)
     pts = _as_points(theta)
     _check_dims(pts, data)
-    n, d = data.n, data.dim
-    margins = (pts @ (data.xs * data.ys[:, None]).T)[0]
-    factors = hess_factor_from_margins(alpha, margins)
-    out = np.empty((d, d))
-    for j in range(d):
-        for k in range(j, d):
-            v = math.fsum((factors * data.xs[:, j] * data.xs[:, k]).tolist()) / n
-            out[j, k] = v
-            out[k, j] = v
-    return out
+    margins = (pts @ data.signed.T)[0]
+    return _second_moment(data.xs, hess_factor_from_margins(alpha, margins))
 
 
 def risk_value_grad(alpha: float, theta, data: Dataset) -> tuple[float, np.ndarray]:
-    """Risk and its gradient in one margin pass (for optimizer loops)."""
+    """Risk and its gradient in one margin pass and one exact-sum call
+    over the loss row and the gradient rows (for optimizer loops)."""
     alpha = check_alpha(alpha)
     pts = _as_points(theta)
     _check_dims(pts, data)
     n, d = data.n, data.dim
-    logp = log_sigmoid_vec((pts @ (data.xs * data.ys[:, None]).T)[0])
-    value = math.fsum(loss_from_logp(alpha, logp).tolist()) / n
-    factors = -grad_weight_from_logp(alpha, logp) * data.ys
-    grad = np.array([math.fsum((factors * data.xs[:, j]).tolist()) / n for j in range(d)])
-    return value, grad
+    logp = log_sigmoid_vec((pts @ data.signed.T)[0])
+    block = np.empty((1 + d, n))
+    block[0] = loss_from_logp(alpha, logp)
+    np.multiply(-grad_weight_from_logp(alpha, logp), data.signed.T, out=block[1:])
+    means = exact_row_sums(block) / n
+    return float(means[0]), means[1:]
 
 
 def value_and_grad(alpha: float, data: Dataset):

@@ -173,6 +173,13 @@ class TestNgd:
         assert trace.startswith("t,theta_1,theta_2,value,grad_norm")
         assert len(trace.strip().splitlines()) == 21
 
+    def test_undefined_sample_sum_is_numeric_error(self, tmp_path, capsys):
+        # At alpha = 0.002 the gradient rows hold both +inf and -inf.
+        code = run("ngd", "--preset", "fig2", "--n", "300", "--alpha", "0.002",
+                   "--ref-steps", "50", "--iters", "5", "--out", str(tmp_path))
+        assert code == 3
+        assert "-inf + inf" in capsys.readouterr().err
+
 
 class TestSaturation:
     def test_rows_pass_bound_and_inf_is_zero(self, tmp_path):

@@ -11,7 +11,9 @@ from alphaloss.ngd import (
     projected_gd_reference,
     trace_to_csv,
 )
-from alphaloss.numerics import sigmoid
+from alphaloss.data import normalize_features, preset, sample_gmm
+from alphaloss.numerics import RngState, as_vector, project_ball, sigmoid
+from alphaloss.risk import value_and_grad
 
 
 def quadratic_first_coord(theta):
@@ -130,6 +132,73 @@ class TestReference:
         theta, _ = projected_gd_reference(shifted, np.zeros(2), 200, 0.1, radius=1.0)
         assert float(np.linalg.norm(theta)) <= 1.0 + 1e-12
         assert theta == pytest.approx([1.0, 0.0], abs=1e-6)
+
+
+def full_length_reference(objective, theta1, steps, step_size, radius=None):
+    """The reference loop without its fixed-point exit: always ``steps``
+    evaluations. Also returns the first step whose update left theta
+    unchanged (0 if none did)."""
+    theta = as_vector(theta1, "theta1").copy()
+    if radius is not None:
+        theta = project_ball(theta, radius)
+    best_theta = theta.copy()
+    best_value = math.inf
+    fixed_step = 0
+    for t in range(1, steps + 1):
+        value, grad = objective(theta)
+        value = float(value)
+        grad = np.asarray(grad, dtype=float)
+        if value < best_value:
+            best_value = value
+            best_theta = theta.copy()
+        nxt = theta - step_size * grad
+        if radius is not None:
+            nxt = project_ball(nxt, radius)
+        if not fixed_step and np.array_equal(nxt, theta):
+            fixed_step = t
+        theta = nxt
+    return best_theta, best_value, fixed_step
+
+
+class CountingObjective:
+    def __init__(self, objective):
+        self.objective = objective
+        self.calls = 0
+
+    def __call__(self, theta):
+        self.calls += 1
+        return self.objective(theta)
+
+
+class TestReferenceFixedPoint:
+    @pytest.fixture(scope="class")
+    def objective(self):
+        data, _ = normalize_features(sample_gmm(preset("fig2"), 200, RngState(7)))
+        return value_and_grad(1.0, data)
+
+    # Radius 5 holds the minimizer inside the ball; radius 1 pins the
+    # fixed point to the sphere through the projection.
+    @pytest.mark.parametrize("radius", [5.0, 1.0])
+    def test_exit_matches_full_length_loop(self, objective, radius):
+        steps = 4000
+        theta_full, value_full, fixed_step = full_length_reference(
+            objective, np.zeros(2), steps, 1.0, radius)
+        assert 0 < fixed_step < steps
+        counted = CountingObjective(objective)
+        theta, value = projected_gd_reference(counted, np.zeros(2), steps, 1.0, radius)
+        assert counted.calls == fixed_step
+        assert theta.tobytes() == theta_full.tobytes()
+        assert np.float64(value).tobytes() == np.float64(value_full).tobytes()
+
+    def test_budget_before_fixed_point(self, objective):
+        steps = 500
+        theta_full, value_full, fixed_step = full_length_reference(
+            objective, np.zeros(2), steps, 1.0, 5.0)
+        assert fixed_step == 0
+        counted = CountingObjective(objective)
+        theta, value = projected_gd_reference(counted, np.zeros(2), steps, 1.0, 5.0)
+        assert counted.calls == steps
+        assert theta.tobytes() == theta_full.tobytes() and value == value_full
 
 
 class TestTraceCsv:

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alphaloss.errors import DomainError, UsageError
+from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import INFINITY, Sample, curvature_floor, grad_lipschitz_in_inv_alpha, lipschitz_in_inv_alpha, loss_margin
 from alphaloss.numerics import min_eigen_sym, sigmoid
 from alphaloss.risk import (
@@ -12,7 +15,9 @@ from alphaloss.risk import (
     empirical_risk,
     empirical_risk_grad,
     empirical_risk_hess,
+    exact_row_sums,
     landscape_scan,
+    risk_grads,
     risk_value_grad,
     risk_values,
     saturation_sup,
@@ -65,6 +70,80 @@ class TestDataset:
 
     def test_content_digest_stable(self, fig2_small):
         assert fig2_small.content_digest() == fig2_small.content_digest()
+
+    def test_signed_features_are_not_a_field(self):
+        data = tiny_dataset()
+        assert [f.name for f in dataclasses.fields(data)] == ["xs", "ys"]
+        assert "signed" not in repr(data)
+        assert np.array_equal(data.signed, data.xs * data.ys[:, None])
+
+
+def fsum_rows(block: np.ndarray) -> np.ndarray:
+    """The oracle: one math.fsum per row."""
+    return np.array([math.fsum(row.tolist()) for row in block])
+
+
+@st.composite
+def sum_blocks(draw):
+    """Blocks of 1-5 rows and up to 70000 columns (past the 2^16-element
+    chunk), with entries from one exponent window anywhere from the
+    subnormals up to about 1e300, and optionally signed zeros, exact
+    cancellation pairs and non-finite entries."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.one_of(st.integers(1, 40), st.integers(1, 70_000), st.integers(65_000, 70_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-1074, 997))
+    hi = draw(st.integers(lo, min(997, lo + 80)))
+    shape = (rows, cols)
+    mant = rng.uniform(0.5, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+    block = np.ldexp(mant, rng.integers(lo, hi + 1, shape))
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    block[zeros] = np.copysign(0.0, rng.choice([-1.0, 1.0], int(zeros.sum())))
+    if draw(st.booleans()):
+        half = cols // 2
+        block[:, half:2 * half] = -block[:, :half]
+        block = block[:, rng.permutation(cols)]
+    if draw(st.integers(0, 3)) == 3:
+        row = rng.integers(rows)
+        special = draw(st.sampled_from([(math.inf,), (-math.inf,), (math.inf, -math.inf), (math.nan,)]))
+        for value in special:
+            block[row, rng.integers(cols)] = value
+    return block
+
+
+class TestExactRowSums:
+    @settings(max_examples=150, deadline=None)
+    @given(sum_blocks())
+    def test_bit_equal_to_fsum(self, block):
+        try:
+            expected = fsum_rows(block)
+        except ValueError:
+            with pytest.raises(NumericError, match="-inf \\+ inf"):
+                exact_row_sums(block)
+            return
+        assert exact_row_sums(block).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 65_536), (1, 65_537), (2, 32_768), (3, 32_769), (2, 140_000)])
+    def test_chunk_boundaries(self, shape):
+        rng = np.random.default_rng(shape[1])
+        block = rng.normal(size=shape) * np.exp(rng.uniform(-30.0, 30.0, size=shape))
+        assert exact_row_sums(block).tobytes() == fsum_rows(block).tobytes()
+
+    # The last row's 2^1024 binade would hold 2e308 and overflow on
+    # rescale, though the row sums to 8e307.
+    @pytest.mark.parametrize("row", [[-0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, -1.5], [1e-300, -1e-300],
+                                     [1.0, math.inf, 2.0], [-math.inf, 0.5, -math.inf],
+                                     [1e308, -6e307, 1e308, -6e307]])
+    def test_edge_rows(self, row):
+        block = np.array([row])
+        assert exact_row_sums(block).tobytes() == fsum_rows(block).tobytes()
+
+    def test_fsum_overflow_is_numeric_error(self):
+        with pytest.raises(NumericError, match="overflow"):
+            exact_row_sums(np.array([[1e308, 1e308, -1e308]]))
+
+    def test_empty_rows_sum_to_zero(self):
+        assert exact_row_sums(np.empty((2, 0))).tobytes() == fsum_rows(np.empty((2, 0))).tobytes()
 
 
 class TestEmpiricalRisk:
@@ -170,6 +249,22 @@ class TestRiskDerivatives:
         assert np.array_equal(grad, empirical_risk_grad(2.0, theta, fig2_small))
         v2, g2 = risk_value_grad(2.0, theta, fig2_small)
         assert v2 == value and np.array_equal(g2, grad)
+
+
+class TestSmallOrderInfinities:
+    """At alpha = 0.002 and theta = (5, 0), p^(1-1/alpha) overflows: loss
+    rows are +inf throughout, while gradient and off-diagonal Hessian rows
+    hold infinities of both signs and have no sum."""
+
+    def test_undefined_sums_are_numeric_errors(self, fig2_small):
+        theta = np.array([5.0, 0.0])
+        for fn in (risk_grads, risk_value_grad, empirical_risk_hess):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="-inf \\+ inf"):
+                fn(0.002, theta, fig2_small)
+
+    def test_one_signed_infinity_is_returned(self, fig2_small):
+        with np.errstate(over="ignore"):
+            assert risk_values(0.002, [5.0, 0.0], fig2_small)[0] == math.inf
 
 
 class TestLipschitzCertificates:
