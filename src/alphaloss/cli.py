@@ -35,7 +35,7 @@ from .data import (
 )
 from .errors import DomainError, NumericError, ParseError, UsageError
 from .loss import curvature_floor, format_alpha, lipschitz_in_inv_alpha, lipschitz_in_theta, parse_alpha
-from .numerics import RngState, min_eigen_sym, sample_ball
+from .numerics import RngState, check_positive_finite, min_eigen_sym, sample_ball
 from .risk import Dataset, GridSpec, landscape_scan, saturation_sup, value_and_grad
 
 OUT_ENV_VAR = "ALPHALOSS_OUT"
@@ -46,20 +46,20 @@ _DEFAULTS = {
     "gen-data": {"preset": "fig2", "n": 5000, "seed": 42},
     "landscape": {
         "preset": "fig2", "n": 100000, "seed": 42, "r": 5.0,
-        "alphas": "1", "grid_count": 41,
+        "alphas": "1", "grid_count": 41, "no_mask": False,
     },
     "certify": {
         "preset": "fig2", "n": 5000, "seed": 42, "r": 5.0,
         "alpha0": "1", "epsilon0": 0.4, "sweep": 1000, "i_budget": 2000,
-        "safety": 1.0, "evolution_points": 8, "ngd_cap": 20000,
+        "safety": 1.0, "evolution_points": 8, "ngd_cap": 20000, "accept_infinite_i": False,
     },
     "ngd": {
         "preset": "fig2", "n": 5000, "seed": 42, "r": 5.0,
-        "alpha": "1", "epsilon": 0.05, "ref_steps": 100000, "ref_step": 0.1,
+        "alpha": "1", "epsilon": 0.05, "ref_steps": 100000, "ref_step": 0.1, "trace": False,
     },
     "saturation": {
         "preset": "fig3", "n": 100000, "seed": 42, "r": 5.0,
-        "alphas": "1,2,4,10,inf", "grid_count": 41,
+        "alphas": "1,2,4,10,inf", "grid_count": 41, "no_mask": False,
     },
     "tilted": {"alpha": "1"},
 }
@@ -102,25 +102,38 @@ def _emit(path: Path):
     print(str(path))
 
 
+def _load_json_object(path, what: str) -> dict:
+    """The JSON object in ``path``; malformed JSON or another JSON type is a
+    parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            obj = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON {what}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
 def _get(ns, key, command):
     value = getattr(ns, key, None)
     if value is not None:
         return value
     cfg = getattr(ns, "_config_data", None)
     if cfg is None:
-        cfg = {}
-        if ns.config:
-            try:
-                with open(ns.config, "r", encoding="utf-8") as handle:
-                    cfg = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{ns.config}: invalid JSON config: {exc}") from None
-            if not isinstance(cfg, dict):
-                raise ParseError(f"{ns.config}: config must be a JSON object")
+        cfg = _load_json_object(ns.config, "config") if ns.config else {}
         ns._config_data = cfg
     if key in cfg:
         return cfg[key]
     return _DEFAULTS[command].get(key)
+
+
+def _switch(ns, key, command) -> bool:
+    """An on/off flag; from a config it must be JSON true or false."""
+    value = _get(ns, key, command)
+    if not isinstance(value, bool):
+        raise UsageError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _out_dir(ns, command) -> Path:
@@ -139,27 +152,31 @@ def _parse_alpha_list(text) -> list[float]:
     return [parse_alpha(t) for t in tokens]
 
 
+def _convert(kind, value, name):
+    """``kind(value)``, with a value that does not convert (say, a string
+    from a config file) reported as a usage error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+
+
 def _positive_int(value, name) -> int:
-    value = int(value)
+    value = _convert(int, value, name)
     if value < 1:
         raise UsageError(f"{name} must be >= 1, got {value}")
     return value
 
 
 def _positive_float(value, name) -> float:
-    value = float(value)
-    if not (value > 0.0) or not math.isfinite(value):
-        raise UsageError(f"{name} must be positive and finite, got {value!r}")
-    return value
+    return check_positive_finite(_convert(float, value, name), name)
 
 
 def _resolve_spec(ns, command) -> tuple[GmmSpec, str, str]:
     """Mixture spec, its name, and any preset note."""
     spec_path = _get(ns, "spec_json", command)
     if spec_path:
-        with open(spec_path, "r", encoding="utf-8") as handle:
-            spec = GmmSpec.from_json_dict(json.load(handle))
-        return spec, "custom", ""
+        return GmmSpec.from_json_dict(_load_json_object(spec_path, "mixture spec")), "custom", ""
     name = _get(ns, "preset", command)
     return preset(name), name, PRESET_NOTES.get(name, "")
 
@@ -170,9 +187,14 @@ def _resolve_dataset(ns, command) -> tuple[Dataset, dict]:
     if data_path:
         dataset = read_csv(data_path)
         return dataset, {"data": str(data_path), "dataset": dataset.content_digest()}
+    return _sample_dataset(ns, command)[:2]
+
+
+def _sample_dataset(ns, command) -> tuple[Dataset, dict, GmmSpec]:
+    """Seeded mixture dataset, its provenance metadata, and its spec."""
     spec, name, note = _resolve_spec(ns, command)
     n = _positive_int(_get(ns, "n", command), "--n")
-    seed = int(_get(ns, "seed", command))
+    seed = _convert(int, _get(ns, "seed", command), "--seed")
     raw = sample_gmm(spec, n, RngState(seed))
     dataset, record = normalize_features(raw)
     meta = {
@@ -184,7 +206,7 @@ def _resolve_dataset(ns, command) -> tuple[Dataset, dict]:
     }
     if note:
         meta["note"] = note
-    return dataset, meta
+    return dataset, meta, spec
 
 
 def _grid(ns, command, r: float, dim: int) -> GridSpec:
@@ -193,9 +215,9 @@ def _grid(ns, command, r: float, dim: int) -> GridSpec:
     lo = _get(ns, "grid_min", command)
     hi = _get(ns, "grid_max", command)
     count = _positive_int(_get(ns, "grid_count", command), "--grid-count")
-    lo = -r if lo is None else float(lo)
-    hi = r if hi is None else float(hi)
-    mask = None if _get(ns, "no_mask", command) else r
+    lo = -r if lo is None else _convert(float, lo, "--grid-min")
+    hi = r if hi is None else _convert(float, hi, "--grid-max")
+    mask = None if _switch(ns, "no_mask", command) else r
     return GridSpec(((lo, hi, count), (lo, hi, count)), mask_radius=mask)
 
 
@@ -206,13 +228,8 @@ def _grid(ns, command, r: float, dim: int) -> GridSpec:
 
 def cmd_gen_data(ns) -> int:
     cmd = "gen-data"
-    spec, name, note = _resolve_spec(ns, cmd)
-    n = _positive_int(_get(ns, "n", cmd), "--n")
-    seed = int(_get(ns, "seed", cmd))
+    dataset, meta, spec = _sample_dataset(ns, cmd)
     out = _out_dir(ns, cmd)
-
-    raw = sample_gmm(spec, n, RngState(seed))
-    dataset, record = normalize_features(raw)
 
     csv_path = out / "dataset.csv"
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -222,14 +239,10 @@ def cmd_gen_data(ns) -> int:
     _emit(csv_path)
 
     sidecar = {
-        "preset": name,
+        **meta,
         "spec": spec.to_json_dict(),
-        "n": n,
-        "seed": seed,
-        "scale": record.scale,
         "normalization": "global rescale by the maximum raw feature norm",
-        "note": note,
-        "dataset": dataset.content_digest(),
+        "note": meta.get("note", ""),
     }
     json_path = out / "dataset.json"
     _write_json(json_path, sidecar)
@@ -265,10 +278,10 @@ def cmd_certify(ns) -> int:
     safety = _positive_float(_get(ns, "safety", cmd), "--safety")
     if safety > 1.0:
         raise UsageError(f"--safety must be <= 1 (it shrinks an upper estimate), got {safety}")
-    accept_inf = bool(_get(ns, "accept_infinite_i", cmd))
+    accept_inf = _switch(ns, "accept_infinite_i", cmd)
 
     dataset, meta = _resolve_dataset(ns, cmd)
-    seed = int(meta.get("seed", _get(ns, "seed", cmd)))
+    seed = _convert(int, meta.get("seed", _get(ns, "seed", cmd)), "--seed")
     root = RngState(seed)
 
     if kappa0_flag is not None:
@@ -312,6 +325,7 @@ def cmd_certify(ns) -> int:
     sweep = slqc.slqc_sweep(alpha0, params, dataset, r, sweep_n, root.spawn(1))
 
     evolution_note = ""
+    window = None
     rows = []
     alphas_flag = _get(ns, "alphas", cmd)
     if alpha0 < 1.0:
@@ -326,13 +340,13 @@ def cmd_certify(ns) -> int:
         window = slqc.evolution_window(alpha0, epsilon0, kappa0, r, grad_inf_used, accept_inf)
         if alphas_flag is not None:
             alphas = _parse_alpha_list(alphas_flag)
-        elif math.isinf(window):
-            points = _positive_int(_get(ns, "evolution_points", cmd), "--evolution-points")
-            alphas = [alpha0 + float(k) for k in range(points)]
         else:
             points = _positive_int(_get(ns, "evolution_points", cmd), "--evolution-points")
-            alphas = [alpha0 + window * k / points for k in range(points)]
-            alphas.append(alpha0 + 1.25 * window)  # one out-of-window row
+            if math.isinf(window):
+                alphas = [alpha0 + float(k) for k in range(points)]
+            else:
+                alphas = [alpha0 + window * k / points for k in range(points)]
+                alphas.append(alpha0 + 1.25 * window)  # one out-of-window row
         rows = slqc.evolve_bounds(alpha0, epsilon0, kappa0, r, grad_inf_used, alphas, accept_inf)
 
     report = {
@@ -358,9 +372,7 @@ def cmd_certify(ns) -> int:
         "grad_infimum_used": grad_inf_used,
         "grad_infimum_note": "sampled upper estimate of the true infimum (after safety factor)",
         "slqc_sweep": sweep,
-        "evolution_window": None
-        if alpha0 < 1.0 or (math.isinf(grad_inf_used) and not accept_inf)
-        else slqc.evolution_window(alpha0, epsilon0, kappa0, r, grad_inf_used, accept_inf),
+        "evolution_window": window,
         "evolution": [
             {
                 "alpha": format_alpha(row.alpha),
@@ -387,8 +399,9 @@ def cmd_ngd(ns) -> int:
     r = _positive_float(_get(ns, "r", cmd), "--r")
     alpha = parse_alpha(str(_get(ns, "alpha", cmd)))
     epsilon = _positive_float(_get(ns, "epsilon", cmd), "--epsilon")
+    record = _switch(ns, "trace", cmd)
     dataset, meta = _resolve_dataset(ns, cmd)
-    seed = int(meta.get("seed", _get(ns, "seed", cmd)))
+    seed = _convert(int, meta.get("seed", _get(ns, "seed", cmd)), "--seed")
 
     kappa_flag = _get(ns, "kappa", cmd)
     kappa = _positive_float(kappa_flag, "--kappa") if kappa_flag is not None else lipschitz_in_theta(1.0, r)
@@ -406,7 +419,6 @@ def cmd_ngd(ns) -> int:
         iterations = _positive_int(iters_flag, "--iters")
     else:
         iterations = ngd.iteration_budget(epsilon, kappa, float(np.linalg.norm(theta1 - ref_theta)))
-    record = bool(_get(ns, "trace", cmd))
     result = ngd.ngd_run(objective, theta1, ngd.NgdConfig(eta, iterations, radius=r, record_trace=record))
 
     out = _out_dir(ns, cmd)

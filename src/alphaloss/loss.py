@@ -15,12 +15,17 @@ curvature floor of the Hessian factor over a parameter ball, the loss's
 Lipschitz constant in theta, and the Lipschitz constants of the risk and
 its gradient with respect to 1/alpha.
 
+Each per-sample quantity has one formula, a map over log p (``*_from_logp``).
+The one-sample functions are one-row wrappers: the risk kernel's margin and
+log_sigmoid_vec on a single sample, then the map.
+
 Numerical policy: every power p^(1-1/alpha) is evaluated as
 exp((1-1/alpha) * log p) with log p obtained from log_sigmoid, so large
 negative margins neither underflow nor lose precision; the generic-alpha
 branch uses expm1 so it stays accurate arbitrarily close to alpha = 1.
 Infinity is the exact float inf (exponent exactly 1), never a large
-stand-in value.
+stand-in value; a finite alpha so small that 1/alpha overflows is
+rejected.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .numerics import as_vector, log_sigmoid, log_sigmoid_vec, sigmoid
+from .numerics import as_vector, check_positive_finite, log_sigmoid, log_sigmoid_vec, sigmoid
 
 INFINITY = math.inf
 
@@ -64,10 +69,13 @@ __all__ = [
 
 
 def check_alpha(alpha: float) -> float:
-    """Validate the order parameter: a real in (0, inf) or exactly inf."""
+    """Validate the order parameter: a real in (0, inf) or exactly inf,
+    whose reciprocal is finite (below ~5.6e-309, 1/alpha overflows)."""
     alpha = float(alpha)
     if math.isnan(alpha) or alpha <= 0.0:
         raise DomainError(f"alpha must be positive (or inf), got {alpha!r}")
+    if math.isinf(1.0 / alpha):
+        raise DomainError(f"alpha {alpha!r} is too small: 1/alpha overflows")
     return alpha
 
 
@@ -122,9 +130,7 @@ class ModelPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", as_vector(self.theta, "theta"))
-        r = float(self.radius)
-        if not (r > 0.0) or not math.isfinite(r):
-            raise DomainError(f"radius must be positive and finite, got {self.radius!r}")
+        r = check_positive_finite(self.radius, "radius")
         object.__setattr__(self, "radius", r)
         norm = float(np.linalg.norm(self.theta))
         if norm > r + UNIT_BALL_TOL:
@@ -134,16 +140,6 @@ class ModelPoint:
 # ---------------------------------------------------------------------------
 # Pointwise loss and its derivative factors.
 # ---------------------------------------------------------------------------
-
-
-def _loss_from_logp(alpha: float, logp) -> np.ndarray | float:
-    """Loss from log-probability; shared by the scalar and array paths."""
-    if math.isinf(alpha):
-        return -np.expm1(logp)  # 1 - p, stable for p near 1
-    u = _exponent(alpha)
-    if abs(u) < LOG_BRANCH_TOL:
-        return -logp
-    return -np.expm1(u * np.asarray(logp)) / u
 
 
 def alpha_loss(alpha: float, p: float) -> float:
@@ -160,29 +156,25 @@ def alpha_loss(alpha: float, p: float) -> float:
     return -math.expm1(u * math.log(p)) / u
 
 
-def _margin(theta: np.ndarray, s: Sample) -> float:
+def _sample_logp(theta, s: Sample) -> float:
+    """log sigmoid(y * <theta, x>), through the risk kernel's label-signed
+    margin product and log_sigmoid_vec."""
+    theta = as_vector(theta, "theta")
     if theta.shape[0] != s.dim:
         raise UsageError(f"theta has dim {theta.shape[0]} but sample has dim {s.dim}")
-    return s.y * float(np.dot(theta, s.x))
+    return log_sigmoid_vec(theta @ (s.x * s.y))
 
 
 def loss_margin(alpha: float, theta, s: Sample) -> float:
     """Loss of the logistic classifier at a sample: alpha_loss at
     sigmoid(y * <theta, x>), evaluated in the log domain."""
-    alpha = check_alpha(alpha)
-    theta = as_vector(theta, "theta")
-    z = _margin(theta, s)
-    return float(_loss_from_logp(alpha, log_sigmoid(z)))
+    return float(loss_from_logp(alpha, _sample_logp(theta, s)))
 
 
 def grad_factor(alpha: float, theta, s: Sample) -> float:
     """Scalar factor of the loss gradient: -y * p^(1-1/alpha) * (1-p)
     with p = sigmoid(y * <theta, x>). The gradient is this times x."""
-    alpha = check_alpha(alpha)
-    theta = as_vector(theta, "theta")
-    z = _margin(theta, s)
-    u = _exponent(alpha)
-    return -s.y * math.exp(u * log_sigmoid(z)) * sigmoid(-z)
+    return -s.y * float(grad_weight_from_logp(alpha, _sample_logp(theta, s)))
 
 
 def loss_grad(alpha: float, theta, s: Sample) -> np.ndarray:
@@ -191,16 +183,9 @@ def loss_grad(alpha: float, theta, s: Sample) -> np.ndarray:
 
 
 def hess_factor(alpha: float, theta, s: Sample) -> float:
-    """Scalar factor of the loss Hessian:
-    p^(1-1/alpha) * (p(1-p) - (1-1/alpha)(1-p)^2), p = sigmoid(margin).
+    """Scalar factor of the loss Hessian, p = sigmoid(y * <theta, x>).
     The Hessian is this times x x^T."""
-    alpha = check_alpha(alpha)
-    theta = as_vector(theta, "theta")
-    z = _margin(theta, s)
-    u = _exponent(alpha)
-    p = sigmoid(z)
-    q = sigmoid(-z)
-    return math.exp(u * log_sigmoid(z)) * (p * q - u * q * q)
+    return float(hess_factor_from_logp(alpha, _sample_logp(theta, s)))
 
 
 def loss_hess(alpha: float, theta, s: Sample) -> np.ndarray:
@@ -209,7 +194,7 @@ def loss_hess(alpha: float, theta, s: Sample) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels over margin arrays (used by the risk module).
+# Maps over log-probability arrays: one formula per quantity.
 # ---------------------------------------------------------------------------
 
 
@@ -217,7 +202,13 @@ def loss_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:
     """Pointwise losses from precomputed log-probabilities (so several
     orders can share one log_sigmoid pass over the same margins)."""
     alpha = check_alpha(alpha)
-    return np.asarray(_loss_from_logp(alpha, logp), dtype=float)
+    logp = np.asarray(logp, dtype=float)
+    if math.isinf(alpha):
+        return -np.expm1(logp)  # 1 - p, stable for p near 1
+    u = _exponent(alpha)
+    if abs(u) < LOG_BRANCH_TOL:
+        return -logp
+    return -np.expm1(u * logp) / u
 
 
 def grad_weight_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:
@@ -229,11 +220,12 @@ def grad_weight_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:
     return np.exp(u * logp) * (-np.expm1(logp))
 
 
-def hess_factor_from_margins(alpha: float, z: np.ndarray) -> np.ndarray:
-    """Hessian factors per margin (same formula as hess_factor)."""
+def hess_factor_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:
+    """Hessian factors from log p:
+    p^(1-1/alpha) * (p(1-p) - (1-1/alpha)(1-p)^2)."""
     alpha = check_alpha(alpha)
     u = _exponent(alpha)
-    logp = log_sigmoid_vec(z)
+    logp = np.asarray(logp, dtype=float)
     p = np.exp(logp)
     q = -np.expm1(logp)
     return np.exp(u * logp) * (p * q - u * q * q)
@@ -244,13 +236,6 @@ def hess_factor_from_margins(alpha: float, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_radius(r: float) -> float:
-    r = float(r)
-    if not (r > 0.0) or not math.isfinite(r):
-        raise DomainError(f"radius must be positive and finite, got {r!r}")
-    return r
-
-
 def curvature_floor(alpha: float, r: float) -> float:
     """Lower bound of the Hessian factor over margins in [-r, r], valid for
     alpha in (0, 1]; equals the factor evaluated at margin r.
@@ -259,7 +244,7 @@ def curvature_floor(alpha: float, r: float) -> float:
     the risk's strong-convexity modulus grows as alpha shrinks.
     """
     alpha = check_alpha(alpha)
-    r = _check_radius(r)
+    r = check_positive_finite(r, "radius")
     if alpha > 1.0:
         raise DomainError(f"curvature floor requires alpha <= 1, got {alpha!r}")
     u = _exponent(alpha)
@@ -275,7 +260,7 @@ def lipschitz_in_theta(alpha: float, r: float) -> float:
     Grows without bound as alpha decreases to 0 at fixed r.
     """
     alpha = check_alpha(alpha)
-    r = _check_radius(r)
+    r = check_positive_finite(r, "radius")
     if alpha > 1.0:
         raise DomainError(f"lipschitz_in_theta requires alpha <= 1, got {alpha!r}")
     u = _exponent(alpha)
@@ -285,12 +270,12 @@ def lipschitz_in_theta(alpha: float, r: float) -> float:
 def lipschitz_in_inv_alpha(r: float) -> float:
     """Lipschitz constant of the risk with respect to 1/alpha on alpha in
     [1, inf]: (r + log 2)^2 / 2."""
-    r = _check_radius(r)
+    r = check_positive_finite(r, "radius")
     return (r + math.log(2.0)) ** 2 / 2.0
 
 
 def grad_lipschitz_in_inv_alpha(r: float) -> float:
     """Lipschitz constant of the risk gradient with respect to 1/alpha on
     alpha in [1, inf]: (r + log 2) * sigmoid(r)."""
-    r = _check_radius(r)
+    r = check_positive_finite(r, "radius")
     return (r + math.log(2.0)) * sigmoid(r)

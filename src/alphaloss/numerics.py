@@ -1,12 +1,12 @@
 """Overflow-safe scalar functions, small dense linear algebra, and a
 deterministic PRNG.
 
-Everything here is dependency-light on purpose: the eigensolver and the
-Cholesky factorization are written out for small dense symmetric matrices
-(the experiments live in d = 2), and the random stream is a xoshiro256++
-generator seeded through splitmix64 so that a seed reproduces the exact
-byte sequence of draws on every platform. Tolerances are module constants
-and appear verbatim in error messages.
+Everything here is dependency-light on purpose: eigenvalues come from
+LAPACK (``eigvalsh``), the Cholesky factorization is written out (its fixed
+operation order fixes the bits of the seeded datasets), and the random
+stream is a xoshiro256++ generator seeded through splitmix64 so that a seed
+reproduces the exact byte sequence of draws on every platform. Tolerances
+are module constants and appear verbatim in error messages.
 
 All functions except RngState advancement are pure. An RngState is
 single-owner; concurrent work should derive independent child streams via
@@ -22,17 +22,14 @@ import numpy as np
 from .errors import DomainError, NumericError, UsageError
 
 SYM_TOL = 1e-12
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 CHOLESKY_RESIDUAL_TOL = 1e-10
 
 __all__ = [
     "SYM_TOL",
-    "JACOBI_TOL",
-    "JACOBI_MAX_SWEEPS",
     "CHOLESKY_RESIDUAL_TOL",
     "as_vector",
     "as_sym_matrix",
+    "check_positive_finite",
     "sigmoid",
     "log_sigmoid",
     "project_ball",
@@ -70,6 +67,15 @@ def as_sym_matrix(a, name: str = "matrix") -> np.ndarray:
             f"{name} is not symmetric: max |A - A^T| = {skew:.3e} exceeds tolerance {SYM_TOL:.0e}"
         )
     return 0.5 * (arr + arr.T)
+
+
+def check_positive_finite(value, name: str) -> float:
+    """``value`` as a float, which must be positive and finite (a radius,
+    say); DomainError otherwise."""
+    value = float(value)
+    if not (value > 0.0) or not math.isfinite(value):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def _check_finite_scalar(z: float, name: str) -> float:
@@ -116,9 +122,7 @@ def project_ball(v, r: float) -> np.ndarray:
     unchanged, making the projection exactly idempotent.
     """
     arr = as_vector(v)
-    r = float(r)
-    if not (r > 0.0) or not math.isfinite(r):
-        raise DomainError(f"radius must be positive and finite, got {r!r}")
+    r = check_positive_finite(r, "radius")
     norm = float(np.linalg.norm(arr))
     if norm <= r * (1.0 + 4e-15):
         return arr
@@ -126,49 +130,11 @@ def project_ball(v, r: float) -> np.ndarray:
 
 
 def min_eigen_sym(a) -> float:
-    """Smallest eigenvalue of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps the strict upper triangle in a fixed row-major order, rotating
-    each off-diagonal entry to zero, until the off-diagonal Frobenius norm
-    drops below JACOBI_TOL. Deterministic; at most JACOBI_MAX_SWEEPS sweeps.
-    """
-    mat = as_sym_matrix(a).copy()
-    d = mat.shape[0]
-    if d == 1:
-        return float(mat[0, 0])
-
-    def off_norm(m):
-        return math.sqrt(float(np.sum(np.tril(m, -1) ** 2) * 2.0))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm(mat) < JACOBI_TOL:
-            return float(np.min(np.diag(mat)))
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = mat[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (mat[q, q] - mat[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(d)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                mat = rot.T @ mat @ rot
-                mat = 0.5 * (mat + mat.T)
-    residual = off_norm(mat)
-    if residual < JACOBI_TOL:
-        return float(np.min(np.diag(mat)))
-    raise NumericError(
-        f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps; "
-        f"off-diagonal norm {residual:.3e} still exceeds {JACOBI_TOL:.0e}"
-    )
+    """Smallest eigenvalue of a symmetric matrix, by LAPACK (``eigvalsh``)."""
+    try:
+        return float(np.linalg.eigvalsh(as_sym_matrix(a))[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolver failed: {exc}") from None
 
 
 def cholesky(a) -> np.ndarray:
@@ -283,9 +249,7 @@ def sample_ball(rng: RngState, dim: int, radius: float) -> np.ndarray:
     bounding cube. Advances ``rng`` a data-dependent number of steps."""
     if dim < 1:
         raise UsageError(f"dim must be >= 1, got {dim}")
-    radius = float(radius)
-    if not (radius > 0.0) or not math.isfinite(radius):
-        raise DomainError(f"radius must be positive and finite, got {radius!r}")
+    radius = check_positive_finite(radius, "radius")
     while True:
         point = np.array([(2.0 * rng.uniform() - 1.0) * radius for _ in range(dim)])
         if float(np.dot(point, point)) <= radius * radius:

@@ -14,10 +14,10 @@ split by exponent into two halves whose per-(row, exponent) bin sums stay
 exact in float64; one ``math.fsum`` over the few scaled bin sums per row
 then rounds the exact total once. Rows holding non-finite entries, or
 magnitudes whose rescaling could overflow, go through ``math.fsum``
-directly, which also stays the tests' oracle. Heavy paths
-(grid scans, point sweeps) evaluate margins for blocks of parameter points
-at once but feed the same per-sample quantities to the same summation, so
-batched and one-at-a-time calls agree bit for bit.
+directly, which also stays the tests' oracle. Every value, gradient and
+Hessian starts from one margin pass to log p (``_logp``), which heavy paths
+run for blocks of points at once; the same per-sample quantities reach the
+same summation, so batched and one-at-a-time calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from .loss import (
     check_alpha,
     format_alpha,
     grad_weight_from_logp,
-    hess_factor_from_margins,
+    hess_factor_from_logp,
     loss_from_logp,
 )
-from .numerics import log_sigmoid_vec
+from .numerics import check_positive_finite, log_sigmoid_vec
 
 MAX_GRID_NODES = 10_000_000
 
@@ -140,12 +140,8 @@ class Dataset:
         return h.hexdigest()[:16]
 
 
-def _check_dims(theta: np.ndarray, data: Dataset):
-    if theta.shape[-1] != data.dim:
-        raise UsageError(f"theta dim {theta.shape[-1]} does not match dataset dim {data.dim}")
-
-
-def _as_points(thetas) -> np.ndarray:
+def _as_points(thetas, data: Dataset) -> np.ndarray:
+    """Validate one point or an (m, d) array of points for ``data``."""
     pts = np.asarray(thetas, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -153,7 +149,15 @@ def _as_points(thetas) -> np.ndarray:
         raise UsageError(f"expected an (m, d) array of points, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise DomainError("parameter points contain non-finite entries")
+    if pts.shape[1] != data.dim:
+        raise UsageError(f"theta dim {pts.shape[1]} does not match dataset dim {data.dim}")
     return pts
+
+
+def _logp(pts: np.ndarray, data: Dataset) -> np.ndarray:
+    """The margin pass every risk quantity starts from: log p of the true
+    label, one row per point and one column per sample."""
+    return log_sigmoid_vec(pts @ data.signed.T)
 
 
 def _blocks(m: int, n: int) -> Iterator[slice]:
@@ -234,12 +238,11 @@ def risk_values_multi(alphas, thetas, data: Dataset) -> np.ndarray:
     """Empirical risks at each row of ``thetas`` for several orders at once,
     sharing one margin and log-probability pass; returns (points, orders)."""
     alphas = [check_alpha(a) for a in alphas]
-    pts = _as_points(thetas)
-    _check_dims(pts, data)
+    pts = _as_points(thetas, data)
     n = data.n
     out = np.empty((pts.shape[0], len(alphas)))
     for sl in _blocks(pts.shape[0], n):
-        logp = log_sigmoid_vec(pts[sl] @ data.signed.T)
+        logp = _logp(pts[sl], data)
         for k, alpha in enumerate(alphas):
             out[sl, k] = exact_row_sums(loss_from_logp(alpha, logp)) / n
     return out
@@ -253,13 +256,11 @@ def risk_values(alpha: float, thetas, data: Dataset) -> np.ndarray:
 def risk_grads(alpha: float, thetas, data: Dataset) -> np.ndarray:
     """Empirical risk gradients at each row of ``thetas``."""
     alpha = check_alpha(alpha)
-    pts = _as_points(thetas)
-    _check_dims(pts, data)
+    pts = _as_points(thetas, data)
     n, d = data.n, data.dim
     out = np.empty((pts.shape[0], d))
     for sl in _blocks(pts.shape[0], n):
-        logp = log_sigmoid_vec(pts[sl] @ data.signed.T)
-        factors = -grad_weight_from_logp(alpha, logp)
+        factors = -grad_weight_from_logp(alpha, _logp(pts[sl], data))
         for j in range(d):
             out[sl, j] = exact_row_sums(factors * data.signed[:, j]) / n
     return out
@@ -278,20 +279,16 @@ def empirical_risk_grad(alpha: float, theta, data: Dataset) -> np.ndarray:
 def empirical_risk_hess(alpha: float, theta, data: Dataset) -> np.ndarray:
     """Hessian of the empirical risk at ``theta``: mean of factor * x x^T."""
     alpha = check_alpha(alpha)
-    pts = _as_points(theta)
-    _check_dims(pts, data)
-    margins = (pts @ data.signed.T)[0]
-    return _second_moment(data.xs, hess_factor_from_margins(alpha, margins))
+    logp = _logp(_as_points(theta, data), data)[0]
+    return _second_moment(data.xs, hess_factor_from_logp(alpha, logp))
 
 
 def risk_value_grad(alpha: float, theta, data: Dataset) -> tuple[float, np.ndarray]:
     """Risk and its gradient in one margin pass and one exact-sum call
     over the loss row and the gradient rows (for optimizer loops)."""
     alpha = check_alpha(alpha)
-    pts = _as_points(theta)
-    _check_dims(pts, data)
     n, d = data.n, data.dim
-    logp = log_sigmoid_vec((pts @ data.signed.T)[0])
+    logp = _logp(_as_points(theta, data), data)[0]
     block = np.empty((1 + d, n))
     block[0] = loss_from_logp(alpha, logp)
     np.multiply(-grad_weight_from_logp(alpha, logp), data.signed.T, out=block[1:])
@@ -337,10 +334,7 @@ class GridSpec:
                 raise UsageError(f"grid axis needs min < max, got [{lo}, {hi}]")
         object.__setattr__(self, "axes", axes)
         if self.mask_radius is not None:
-            r = float(self.mask_radius)
-            if not (r > 0.0) or not math.isfinite(r):
-                raise DomainError(f"mask radius must be positive and finite, got {self.mask_radius!r}")
-            object.__setattr__(self, "mask_radius", r)
+            object.__setattr__(self, "mask_radius", check_positive_finite(self.mask_radius, "mask radius"))
         total = 1
         for _, _, count in axes:
             total *= count

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from alphaloss.data import normalize_features, preset, sample_gmm
-from alphaloss.numerics import RngState
+from alphaloss.numerics import RngState, log_sigmoid, sigmoid
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +51,37 @@ def rel_err(approx, exact, floor=1e-12):
     exact = np.asarray(exact, dtype=float)
     denom = max(float(np.linalg.norm(exact)), floor)
     return float(np.linalg.norm(approx - exact)) / denom
+
+
+# Scalar oracles for the per-sample quantities, written with the math
+# module's sigmoid and log_sigmoid rather than the log p maps of
+# alphaloss.loss, so tests that compare against them do not compare the
+# kernel with itself.
+
+
+def _oracle_margin_and_exponent(alpha, theta, s):
+    return s.y * float(np.dot(theta, s.x)), 1.0 - 1.0 / alpha
+
+
+def oracle_loss(alpha, theta, s):
+    """Loss at one sample: -expm1(u log p)/u, -log p at u ~ 0, 1 - p at inf."""
+    z, u = _oracle_margin_and_exponent(alpha, theta, s)
+    logp = log_sigmoid(z)
+    if math.isinf(alpha):
+        return -math.expm1(logp)
+    if abs(u) < 1e-6:
+        return -logp
+    return -math.expm1(u * logp) / u
+
+
+def oracle_grad_factor(alpha, theta, s):
+    """Gradient factor at one sample: -y p^u (1 - p), with 1 - p = sigmoid(-z)."""
+    z, u = _oracle_margin_and_exponent(alpha, theta, s)
+    return -s.y * math.exp(u * log_sigmoid(z)) * sigmoid(-z)
+
+
+def oracle_hess_factor(alpha, theta, s):
+    """Hessian factor at one sample: p^u (p (1 - p) - u (1 - p)^2)."""
+    z, u = _oracle_margin_and_exponent(alpha, theta, s)
+    p, q = sigmoid(z), sigmoid(-z)
+    return math.exp(u * log_sigmoid(z)) * (p * q - u * q * q)

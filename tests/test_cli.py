@@ -31,6 +31,14 @@ class TestGenData:
         assert "symmetrized" in sidecar["note"]
         assert sidecar["spec"]["cov_neg"][0][1] == -2.015
 
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_spec_json_that_is_not_an_object_is_parse_error(self, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "out"
+        assert run("gen-data", "--spec-json", str(spec), "--out", str(out)) == 4
+        assert not out.exists()
+
     def test_no_partial_files_on_bad_spec(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"prior_neg": 2.0, "mean_neg": [0], "mean_pos": [1],
@@ -74,6 +82,13 @@ class TestLandscape:
         data = tmp_path / "one_d.csv"
         data.write_text("y,x_1\n1,0.5\n-1,-0.25\n")
         assert run("landscape", "--data", str(data), "--alphas", "1", "--out", str(tmp_path)) == 2
+
+    def test_order_with_overflowing_reciprocal_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("landscape", "--alphas", "1e-310", "--n", "200", "--grid-count", "3",
+                   "--out", str(out)) == 2
+        assert "1/alpha" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_file_is_io_error(self, tmp_path):
         assert run("landscape", "--data", str(tmp_path / "nope.csv"), "--alphas", "1",
@@ -242,6 +257,35 @@ class TestConfigAndHelp:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path)) == 4
+
+    @pytest.mark.parametrize("value", ["abc", [5], None])
+    def test_config_value_that_is_not_a_number_is_usage_error(self, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": value}))
+        out = tmp_path / "out"
+        assert run("gen-data", "--config", str(cfg), "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, argv", [
+        ("certify", "accept_infinite_i", ["--n", "50", "--sweep", "5", "--i-budget", "5"]),
+        ("ngd", "trace", ["--n", "50", "--ref-steps", "5", "--iters", "5"]),
+        ("landscape", "no_mask", ["--n", "50", "--grid-count", "3"]),
+        ("saturation", "no_mask", ["--n", "50", "--grid-count", "3"]),
+    ])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_config_switch_must_be_json_boolean(self, tmp_path, command, key, argv, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), *argv, "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_config_switch_true_turns_it_on(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trace": True}))
+        assert run("ngd", "--config", str(cfg), "--n", "50", "--ref-steps", "5", "--iters", "5",
+                   "--out", str(tmp_path)) == 0
+        assert (tmp_path / "ngd_trace.csv").exists()
 
     @pytest.mark.parametrize(
         "command", ["gen-data", "landscape", "certify", "ngd", "saturation", "tilted"]

@@ -15,7 +15,7 @@ from alphaloss.loss import (
     grad_factor,
     grad_lipschitz_in_inv_alpha,
     hess_factor,
-    hess_factor_from_margins,
+    hess_factor_from_logp,
     lipschitz_in_inv_alpha,
     lipschitz_in_theta,
     loss_grad,
@@ -23,9 +23,9 @@ from alphaloss.loss import (
     loss_margin,
     parse_alpha,
 )
-from alphaloss.numerics import sigmoid
+from alphaloss.numerics import log_sigmoid_vec, sigmoid
 
-from conftest import fd_grad, fd_jacobian, rel_err
+from conftest import fd_grad, fd_jacobian, oracle_grad_factor, oracle_hess_factor, oracle_loss, rel_err
 
 ALPHA_SWEEP = (0.5, 0.77, 1.0, 1.3, 2.0, 10.0, INFINITY)
 
@@ -46,6 +46,18 @@ class TestAlphaValidation:
 
     def test_accepts_inf(self):
         assert math.isinf(check_alpha(INFINITY))
+
+    @pytest.mark.parametrize("tiny", [5e-309, 1e-310, 5e-324])
+    def test_rejects_orders_whose_reciprocal_overflows(self, tiny):
+        # 1 - 1/alpha would be -inf, and -inf * 0 a NaN loss
+        with pytest.raises(DomainError, match="1/alpha"):
+            check_alpha(tiny)
+        with pytest.raises(DomainError):
+            parse_alpha(repr(tiny))
+
+    def test_accepts_smallest_orders_with_finite_reciprocal(self):
+        assert check_alpha(1e-308) == 1e-308
+        assert check_alpha(5.6e-309) == 5.6e-309
 
     def test_parse(self):
         assert parse_alpha("inf") == INFINITY
@@ -216,7 +228,25 @@ class TestHessian:
             zs = np.linspace(-r, r, 5001)
             for a in (0.1, 0.25, 0.5, 0.77, 1.0):
                 floor = curvature_floor(a, r)
-                assert np.all(hess_factor_from_margins(a, zs) >= floor - 1e-12)
+                assert np.all(hess_factor_from_logp(a, log_sigmoid_vec(zs)) >= floor - 1e-12)
+
+
+class TestOneRowWrappers:
+    """loss_margin, grad_factor and hess_factor run the log p maps on one
+    sample; they agree with the scalar sigmoid-based oracles."""
+
+    def test_match_scalar_oracles(self):
+        rng = np.random.default_rng(303)
+        orders = ALPHA_SWEEP + (0.1, 1.0 + 1e-7)
+        for i in range(700):
+            alpha = orders[i % len(orders)]
+            theta, s = _random_case(rng)
+            assert loss_margin(alpha, theta, s) == pytest.approx(oracle_loss(alpha, theta, s), rel=1e-13)
+            assert grad_factor(alpha, theta, s) == pytest.approx(oracle_grad_factor(alpha, theta, s), rel=1e-13)
+            # the factor crosses zero for alpha > 1, so its error is
+            # measured against max(1, |factor|)
+            oracle = oracle_hess_factor(alpha, theta, s)
+            assert abs(hess_factor(alpha, theta, s) - oracle) <= 1e-13 * max(1.0, abs(oracle))
 
 
 class TestLandscapeConstants:

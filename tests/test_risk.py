@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaloss.errors import DomainError, NumericError, UsageError
-from alphaloss.loss import INFINITY, Sample, curvature_floor, grad_lipschitz_in_inv_alpha, lipschitz_in_inv_alpha, loss_margin
+from alphaloss.loss import (
+    INFINITY,
+    Sample,
+    curvature_floor,
+    grad_lipschitz_in_inv_alpha,
+    lipschitz_in_inv_alpha,
+    loss_grad,
+    loss_hess,
+    loss_margin,
+)
 from alphaloss.numerics import min_eigen_sym, sigmoid
 from alphaloss.risk import (
     Dataset,
@@ -24,7 +33,7 @@ from alphaloss.risk import (
     value_and_grad,
 )
 
-from conftest import fd_grad, fd_jacobian, rel_err
+from conftest import fd_grad, fd_jacobian, oracle_loss, rel_err
 
 
 def risk_at_origin(alpha: float) -> float:
@@ -164,7 +173,7 @@ class TestEmpiricalRisk:
         for alpha in (0.5, 1.0, 2.0, INFINITY):
             theta = rng.normal(size=2)
             independent = math.fsum(
-                loss_margin(alpha, theta, s) for s in fig2_small.samples()
+                oracle_loss(alpha, theta, s) for s in fig2_small.samples()
             ) / fig2_small.n
             assert empirical_risk(alpha, theta, fig2_small) == pytest.approx(independent, rel=1e-13)
 
@@ -240,6 +249,29 @@ class TestRiskDerivatives:
                 theta = theta / np.linalg.norm(theta) * rng.uniform(0, r)
                 lam = min_eigen_sym(empirical_risk_hess(alpha, theta, fig2_small))
                 assert lam >= bound - 1e-8
+
+    def test_one_sample_dataset_matches_pointwise_functions(self):
+        # The one-row wrappers run the kernel's margin and log p maps, so
+        # value and gradient agree bit for bit. The Hessian rounds
+        # (w x_j) x_k in the kernel but w (x_j x_k) in loss_hess.
+        rng = np.random.default_rng(2024)
+        orders = (0.1, 0.5, 0.77, 1.0, 1.0 + 1e-7, 1.3, 2.0, 10.0, INFINITY)
+        for i in range(3000):
+            d = int(rng.integers(1, 6))
+            x = rng.normal(size=d)
+            x /= max(1.0, float(np.linalg.norm(x))) * rng.uniform(1.0, 1.5)
+            y = 1 if rng.uniform() < 0.5 else -1
+            theta = rng.normal(size=d)
+            theta *= rng.uniform(0.0, 8.0) / np.linalg.norm(theta)
+            alpha = orders[i % len(orders)]
+            s, data = Sample(x, y), Dataset(x[None, :], np.array([y]))
+            value, grad = risk_value_grad(alpha, theta, data)
+            kernel = np.array([value, *grad])
+            pointwise = np.array([loss_margin(alpha, theta, s), *loss_grad(alpha, theta, s)])
+            assert kernel.tobytes() == pointwise.tobytes()
+            np.testing.assert_allclose(
+                empirical_risk_hess(alpha, theta, data), loss_hess(alpha, theta, s), rtol=1e-14, atol=0.0
+            )
 
     def test_value_and_grad_oracle_consistent(self, fig2_small):
         oracle = value_and_grad(2.0, fig2_small)
