@@ -36,7 +36,7 @@ from .data import (
 from .errors import DomainError, NumericError, ParseError, UsageError
 from .loss import curvature_floor, format_alpha, lipschitz_in_inv_alpha, lipschitz_in_theta, parse_alpha
 from .numerics import RngState, check_positive_finite, min_eigen_sym, sample_ball
-from .risk import Dataset, GridSpec, landscape_scan, saturation_sup, value_and_grad
+from .risk import Dataset, GridSpec, landscape_scans, saturation_sups, value_and_grad
 
 OUT_ENV_VAR = "ALPHALOSS_OUT"
 
@@ -136,8 +136,16 @@ def _switch(ns, key, command) -> bool:
     return value
 
 
+def _path(ns, key, command) -> str | None:
+    """A file or directory path; from a config it must be a JSON string."""
+    value = _get(ns, key, command)
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"{key} must be a path string, got {value!r}")
+    return value
+
+
 def _out_dir(ns, command) -> Path:
-    out = _get(ns, "out", command)
+    out = _path(ns, "out", command)
     if out is None:
         out = os.environ.get(OUT_ENV_VAR, ".")
     return Path(out)
@@ -153,12 +161,15 @@ def _parse_alpha_list(text) -> list[float]:
 
 
 def _convert(kind, value, name):
-    """``kind(value)``, with a value that does not convert (say, a string
-    from a config file) reported as a usage error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+    """``kind(value)``. A value that does not convert (say, a string from a
+    config file), a boolean, or a fractional value for an integer is
+    reported as a usage error."""
+    if not isinstance(value, bool) and not (kind is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise UsageError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def _positive_int(value, name) -> int:
@@ -174,7 +185,7 @@ def _positive_float(value, name) -> float:
 
 def _resolve_spec(ns, command) -> tuple[GmmSpec, str, str]:
     """Mixture spec, its name, and any preset note."""
-    spec_path = _get(ns, "spec_json", command)
+    spec_path = _path(ns, "spec_json", command)
     if spec_path:
         return GmmSpec.from_json_dict(_load_json_object(spec_path, "mixture spec")), "custom", ""
     name = _get(ns, "preset", command)
@@ -183,7 +194,7 @@ def _resolve_spec(ns, command) -> tuple[GmmSpec, str, str]:
 
 def _resolve_dataset(ns, command) -> tuple[Dataset, dict]:
     """Dataset plus provenance metadata, from --data or a seeded mixture."""
-    data_path = _get(ns, "data", command)
+    data_path = _path(ns, "data", command)
     if data_path:
         dataset = read_csv(data_path)
         return dataset, {"data": str(data_path), "dataset": dataset.content_digest()}
@@ -257,8 +268,7 @@ def cmd_landscape(ns) -> int:
     dataset, meta = _resolve_dataset(ns, cmd)
     grid = _grid(ns, cmd, r, dataset.dim)
     out = _out_dir(ns, cmd)
-    for alpha in alphas:
-        table = landscape_scan(alpha, grid, dataset, metadata=meta)
+    for alpha, table in zip(alphas, landscape_scans(alphas, grid, dataset, metadata=meta)):
         path = out / f"landscape_alpha={format_alpha(alpha)}.csv"
         _write_text(path, table.to_csv())
         _emit(path)
@@ -465,8 +475,7 @@ def cmd_saturation(ns) -> int:
     bound_const = lipschitz_in_inv_alpha(r)
 
     lines = ["alpha,sup_distance,bound,within_bound"]
-    for alpha in alphas:
-        measured = saturation_sup(alpha, math.inf, grid, dataset)
+    for alpha, measured in zip(alphas, saturation_sups(alphas, grid, dataset)):
         bound = bound_const * (0.0 if math.isinf(alpha) else 1.0 / alpha)
         ok = measured <= bound + slqc.SLQC_TOL
         lines.append(f"{format_alpha(alpha)},{_fmt(measured)},{_fmt(bound)},{'true' if ok else 'false'}")
@@ -479,7 +488,7 @@ def cmd_saturation(ns) -> int:
 
 def cmd_tilted(ns) -> int:
     cmd = "tilted"
-    joint_path = _get(ns, "joint", cmd)
+    joint_path = _path(ns, "joint", cmd)
     if not joint_path:
         raise UsageError("--joint CSV is required")
     alpha = parse_alpha(str(_get(ns, "alpha", cmd)))
@@ -493,7 +502,7 @@ def cmd_tilted(ns) -> int:
         "tilted_posterior": tilted.q,
         "tilted_risk": information.discrete_alpha_risk(joint, tilted, alpha),
     }
-    posterior_path = _get(ns, "posterior", cmd)
+    posterior_path = _path(ns, "posterior", cmd)
     if posterior_path:
         posterior = information.Posterior(information.load_matrix_csv(posterior_path))
         report["posterior"] = str(posterior_path)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, UsageError
+from .errors import AlphaLossError, DomainError, ParseError, UsageError
 from .numerics import RngState, as_sym_matrix, as_vector, cholesky
 from .risk import Dataset
 
@@ -79,6 +79,10 @@ class GmmSpec:
             return cls(d["prior_neg"], d["mean_neg"], d["mean_pos"], d["cov_neg"], d["cov_pos"])
         except KeyError as missing:
             raise UsageError(f"mixture spec is missing key {missing}") from None
+        except AlphaLossError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"mixture spec holds a value that is not a number: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ magnitudes whose rescaling could overflow, go through ``math.fsum``
 directly, which also stays the tests' oracle. Every value, gradient and
 Hessian starts from one margin pass to log p (``_logp``), which heavy paths
 run for blocks of points at once; the same per-sample quantities reach the
-same summation, so batched and one-at-a-time calls agree bit for bit.
+same summation, so batched and one-at-a-time calls agree bit for bit. Grid
+scans (``landscape_scans``, ``saturation_sups``) take every order they need
+from one such pass over the grid.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ __all__ = [
     "risk_grads",
     "exact_row_sums",
     "landscape_scan",
+    "landscape_scans",
     "saturation_sup",
+    "saturation_sups",
 ]
 
 
@@ -379,35 +383,57 @@ class LandscapeTable:
         return "\n".join(lines) + "\n"
 
 
-def landscape_scan(alpha: float, grid: GridSpec, data: Dataset, metadata: dict | None = None) -> LandscapeTable:
-    """Empirical risk at every grid node, row-major, masked nodes omitted."""
-    alpha = check_alpha(alpha)
+def _grid_risks(alphas: list[float], grid: GridSpec, data: Dataset) -> tuple[np.ndarray, dict]:
+    """The grid's nodes and, for each distinct order in ``alphas``, its risk
+    at every node (order -> column), all from one margin pass. A risk that
+    is not finite raises NumericError."""
     if grid.dim != data.dim:
         raise UsageError(f"grid dim {grid.dim} does not match dataset dim {data.dim}")
     nodes = grid.nodes()
-    risks = risk_values(alpha, nodes, data)
-    meta = {
-        "alpha": format_alpha(alpha),
+    orders = list(dict.fromkeys(alphas))
+    values = risk_values_multi(orders, nodes, data)
+    bad = [format_alpha(a) for a, ok in zip(orders, np.isfinite(values).all(axis=0)) if not ok]
+    if bad:
+        raise NumericError(f"risk is not finite at some grid node for order(s) {', '.join(bad)}")
+    return nodes, dict(zip(orders, values.T))
+
+
+def landscape_scans(alphas, grid: GridSpec, data: Dataset, metadata: dict | None = None) -> list[LandscapeTable]:
+    """Empirical risk at every grid node, row-major, masked nodes omitted:
+    one table per order, in input order, all from one margin pass."""
+    alphas = [check_alpha(a) for a in alphas]
+    nodes, risks = _grid_risks(alphas, grid, data)
+    common = {
         "r": "none" if grid.mask_radius is None else repr(grid.mask_radius),
         "dataset": data.content_digest(),
     }
-    if metadata:
-        meta.update(metadata)
-    return LandscapeTable(nodes, risks, meta)
+    common.update(metadata or {})
+    return [LandscapeTable(nodes, risks[a], {"alpha": format_alpha(a), **common}) for a in alphas]
+
+
+def landscape_scan(alpha: float, grid: GridSpec, data: Dataset, metadata: dict | None = None) -> LandscapeTable:
+    """Empirical risk at every grid node for one order (``landscape_scans``)."""
+    return landscape_scans([alpha], grid, data, metadata)[0]
+
+
+def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = math.inf) -> list[float]:
+    """Largest grid-node gap |risk(alpha) - risk(reference)| for each order
+    in ``alphas``, in input order, from one margin pass over the grid.
+
+    Every order must lie in [1, inf]; the gap obeys the Lipschitz-in-1/alpha
+    bound L_r * |1/alpha - 1/reference| when the grid sits inside the
+    radius-r ball.
+    """
+    alphas = [check_alpha(a) for a in alphas]
+    reference = check_alpha(reference)
+    low = [a for a in [*alphas, reference] if a < 1.0]
+    if low:
+        raise DomainError(f"saturation scan requires orders >= 1, got {', '.join(map(repr, low))}")
+    _, risks = _grid_risks([*alphas, reference], grid, data)
+    return [float(np.max(np.abs(risks[a] - risks[reference]))) for a in alphas]
 
 
 def saturation_sup(alpha: float, alpha2: float, grid: GridSpec, data: Dataset) -> float:
-    """Largest grid-node gap |risk(alpha) - risk(alpha2)| between two orders.
-
-    Both orders must lie in [1, inf]; the gap obeys the Lipschitz-in-1/alpha
-    bound L_r * |1/alpha - 1/alpha2| when the grid sits inside the radius-r
-    ball.
-    """
-    alpha = check_alpha(alpha)
-    alpha2 = check_alpha(alpha2)
-    if alpha < 1.0 or alpha2 < 1.0:
-        raise DomainError(f"saturation scan requires both orders >= 1, got {alpha!r}, {alpha2!r}")
-    if grid.dim != data.dim:
-        raise UsageError(f"grid dim {grid.dim} does not match dataset dim {data.dim}")
-    values = risk_values_multi([alpha, alpha2], grid.nodes(), data)
-    return float(np.max(np.abs(values[:, 0] - values[:, 1])))
+    """Largest grid-node gap |risk(alpha) - risk(alpha2)| between two orders
+    (``saturation_sups`` with one order)."""
+    return saturation_sups([alpha], grid, data, reference=alpha2)[0]

@@ -2,12 +2,26 @@ import json
 
 import pytest
 
+from alphaloss import risk
 from alphaloss.cli import main
 from alphaloss.numerics import sigmoid
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def count_value_calls(monkeypatch) -> list:
+    """Record the orders of every ``risk.risk_values_multi`` call."""
+    calls = []
+    original = risk.risk_values_multi
+
+    def counting(alphas, thetas, data):
+        calls.append(list(alphas))
+        return original(alphas, thetas, data)
+
+    monkeypatch.setattr(risk, "risk_values_multi", counting)
+    return calls
 
 
 class TestGenData:
@@ -37,6 +51,17 @@ class TestGenData:
         spec.write_text(text)
         out = tmp_path / "out"
         assert run("gen-data", "--spec-json", str(spec), "--out", str(out)) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("prior_neg", "x"), ("prior_neg", [0.5]),
+                                            ("mean_neg", ["a"]), ("cov_pos", [[1, 0], [0]])])
+    def test_spec_value_that_is_not_a_number_is_usage_error(self, tmp_path, key, value):
+        spec = {"prior_neg": 0.5, "mean_neg": [0, 0], "mean_pos": [1, 1],
+                "cov_neg": [[1, 0], [0, 1]], "cov_pos": [[1, 0], [0, 1]], key: value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert run("gen-data", "--spec-json", str(path), "--n", "10", "--out", str(out)) == 2
         assert not out.exists()
 
     def test_no_partial_files_on_bad_spec(self, tmp_path):
@@ -89,6 +114,21 @@ class TestLandscape:
                    "--out", str(out)) == 2
         assert "1/alpha" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_risk_is_numeric_error_and_writes_nothing(self, tmp_path, capsys):
+        # 1/alpha is finite at 1e-300, but p^(1 - 1/alpha) overflows to inf.
+        out = tmp_path / "out"
+        assert run("landscape", "--alphas", "1,1e-300", "--n", "50", "--grid-count", "3",
+                   "--out", str(out)) == 3
+        assert "1e-300" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_orders_share_one_evaluation_call(self, tmp_path, monkeypatch):
+        calls = count_value_calls(monkeypatch)
+        assert run("landscape", "--preset", "fig2", "--n", "60", "--alphas", "0.5,1,2,inf,2",
+                   "--grid-count", "5", "--out", str(tmp_path)) == 0
+        assert len(calls) == 1
+        assert calls[0] == [0.5, 1.0, 2.0, float("inf")]
 
     def test_missing_data_file_is_io_error(self, tmp_path):
         assert run("landscape", "--data", str(tmp_path / "nope.csv"), "--alphas", "1",
@@ -213,6 +253,22 @@ class TestSaturation:
     def test_alpha_below_one_is_usage_error(self, tmp_path):
         assert run("saturation", "--alphas", "0.5,2", "--n", "50", "--out", str(tmp_path)) == 2
 
+    def test_five_orders_make_one_evaluation_call(self, tmp_path, monkeypatch):
+        calls = count_value_calls(monkeypatch)
+        assert run("saturation", "--preset", "fig3", "--n", "60", "--alphas", "1,2,4,10,inf",
+                   "--grid-count", "5", "--out", str(tmp_path)) == 0
+        assert len(calls) == 1
+        assert calls[0] == [1.0, 2.0, 4.0, 10.0, float("inf")]
+
+    def test_non_finite_risk_is_numeric_error_and_writes_nothing(self, tmp_path):
+        # Margins below about -1.8e308 overflow, so the order-1 risk is inf.
+        data = tmp_path / "one.csv"
+        data.write_text("y,x_1,x_2\n1,0.6,0.8\n-1,-0.6,-0.8\n")
+        out = tmp_path / "out"
+        assert run("saturation", "--data", str(data), "--grid-count", "2", "--grid-min=-1.7e308",
+                   "--grid-max=-1.6e308", "--no-mask", "--out", str(out)) == 3
+        assert not out.exists()
+
 
 class TestTilted:
     def test_report(self, tmp_path):
@@ -265,6 +321,35 @@ class TestConfigAndHelp:
         out = tmp_path / "out"
         assert run("gen-data", "--config", str(cfg), "--out", str(out)) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, argv", [
+        ("gen-data", {"out": 5}, ["--n", "10"]),
+        ("gen-data", {"spec_json": 0}, ["--n", "10"]),
+        ("landscape", {"data": 999}, ["--grid-count", "3"]),
+        ("tilted", {"joint": 999}, []),
+        ("gen-data", {"n": 2.7}, []),
+        ("gen-data", {"n": True}, []),
+        ("gen-data", {"seed": 1.5}, ["--n", "10"]),
+        ("landscape", {"grid_count": 3.5}, ["--n", "50"]),
+        ("landscape", {"r": True}, ["--n", "50", "--grid-count", "3"]),
+        ("ngd", {"ref_step": True}, ["--n", "50", "--ref-steps", "5", "--iters", "5"]),
+    ])
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, command, config, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        if "out" not in config:
+            argv = [*argv, "--out", str(out)]
+        assert run(command, "--config", str(cfg), *argv) == 2
+        assert not out.exists()
+
+    def test_config_integer_given_as_integral_float_keeps_its_bytes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 30.0, "seed": 7.0}))
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "a")) == 0
+        assert run("gen-data", "--n", "30", "--seed", "7", "--out", str(tmp_path / "b")) == 0
+        for name in ("dataset.csv", "dataset.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize("command, key, argv", [
         ("certify", "accept_infinite_i", ["--n", "50", "--sweep", "5", "--i-budget", "5"]),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphaloss import risk
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
@@ -26,10 +27,12 @@ from alphaloss.risk import (
     empirical_risk_hess,
     exact_row_sums,
     landscape_scan,
+    landscape_scans,
     risk_grads,
     risk_value_grad,
     risk_values,
     saturation_sup,
+    saturation_sups,
     value_and_grad,
 )
 
@@ -391,6 +394,26 @@ class TestLandscape:
         with pytest.raises(UsageError):
             landscape_scan(1.0, GridSpec(((-1.0, 1.0, 3),)), fig2_small)
 
+    def test_scans_equal_per_order_scans_bit_for_bit(self, fig2_small, monkeypatch):
+        # Small blocks, so the shared pass is cut into many row blocks.
+        monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 7 * fig2_small.n)
+        grid = GridSpec(((-3.0, 3.0, 9), (-3.0, 3.0, 9)), mask_radius=3.0)
+        alphas = [0.5, 1.0, 2.0, INFINITY, 2.0, 10.0, INFINITY]
+        tables = landscape_scans(alphas, grid, fig2_small, metadata={"seed": 42, "dataset": "x"})
+        assert len(tables) == len(alphas)
+        for alpha, table in zip(alphas, tables):
+            single = landscape_scan(alpha, grid, fig2_small, metadata={"seed": 42, "dataset": "x"})
+            assert table.to_csv() == single.to_csv()
+            assert list(table.metadata) == ["alpha", "r", "dataset", "seed"]
+            oracle = risk_values(alpha, grid.nodes(), fig2_small)
+            assert np.array_equal(table.risks, oracle)
+
+    def test_non_finite_risk_is_numeric_error(self, fig2_small):
+        # p^(1 - 1/alpha) overflows for tiny alpha although 1/alpha is finite.
+        grid = GridSpec(((-5.0, 5.0, 3), (-5.0, 5.0, 3)))
+        with pytest.raises(NumericError, match="1e-300"):
+            landscape_scans([1.0, 1e-300], grid, fig2_small)
+
 
 class TestSaturation:
     def test_same_order_gives_zero(self, fig2_small):
@@ -413,3 +436,29 @@ class TestSaturation:
         grid = GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3)))
         with pytest.raises(DomainError):
             saturation_sup(0.5, 2.0, grid, fig2_small)
+        with pytest.raises(DomainError):
+            saturation_sups([2.0, 4.0], grid, fig2_small, reference=0.5)
+
+    def test_grid_dim_mismatch(self, fig2_small):
+        with pytest.raises(UsageError):
+            saturation_sups([2.0], GridSpec(((-1.0, 1.0, 3),)), fig2_small)
+
+    @pytest.mark.parametrize("reference", [INFINITY, 2.0])
+    def test_sups_equal_per_order_sups_bit_for_bit(self, fig2_small, monkeypatch, reference):
+        monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 7 * fig2_small.n)
+        grid = GridSpec(((-5.0, 5.0, 11), (-5.0, 5.0, 11)), mask_radius=5.0)
+        alphas = [1.0, 2.0, 4.0, INFINITY, 2.0, 10.0, INFINITY, 1.5]
+        sups = saturation_sups(alphas, grid, fig2_small, reference=reference)
+        nodes = grid.nodes()
+        base = risk_values(reference, nodes, fig2_small)
+        for alpha, sup in zip(alphas, sups):
+            assert sup == saturation_sup(alpha, reference, grid, fig2_small)
+            assert sup == float(np.max(np.abs(risk_values(alpha, nodes, fig2_small) - base)))
+        assert sups[alphas.index(reference)] == 0.0
+
+    def test_non_finite_risk_is_numeric_error(self):
+        # Margins below about -1.8e308 overflow, so the order-1 risk is inf.
+        data = Dataset(np.array([[0.6, 0.8]]), np.array([1]))
+        grid = GridSpec(((-1.7e308, -1.6e308, 2), (-1.7e308, -1.6e308, 2)))
+        with pytest.raises(NumericError, match="1.0"):
+            saturation_sups([1.0, 2.0], grid, data)
