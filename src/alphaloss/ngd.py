@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
-from .numerics import as_vector, project_ball
+from .numerics import as_vector, check_positive_finite, project_ball
 
 # Below this gradient norm the normalized direction is meaningless; stop.
 GRAD_NORM_FLOOR = 1e-14
@@ -33,12 +33,11 @@ class NgdConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if not (float(self.eta) > 0.0) or not math.isfinite(self.eta):
-            raise DomainError(f"eta must be positive and finite, got {self.eta!r}")
+        check_positive_finite(self.eta, "eta")
         if int(self.iterations) < 1:
             raise DomainError(f"iterations must be >= 1, got {self.iterations!r}")
-        if self.radius is not None and (not (float(self.radius) > 0.0) or not math.isfinite(self.radius)):
-            raise DomainError(f"radius must be positive and finite, got {self.radius!r}")
+        if self.radius is not None:
+            check_positive_finite(self.radius, "radius")
 
 
 @dataclass(frozen=True)

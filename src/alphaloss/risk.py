@@ -319,7 +319,8 @@ def value_and_grad(alpha: float, data: Dataset):
 class GridSpec:
     """Rectangular evaluation grid with an optional ball mask.
 
-    ``axes`` is one (min, max, count) triple per dimension; nodes enumerate
+    ``axes`` is one (min, max, count) triple per dimension, with finite
+    min < max whose span max - min is finite too; nodes enumerate
     in row-major order (last axis fastest). With ``mask_radius`` set, nodes
     with norm beyond the radius (1e-12 slack) are omitted.
     """
@@ -336,6 +337,8 @@ class GridSpec:
                 raise UsageError(f"grid axis needs count >= 2, got {count}")
             if not (lo < hi):
                 raise UsageError(f"grid axis needs min < max, got [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):  # also a bound that is inf or nan
+                raise UsageError(f"grid axis needs finite bounds and a finite span, got [{lo}, {hi}]")
         object.__setattr__(self, "axes", axes)
         if self.mask_radius is not None:
             object.__setattr__(self, "mask_radius", check_positive_finite(self.mask_radius, "mask radius"))
@@ -385,11 +388,14 @@ class LandscapeTable:
 
 def _grid_risks(alphas: list[float], grid: GridSpec, data: Dataset) -> tuple[np.ndarray, dict]:
     """The grid's nodes and, for each distinct order in ``alphas``, its risk
-    at every node (order -> column), all from one margin pass. A risk that
-    is not finite raises NumericError."""
+    at every node (order -> column), all from one margin pass. A grid with
+    no node inside its mask raises UsageError, and a risk that is not
+    finite raises NumericError."""
     if grid.dim != data.dim:
         raise UsageError(f"grid dim {grid.dim} does not match dataset dim {data.dim}")
     nodes = grid.nodes()
+    if not len(nodes):
+        raise UsageError(f"no grid node lies within the mask radius {grid.mask_radius!r}")
     orders = list(dict.fromkeys(alphas))
     values = risk_values_multi(orders, nodes, data)
     bad = [format_alpha(a) for a, ok in zip(orders, np.isfinite(values).all(axis=0)) if not ok]

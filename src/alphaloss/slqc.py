@@ -38,7 +38,7 @@ from .loss import (
     lipschitz_in_inv_alpha,
     lipschitz_in_theta,
 )
-from .numerics import RngState, as_vector, min_eigen_sym, sample_ball
+from .numerics import RngState, as_vector, check_positive_finite, min_eigen_sym, sample_ball
 from .risk import Dataset, empirical_risk, empirical_risk_grad, risk_grads, risk_values
 
 # Absolute slack applied to both SLQC inequalities; empirical risks are
@@ -79,11 +79,9 @@ class SlqcParams:
 
     def __post_init__(self):
         eps = float(self.epsilon)
-        kap = float(self.kappa)
         if not (eps > 0.0) or math.isnan(eps):
             raise DomainError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not (kap > 0.0) or not math.isfinite(kap):
-            raise DomainError(f"kappa must be positive and finite, got {self.kappa!r}")
+        kap = check_positive_finite(self.kappa, "kappa")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "kappa", kap)
         object.__setattr__(self, "theta0", as_vector(self.theta0, "theta0"))
@@ -111,9 +109,7 @@ def ball_min_inner(g, theta, theta0, rho: float) -> float:
     g = as_vector(g, "g")
     theta = as_vector(theta, "theta")
     theta0 = as_vector(theta0, "theta0")
-    rho = float(rho)
-    if not (rho > 0.0) or not math.isfinite(rho):
-        raise DomainError(f"rho must be positive and finite, got {rho!r}")
+    rho = check_positive_finite(rho, "rho")
     return float(np.dot(-g, theta0 - theta)) - rho * float(np.linalg.norm(g))
 
 
@@ -281,15 +277,9 @@ def _check_evolution_inputs(alpha0, epsilon0, kappa0, r, grad_inf, allow_infinit
     alpha0 = check_alpha(alpha0)
     if math.isinf(alpha0) or alpha0 < 1.0:
         raise DomainError(f"base order must be finite and >= 1, got {alpha0!r}")
-    epsilon0 = float(epsilon0)
-    kappa0 = float(kappa0)
-    r = float(r)
-    if not (epsilon0 > 0.0) or not math.isfinite(epsilon0):
-        raise DomainError(f"epsilon0 must be positive and finite, got {epsilon0!r}")
-    if not (kappa0 > 0.0) or not math.isfinite(kappa0):
-        raise DomainError(f"kappa0 must be positive and finite, got {kappa0!r}")
-    if not (r > 0.0) or not math.isfinite(r):
-        raise DomainError(f"radius must be positive and finite, got {r!r}")
+    epsilon0 = check_positive_finite(epsilon0, "epsilon0")
+    kappa0 = check_positive_finite(kappa0, "kappa0")
+    r = check_positive_finite(r, "radius")
     grad_inf = float(grad_inf)
     if math.isnan(grad_inf) or grad_inf <= 0.0:
         raise DomainError(f"gradient infimum must be positive, got {grad_inf!r}")

@@ -2,13 +2,25 @@ import json
 
 import pytest
 
-from alphaloss import risk
+from alphaloss import cli, risk
 from alphaloss.cli import main
 from alphaloss.numerics import sigmoid
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def wrong_type_cases():
+    """(command, option, value) for every option of every command and each
+    JSON type of value that the option's converter does not accept."""
+    accepted = {cli._path: str, cli._switch: bool, cli._alpha_list: list}
+    for command, (_, _, defaults) in cli._COMMANDS.items():
+        for key in defaults:
+            convert = cli._OPTIONS[key][0]
+            for value in ("abc", True, [1], {"a": 1}):
+                if not isinstance(value, accepted.get(convert, ())):
+                    yield command, key, value
 
 
 def count_value_calls(monkeypatch) -> list:
@@ -130,6 +142,23 @@ class TestLandscape:
         assert len(calls) == 1
         assert calls[0] == [0.5, 1.0, 2.0, float("inf")]
 
+    @pytest.mark.parametrize("grid", [
+        ["--grid-count", "2", "--grid-min", "4", "--grid-max", "5"],
+        ["--grid-count", "3", "--grid-min=-inf"],
+        ["--grid-count", "3", "--grid-min=-1.7e308", "--grid-max=1.7e308"],
+    ])
+    def test_grid_with_no_node_to_evaluate_is_usage_error(self, tmp_path, grid):
+        out = tmp_path / "out"
+        assert run("landscape", "--n", "50", *grid, "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_unused_option_is_still_checked(self, tmp_path):
+        data = tmp_path / "two.csv"
+        data.write_text("y,x_1,x_2\n1,0.6,0.8\n-1,-0.6,-0.8\n")
+        out = tmp_path / "out"
+        assert run("landscape", "--data", str(data), "--n", "0", "--grid-count", "3", "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_missing_data_file_is_io_error(self, tmp_path):
         assert run("landscape", "--data", str(tmp_path / "nope.csv"), "--alphas", "1",
                    "--out", str(tmp_path)) == 4
@@ -187,6 +216,14 @@ class TestCertify:
         assert self._run(tmp_path) == 0
         assert (tmp_path / "certificate.json").read_bytes() == once
 
+    @pytest.mark.parametrize("extra", [["--epsilon0", "1e-200"], ["--r", "1e300"]])
+    def test_arithmetic_failure_is_numeric_error_and_writes_nothing(self, tmp_path, extra):
+        # epsilon0^2 underflows to 0 in the NGD budget, or r^2 overflows to inf.
+        out = tmp_path / "out"
+        assert run("certify", "--n", "50", "--sweep", "5", "--i-budget", "5", *extra,
+                   "--out", str(out)) == 3
+        assert not out.exists()
+
     def test_alpha0_above_one_needs_kappa0(self, tmp_path):
         assert self._run(tmp_path, "--alpha0", "2") == 2
 
@@ -228,6 +265,12 @@ class TestNgd:
         assert trace.startswith("t,theta_1,theta_2,value,grad_norm")
         assert len(trace.strip().splitlines()) == 21
 
+    def test_budget_division_by_zero_is_numeric_error_and_writes_nothing(self, tmp_path):
+        # epsilon^2 underflows to 0 in the iteration budget.
+        out = tmp_path / "out"
+        assert run("ngd", "--n", "50", "--epsilon", "1e-320", "--ref-steps", "5", "--out", str(out)) == 3
+        assert not out.exists()
+
     def test_undefined_sample_sum_is_numeric_error(self, tmp_path, capsys):
         # At alpha = 0.002 the gradient rows hold both +inf and -inf.
         code = run("ngd", "--preset", "fig2", "--n", "300", "--alpha", "0.002",
@@ -259,6 +302,12 @@ class TestSaturation:
                    "--grid-count", "5", "--out", str(tmp_path)) == 0
         assert len(calls) == 1
         assert calls[0] == [1.0, 2.0, 4.0, 10.0, float("inf")]
+
+    def test_grid_with_no_node_to_evaluate_is_usage_error(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("saturation", "--n", "50", "--grid-count", "2", "--grid-min", "4", "--grid-max", "5",
+                   "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_non_finite_risk_is_numeric_error_and_writes_nothing(self, tmp_path):
         # Margins below about -1.8e308 overflow, so the order-1 risk is inf.
@@ -293,6 +342,14 @@ class TestTilted:
         joint = tmp_path / "joint.csv"
         joint.write_text("0.4,oops\n")
         assert run("tilted", "--joint", str(joint), "--alpha", "1", "--out", str(tmp_path)) == 4
+
+    def test_overflowing_minimal_risk_is_numeric_error(self, tmp_path):
+        joint = tmp_path / "joint.csv"
+        joint.write_text("0.5,0.5\n")
+        out = tmp_path / "out"
+        assert run("tilted", "--joint", str(joint), "--alpha", "1e-300", "--out", str(out)) == 3
+        assert not out.exists()
+        assert run("tilted", "--joint", str(joint), "--alpha", "1e-3", "--out", str(out)) == 0
 
     def test_missing_joint_flag_is_usage_error(self, tmp_path):
         assert run("tilted", "--alpha", "1", "--out", str(tmp_path)) == 2
@@ -342,6 +399,24 @@ class TestConfigAndHelp:
             argv = [*argv, "--out", str(out)]
         assert run(command, "--config", str(cfg), *argv) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", list(wrong_type_cases()))
+    def test_every_option_rejects_a_config_value_of_the_wrong_type(self, tmp_path, monkeypatch,
+                                                                   command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        monkeypatch.setenv("ALPHALOSS_OUT", str(out))
+        assert run(command, "--config", str(cfg)) == 2
+        assert not out.exists()
+
+    def test_config_null_leaves_an_option_without_default_unset(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spec_json": None, "data": None, "grid_min": None, "out": None}))
+        out = tmp_path / "out"
+        assert run("landscape", "--config", str(cfg), "--n", "50", "--grid-count", "3",
+                   "--out", str(out)) == 0
+        assert (out / "landscape_alpha=1.0.csv").exists()
 
     def test_config_integer_given_as_integral_float_keeps_its_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"

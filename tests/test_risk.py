@@ -343,6 +343,12 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(((0.0, 1.0, 3),), mask_radius=-1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf),
+                                        (-1.7e308, 1.7e308)])
+    def test_rejects_non_finite_bounds_and_span(self, lo, hi):
+        with pytest.raises(UsageError, match="finite"):
+            GridSpec(((lo, hi, 3),))
+
     def test_row_major_order(self):
         grid = GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 2)))
         nodes = grid.nodes()
@@ -407,6 +413,13 @@ class TestLandscape:
             assert list(table.metadata) == ["alpha", "r", "dataset", "seed"]
             oracle = risk_values(alpha, grid.nodes(), fig2_small)
             assert np.array_equal(table.risks, oracle)
+
+    def test_grid_without_nodes_is_usage_error(self, fig2_small):
+        grid = GridSpec(((4.0, 5.0, 2), (4.0, 5.0, 2)), mask_radius=5.0)
+        with pytest.raises(UsageError, match="no grid node"):
+            landscape_scans([1.0], grid, fig2_small)
+        with pytest.raises(UsageError, match="no grid node"):
+            saturation_sups([1.0], grid, fig2_small)
 
     def test_non_finite_risk_is_numeric_error(self, fig2_small):
         # p^(1 - 1/alpha) overflows for tiny alpha although 1/alpha is finite.
