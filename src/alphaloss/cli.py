@@ -1,17 +1,22 @@
 """Command-line surface for reproducible experiments.
 
 Subcommands: gen-data, landscape, certify, ngd, saturation, tilted.
-Every command is deterministic given its configuration and seed, writes
-its outputs atomically (temp file + rename, so failures leave nothing
-behind), and formats numbers so files round-trip bit-faithfully. Each
-option is declared once in ``_OPTIONS``, with its converter; its value
-comes from its flag, else the JSON ``--config`` file, else the command's
-default in ``_COMMANDS``, and is converted before any work starts.
+Every command is deterministic given its configuration and seed, and
+formats numbers so files round-trip bit-faithfully. Each option is
+declared once in ``_OPTIONS``, with its converter; its value comes from
+its flag, else the JSON ``--config`` file, else the command's default in
+``_COMMANDS``, and is converted before any work starts.
+
+A command writes nothing itself: it returns its outputs as one
+``{file name: text}`` dict, and ``main`` writes each file atomically
+(temp file + rename) into ``--out``, else $ALPHALOSS_OUT, else the
+working directory. So every file of a run is computed before any is
+written, and a failure leaves nothing behind. Every JSON output goes
+through ``_json_text``, which turns a NaN into a numeric error.
 
 Exit codes: 0 success, 2 usage/domain error, 3 numeric failure (an
-arithmetic overflow or division by zero included), 4 I/O.
-The default output directory comes from $ALPHALOSS_OUT (falling back to
-the working directory).
+arithmetic overflow or division by zero, or a NaN in an output,
+included), 4 I/O.
 """
 
 from __future__ import annotations
@@ -31,13 +36,13 @@ from .data import (
     GmmSpec,
     PRESET_NAMES,
     PRESET_NOTES,
+    dataset_csv,
     normalize_features,
     preset,
     read_csv,
     sample_gmm,
-    write_csv,
 )
-from .errors import DomainError, ParseError, UsageError
+from .errors import DomainError, NumericError, ParseError, UsageError
 from .loss import curvature_floor, format_alpha, lipschitz_in_inv_alpha, lipschitz_in_theta, parse_alpha
 from .numerics import RngState, check_positive_finite, min_eigen_sym, sample_ball
 from .risk import Dataset, GridSpec, landscape_scans, saturation_sups, value_and_grad
@@ -67,19 +72,12 @@ def _json_ready(obj):
     return obj
 
 
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_json(path: Path, obj):
-    _write_text(path, json.dumps(_json_ready(obj), indent=2, sort_keys=True) + "\n")
-
-
-def _emit(path: Path):
-    print(str(path))
+def _json_text(obj) -> str:
+    """The JSON text of an output; a NaN anywhere in it is a numeric error."""
+    try:
+        return json.dumps(_json_ready(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"an output holds a NaN: {exc}") from None
 
 
 def _load_json_object(path, what: str) -> dict:
@@ -134,12 +132,10 @@ def _alpha(value, name) -> float:
 
 def _alpha_list(value, name) -> list[float]:
     """A comma list of orders, or a JSON list of them."""
-    if isinstance(value, list):
-        return [parse_alpha(str(t)) for t in value]
-    tokens = [t for t in str(value).split(",") if t.strip()]
+    tokens = value if isinstance(value, list) else [t for t in str(value).split(",") if t.strip()]
     if not tokens:
         raise UsageError("alpha list is empty")
-    return [parse_alpha(t) for t in tokens]
+    return [parse_alpha(str(t)) for t in tokens]
 
 
 def _path(value, name) -> str:
@@ -160,10 +156,6 @@ def _preset(value, name) -> str:
     if value not in PRESET_NAMES:
         raise UsageError(f"{name} must be one of {', '.join(PRESET_NAMES)}, got {value!r}")
     return value
-
-
-def _out_dir(o) -> Path:
-    return Path(os.environ.get(OUT_ENV_VAR, ".") if o.out is None else o.out)
 
 
 def _resolve_dataset(o) -> tuple[Dataset, dict]:
@@ -205,45 +197,30 @@ def _grid(o, dim: int) -> GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands. Each returns its output files as {file name: text}, in the order
+# ``main`` writes and prints them, and writes no file itself.
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(o) -> int:
+def cmd_gen_data(o) -> dict[str, str]:
     dataset, meta, spec = _sample_dataset(o)
-    out = _out_dir(o)
-
-    csv_path = out / "dataset.csv"
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = csv_path.with_name(csv_path.name + ".tmp")
-    write_csv(dataset, tmp)
-    os.replace(tmp, csv_path)
-    _emit(csv_path)
-
     sidecar = {
         **meta,
         "spec": spec.to_json_dict(),
         "normalization": "global rescale by the maximum raw feature norm",
         "note": meta.get("note", ""),
     }
-    json_path = out / "dataset.json"
-    _write_json(json_path, sidecar)
-    _emit(json_path)
-    return 0
+    return {"dataset.csv": dataset_csv(dataset), "dataset.json": _json_text(sidecar)}
 
 
-def cmd_landscape(o) -> int:
+def cmd_landscape(o) -> dict[str, str]:
     dataset, meta = _resolve_dataset(o)
     grid = _grid(o, dataset.dim)
-    out = _out_dir(o)
-    for alpha, table in zip(o.alphas, landscape_scans(o.alphas, grid, dataset, metadata=meta)):
-        path = out / f"landscape_alpha={format_alpha(alpha)}.csv"
-        _write_text(path, table.to_csv())
-        _emit(path)
-    return 0
+    tables = landscape_scans(o.alphas, grid, dataset, metadata=meta)
+    return {f"landscape_alpha={format_alpha(a)}.csv": table.to_csv() for a, table in zip(o.alphas, tables)}
 
 
-def cmd_certify(o) -> int:
+def cmd_certify(o) -> dict[str, str]:
     r, alpha0, epsilon0 = o.r, o.alpha0, o.epsilon0
     if math.isinf(alpha0):
         raise UsageError("--alpha0 must be finite")
@@ -347,17 +324,10 @@ def cmd_certify(o) -> int:
         ],
         "evolution_note": evolution_note,
     }
-    out = _out_dir(o)
-    path = out / "certificate.json"
-    _write_json(path, report)
-    _emit(path)
-    csv_path = out / "evolution.csv"
-    _write_text(csv_path, slqc.evolution_to_csv(rows))
-    _emit(csv_path)
-    return 0
+    return {"certificate.json": _json_text(report), "evolution.csv": slqc.evolution_to_csv(rows)}
 
 
-def cmd_ngd(o) -> int:
+def cmd_ngd(o) -> dict[str, str]:
     r, epsilon = o.r, o.epsilon
     dataset, meta = _resolve_dataset(o)
     kappa = lipschitz_in_theta(1.0, r) if o.kappa is None else o.kappa
@@ -372,7 +342,6 @@ def cmd_ngd(o) -> int:
         iterations = ngd.iteration_budget(epsilon, kappa, float(np.linalg.norm(theta1 - ref_theta)))
     result = ngd.ngd_run(objective, theta1, ngd.NgdConfig(eta, iterations, radius=r, record_trace=o.trace))
 
-    out = _out_dir(o)
     summary = {
         "inputs": {
             **{k: meta[k] for k in ("preset", "n", "seed", "scale", "data") if k in meta},
@@ -394,17 +363,13 @@ def cmd_ngd(o) -> int:
         "achieved_gap": result.best_value - ref_value,
         "stop_reason": result.stop_reason,
     }
-    path = out / "ngd_summary.json"
-    _write_json(path, summary)
-    _emit(path)
+    files = {"ngd_summary.json": _json_text(summary)}
     if o.trace:
-        trace_path = out / "ngd_trace.csv"
-        _write_text(trace_path, ngd.trace_to_csv(result))
-        _emit(trace_path)
-    return 0
+        files["ngd_trace.csv"] = ngd.trace_to_csv(result)
+    return files
 
 
-def cmd_saturation(o) -> int:
+def cmd_saturation(o) -> dict[str, str]:
     for alpha in o.alphas:
         if alpha < 1.0:
             raise UsageError(f"saturation orders must lie in [1, inf], got {format_alpha(alpha)}")
@@ -417,14 +382,10 @@ def cmd_saturation(o) -> int:
         bound = bound_const * (0.0 if math.isinf(alpha) else 1.0 / alpha)
         ok = measured <= bound + slqc.SLQC_TOL
         lines.append(f"{format_alpha(alpha)},{_fmt(measured)},{_fmt(bound)},{'true' if ok else 'false'}")
-    out = _out_dir(o)
-    path = out / "saturation.csv"
-    _write_text(path, "\n".join(lines) + "\n")
-    _emit(path)
-    return 0
+    return {"saturation.csv": "\n".join(lines) + "\n"}
 
 
-def cmd_tilted(o) -> int:
+def cmd_tilted(o) -> dict[str, str]:
     if not o.joint:
         raise UsageError("--joint CSV is required")
     joint = information.DiscreteJoint(information.load_matrix_csv(o.joint))
@@ -441,11 +402,7 @@ def cmd_tilted(o) -> int:
         posterior = information.Posterior(information.load_matrix_csv(o.posterior))
         report["posterior"] = o.posterior
         report["posterior_risk"] = information.discrete_alpha_risk(joint, posterior, o.alpha)
-    out = _out_dir(o)
-    path = out / "tilted.json"
-    _write_json(path, report)
-    _emit(path)
-    return 0
+    return {"tilted.json": _json_text(report)}
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +529,17 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return ns.func(_resolve(ns))
+        o = _resolve(ns)
+        files = ns.func(o)
+        out = Path(os.environ.get(OUT_ENV_VAR, ".") if o.out is None else o.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path, tmp = out / name, out / (name + ".tmp")
+            with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+            print(path)
+        return 0
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

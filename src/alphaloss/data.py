@@ -28,6 +28,7 @@ __all__ = [
     "preset",
     "sample_gmm",
     "normalize_features",
+    "dataset_csv",
     "write_csv",
     "read_csv",
 ]
@@ -180,13 +181,19 @@ def normalize_features(raw: RawDataset) -> tuple[Dataset, NormalizationRecord]:
     return Dataset(xs / scale, raw.ys), NormalizationRecord(scale)
 
 
+def dataset_csv(data: Dataset) -> str:
+    """The `y,x_1,...,x_d` CSV text of a dataset; features at 17 significant
+    digits."""
+    lines = [",".join(["y"] + [f"x_{j + 1}" for j in range(data.dim)])]
+    for y, x in zip(data.ys, data.xs):
+        lines.append(",".join([str(int(y))] + [f"{v:.17g}" for v in x]))
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(data: Dataset, path) -> None:
-    """Write `y,x_1,...,x_d` rows; features at 17 significant digits."""
+    """Write ``dataset_csv(data)`` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(["y"] + [f"x_{j + 1}" for j in range(data.dim)]) + "\n")
-        for i in range(data.n):
-            fields = [str(int(data.ys[i]))] + [f"{v:.17g}" for v in data.xs[i]]
-            handle.write(",".join(fields) + "\n")
+        handle.write(dataset_csv(data))
 
 
 def read_csv(path) -> Dataset:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericError, UsageError
 from .loss import (
     ModelPoint,
     check_alpha,
@@ -319,7 +319,9 @@ def evolve_bounds(
     Within the window, epsilon grows linearly with slope twice the
     risk's Lipschitz constant in 1/alpha, and rho contracts by the
     closed-form factor; rows outside the window carry no claim. At
-    alpha = alpha0 the outputs equal the inputs exactly.
+    alpha = alpha0 the outputs equal the inputs exactly. An in-window
+    row whose epsilon or rho is not finite (an order so large that the
+    formulas overflow) raises NumericError.
     """
     alpha0, epsilon0, kappa0, r, grad_inf = _check_evolution_inputs(
         alpha0, epsilon0, kappa0, r, grad_inf, allow_infinite_grad_inf
@@ -340,7 +342,10 @@ def evolve_bounds(
         eps = epsilon0 + 2.0 * big_l * delta
         denom = alpha * alpha0 * grad_inf - j * delta
         frac = (1.0 + 2.0 * r * kappa0 / epsilon0) * j * delta / denom
-        rows.append(EvolutionRow(alpha, eps, rho0 * (1.0 - frac), True))
+        rho = rho0 * (1.0 - frac)
+        if not (math.isfinite(eps) and math.isfinite(rho)):
+            raise NumericError(f"evolution bounds at alpha = {alpha!r} are not finite (epsilon {eps!r}, rho {rho!r})")
+        rows.append(EvolutionRow(alpha, eps, rho, True))
     return rows
 
 

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
-from alphaloss import cli, risk
+from alphaloss import cli, risk, slqc
 from alphaloss.cli import main
+from alphaloss.errors import NumericError
 from alphaloss.numerics import sigmoid
 
 
@@ -135,6 +137,13 @@ class TestLandscape:
         assert "1e-300" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_order_is_written_and_printed_once(self, tmp_path, capsys):
+        assert run("landscape", "--n", "50", "--alphas", "2,1,2", "--grid-count", "3",
+                   "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / "landscape_alpha=2.0.csv"), str(tmp_path / "landscape_alpha=1.0.csv"),
+        ]
+
     def test_all_orders_share_one_evaluation_call(self, tmp_path, monkeypatch):
         calls = count_value_calls(monkeypatch)
         assert run("landscape", "--preset", "fig2", "--n", "60", "--alphas", "0.5,1,2,inf,2",
@@ -223,6 +232,23 @@ class TestCertify:
         assert run("certify", "--n", "50", "--sweep", "5", "--i-budget", "5", *extra,
                    "--out", str(out)) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("alphas", ["1,1e307", "1,1e308"])
+    def test_non_finite_evolution_row_is_numeric_error_and_writes_nothing(self, tmp_path, alphas):
+        # An unbounded window admits orders at which epsilon overflows to inf
+        # (and rho to nan); both files used to carry them.
+        out = tmp_path / "out"
+        assert run("certify", "--preset", "fig2", "--n", "200", "--epsilon0", "0.4", "--accept-infinite-i",
+                   "--alphas", alphas, "--sweep", "5", "--i-budget", "5", "--out", str(out)) == 3
+        assert not out.exists()
+
+    def test_failure_in_a_later_file_writes_no_earlier_one(self, tmp_path, monkeypatch):
+        def failing(rows):
+            raise NumericError("evolution CSV failed")
+
+        monkeypatch.setattr(slqc, "evolution_to_csv", failing)
+        assert self._run(tmp_path) == 3
+        assert not (tmp_path / "certificate.json").exists()
 
     def test_alpha0_above_one_needs_kappa0(self, tmp_path):
         assert self._run(tmp_path, "--alpha0", "2") == 2
@@ -410,6 +436,15 @@ class TestConfigAndHelp:
         assert run(command, "--config", str(cfg)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["landscape", "saturation"])
+    def test_config_empty_alpha_list_is_usage_error(self, tmp_path, command, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": []}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), "--n", "50", "--grid-count", "3", "--out", str(out)) == 2
+        assert "alpha list is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_null_leaves_an_option_without_default_unset(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"spec_json": None, "data": None, "grid_min": None, "out": None}))
@@ -459,3 +494,12 @@ class TestConfigAndHelp:
         monkeypatch.setenv("ALPHALOSS_OUT", str(tmp_path / "env_out"))
         assert run("gen-data", "--n", "20") == 0
         assert (tmp_path / "env_out" / "dataset.csv").exists()
+
+
+class TestJsonText:
+    def test_nan_is_numeric_error(self):
+        with pytest.raises(NumericError, match="NaN"):
+            cli._json_text({"x": float("nan")})
+
+    def test_infinities_are_strings(self):
+        assert json.loads(cli._json_text({"x": math.inf, "y": [-math.inf]})) == {"x": "inf", "y": ["-inf"]}

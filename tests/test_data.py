@@ -5,6 +5,7 @@ from alphaloss.errors import DomainError, ParseError, UsageError
 from alphaloss.data import (
     GmmSpec,
     RawDataset,
+    dataset_csv,
     normalize_features,
     preset,
     read_csv,
@@ -144,6 +145,12 @@ class TestCsv:
         write_csv(data, p1)
         write_csv(data, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_written_file_is_the_csv_text(self, tmp_path):
+        data, _ = normalize_features(sample_gmm(preset("fig1"), 40, RngState(9)))
+        path = tmp_path / "data.csv"
+        write_csv(data, path)
+        assert path.read_bytes() == dataset_csv(data).encode("utf-8")
 
     def test_header(self, tmp_path):
         data, _ = normalize_features(sample_gmm(preset("fig2"), 5, RngState(4)))

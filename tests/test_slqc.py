@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from alphaloss.errors import DomainError, UsageError
+from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import INFINITY, lipschitz_in_inv_alpha, lipschitz_in_theta, grad_lipschitz_in_inv_alpha
 from alphaloss.numerics import RngState, sigmoid
 from alphaloss.risk import Dataset
@@ -251,6 +251,13 @@ class TestEvolution:
         )
         assert all(row.in_window for row in rows)
         assert rows[1].rho == rows[0].rho  # no contraction with an unbounded window
+
+    @pytest.mark.parametrize("alpha", [1e307, 1e308])
+    def test_non_finite_in_window_row_is_numeric_error(self, alpha):
+        # With an unbounded window, epsilon overflows to inf at 1e307 and
+        # rho becomes inf/inf = nan at 1e308.
+        with pytest.raises(NumericError, match="not finite"):
+            evolve_bounds(1, 0.4, sigmoid(5), 5, math.inf, [alpha], True)
 
     def test_infinite_target_is_out_of_window(self):
         rows = evolve_bounds(1.0, self.E0, self.kappa0(), self.R, self.I, [INFINITY])
