@@ -239,10 +239,9 @@ def cmd_certify(o) -> dict[str, str]:
     moment_min_eigen = min_eigen_sym(second_moment)
 
     if alpha0 <= 1.0:
-        floor = curvature_floor(alpha0, r)
         strong = {
-            "curvature_floor": floor,
-            "modulus": floor * moment_min_eigen,
+            "curvature_floor": curvature_floor(alpha0, r),
+            "modulus": slqc.strong_convexity_modulus(alpha0, r, second_moment),
             "lipschitz_in_theta": lipschitz_in_theta(alpha0, r),
         }
     else:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericError, UsageError
 from .numerics import as_vector, check_positive_finite, log_sigmoid, log_sigmoid_vec, sigmoid
 
 INFINITY = math.inf
@@ -271,7 +271,10 @@ def lipschitz_in_inv_alpha(r: float) -> float:
     """Lipschitz constant of the risk with respect to 1/alpha on alpha in
     [1, inf]: (r + log 2)^2 / 2."""
     r = check_positive_finite(r, "radius")
-    return (r + math.log(2.0)) ** 2 / 2.0
+    try:
+        return (r + math.log(2.0)) ** 2 / 2.0
+    except OverflowError:
+        raise NumericError(f"the Lipschitz constant in 1/alpha, (r + log 2)^2 / 2, overflows at radius {r!r}") from None
 
 
 def grad_lipschitz_in_inv_alpha(r: float) -> float:

@@ -22,11 +22,9 @@ import numpy as np
 from .errors import DomainError, NumericError, UsageError
 
 SYM_TOL = 1e-12
-CHOLESKY_RESIDUAL_TOL = 1e-10
 
 __all__ = [
     "SYM_TOL",
-    "CHOLESKY_RESIDUAL_TOL",
     "as_vector",
     "as_sym_matrix",
     "check_positive_finite",
@@ -119,13 +117,19 @@ def project_ball(v, r: float) -> np.ndarray:
     Identity inside the ball; radial rescale v * (r/||v||) outside. The
     membership test carries a 4e-15 relative slack so that a just-projected
     vector (whose recomputed norm may round a few ulp past r) is returned
-    unchanged, making the projection exactly idempotent.
+    unchanged, making the projection exactly idempotent. A vector whose
+    norm overflows (entries past about 1e154) is first divided by its
+    largest |entry|, so it too lands on the sphere.
     """
     arr = as_vector(v)
     r = check_positive_finite(r, "radius")
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
     if norm <= r * (1.0 + 4e-15):
         return arr
+    if math.isinf(norm):
+        arr = arr / float(np.max(np.abs(arr)))
+        norm = float(np.linalg.norm(arr))
     return arr * (r / norm)
 
 

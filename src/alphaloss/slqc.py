@@ -19,6 +19,9 @@ for alpha <= 1, sampled SLQC sweeps, a sampled upper estimate of the
 gradient-norm infimum over the high-risk region, and the closed-form
 evolution of (epsilon, epsilon/kappa) as alpha grows from a base order.
 A sampled sweep is necessarily one-sided evidence; the reports say so.
+``check_slqc_point`` is the one-point form of the sweep's classifier: both
+reach the per-point rule only through one batched evaluation of the risk
+values and gradients.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .loss import (
     lipschitz_in_theta,
 )
 from .numerics import RngState, as_vector, check_positive_finite, min_eigen_sym, sample_ball
-from .risk import Dataset, empirical_risk, empirical_risk_grad, risk_grads, risk_values
+from .risk import Dataset, risk_grads, risk_values
 
 # Absolute slack applied to both SLQC inequalities; empirical risks are
 # finite sums with bounded rounding.
@@ -133,26 +136,46 @@ def _classify(theta: np.ndarray, params: SlqcParams, gap: float, grad: np.ndarra
     return SlqcVerdict(theta, verdict, gap, inner, rho_grad, note)
 
 
+def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset) -> list[SlqcVerdict]:
+    """Classify each row of ``points``: one value pass over the points, one
+    over theta0 and one gradient pass over the points."""
+    base = risk_values(alpha, params.theta0, data)[0]
+    gaps = risk_values(alpha, points, data) - base
+    grads = risk_grads(alpha, points, data)
+    return [_classify(theta, params, float(gap), grad) for theta, gap, grad in zip(points, gaps, grads)]
+
+
+def _ball_points(rng: RngState, dim: int, r: float, count: int, name: str) -> np.ndarray:
+    """``count`` points drawn uniformly from the radius-r ball, one row each."""
+    if count < 1:
+        raise UsageError(f"{name} must be >= 1, got {count}")
+    return np.stack([sample_ball(rng, dim, r) for _ in range(count)])
+
+
 def check_slqc_point(alpha: float, theta, params: SlqcParams, data: Dataset, r: float) -> SlqcVerdict:
     """Classify one point of the empirical alpha-risk against (eps, kappa,
-    theta0). Both theta and theta0 must lie in the radius-r ball."""
+    theta0): the one-point form of the sweep's classifier. Both theta and
+    theta0 must lie in the radius-r ball."""
     alpha = check_alpha(alpha)
     point = ModelPoint(theta, r)  # validates the radius constraint
     ModelPoint(params.theta0, r)
-    gap = empirical_risk(alpha, point.theta, data) - empirical_risk(alpha, params.theta0, data)
-    grad = empirical_risk_grad(alpha, point.theta, data)
-    return _classify(point.theta, params, gap, grad)
+    return _verdicts(alpha, params, point.theta[None, :], data)[0]
 
 
-def slqc_sweep(
-    alpha: float,
-    params: SlqcParams,
-    data: Dataset,
-    r: float,
-    n_points: int,
-    rng: RngState,
-    keep_verdicts: bool = False,
-) -> dict:
+def _diagnostic(v: SlqcVerdict) -> dict:
+    d = {
+        "point": [float(c) for c in v.point],
+        "verdict": v.satisfied_by.value,
+        "value_gap": v.value_gap,
+        "inner": v.inner,
+        "rho_grad_norm": v.rho_grad_norm,
+    }
+    if v.note:
+        d["note"] = v.note
+    return d
+
+
+def slqc_sweep(alpha: float, params: SlqcParams, data: Dataset, r: float, n_points: int, rng: RngState) -> dict:
     """Sampled SLQC certificate: classify ``n_points`` uniform points of the
     radius-r ball and tally verdicts.
 
@@ -163,43 +186,13 @@ def slqc_sweep(
     accordingly.
     """
     alpha = check_alpha(alpha)
-    if n_points < 1:
-        raise UsageError(f"n_points must be >= 1, got {n_points}")
+    points = _ball_points(rng, data.dim, r, n_points, "n_points")
     ModelPoint(params.theta0, r)
-    points = np.stack([sample_ball(rng, data.dim, r) for _ in range(n_points)])
-    base = risk_values(alpha, params.theta0, data)[0]
-    gaps = risk_values(alpha, points, data) - base
-    grads = risk_grads(alpha, points, data)
-
-    def verdict_dict(v: SlqcVerdict) -> dict:
-        d = {
-            "point": [float(c) for c in v.point],
-            "verdict": v.satisfied_by.value,
-            "value_gap": v.value_gap,
-            "inner": v.inner,
-            "rho_grad_norm": v.rho_grad_norm,
-        }
-        if v.note:
-            d["note"] = v.note
-        return d
-
-    counts = {v: 0 for v in Verdict}
-    worst_gap = -math.inf
-    worst_cone = math.inf
-    neither = []
-    verdicts = []
-    for i in range(n_points):
-        verdict = _classify(points[i], params, float(gaps[i]), grads[i])
-        counts[verdict.satisfied_by] += 1
-        worst_gap = max(worst_gap, verdict.value_gap)
-        if verdict.satisfied_by is not Verdict.VALUE_GAP:
-            worst_cone = min(worst_cone, verdict.inner - verdict.rho_grad_norm)
-        if verdict.satisfied_by is Verdict.NEITHER and len(neither) < 10:
-            neither.append(verdict_dict(verdict))
-        if keep_verdicts:
-            verdicts.append(verdict_dict(verdict))
-
-    report = {
+    verdicts = _verdicts(alpha, params, points, data)
+    past_gap = [v for v in verdicts if v.satisfied_by is not Verdict.VALUE_GAP]
+    worst_cone = min((v.inner - v.rho_grad_norm for v in past_gap), default=math.inf)
+    neither = [v for v in past_gap if v.satisfied_by is Verdict.NEITHER]
+    return {
         "kind": "sampled SLQC sweep (necessary evidence, not a proof)",
         "params": {
             "epsilon": params.epsilon,
@@ -207,14 +200,11 @@ def slqc_sweep(
             "theta0": [float(c) for c in params.theta0],
         },
         "n_points": n_points,
-        "counts": {v.value: counts[v] for v in Verdict},
-        "worst_value_gap": worst_gap,
+        "counts": {kind.value: sum(v.satisfied_by is kind for v in verdicts) for kind in Verdict},
+        "worst_value_gap": max(v.value_gap for v in verdicts),
         "worst_cone_margin": None if math.isinf(worst_cone) else worst_cone,
-        "neither_diagnostics": neither,
+        "neither_diagnostics": [_diagnostic(v) for v in neither[:10]],
     }
-    if keep_verdicts:
-        report["verdicts"] = verdicts
-    return report
 
 
 def strong_convexity_modulus(alpha: float, r: float, sigma_hat) -> float:
@@ -246,10 +236,8 @@ def estimate_grad_infimum(
     epsilon0 = float(epsilon0)
     if not (epsilon0 > 0.0) or math.isnan(epsilon0):
         raise DomainError(f"epsilon0 must be positive, got {epsilon0!r}")
-    if budget < 1:
-        raise UsageError(f"budget must be >= 1, got {budget}")
+    points = _ball_points(rng, data.dim, r, budget, "budget")
     theta0 = as_vector(theta0, "theta0")
-    points = np.stack([sample_ball(rng, data.dim, r) for _ in range(budget)])
     base = risk_values(alpha0, theta0, data)[0]
     qualifying = risk_values(alpha0, points, data) - base > epsilon0
     if not np.any(qualifying):

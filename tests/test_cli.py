@@ -297,6 +297,16 @@ class TestNgd:
         assert run("ngd", "--n", "50", "--epsilon", "1e-320", "--ref-steps", "5", "--out", str(out)) == 3
         assert not out.exists()
 
+    def test_overflowing_reference_step_lands_on_the_sphere(self, tmp_path):
+        # A step of 1e308 takes the first iterate past a norm of 1e154; its
+        # projection onto the radius-1 ball lowers the risk below ln 2, the
+        # risk at the origin where the reference starts.
+        assert run("ngd", "--n", "50", "--r", "1", "--ref-steps", "5", "--iters", "5",
+                   "--ref-step", "1e308", "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "ngd_summary.json").read_text())
+        assert summary["reference_value"] < math.log(2.0)
+        assert math.hypot(*summary["reference_theta"]) == pytest.approx(1.0, rel=1e-14)
+
     def test_undefined_sample_sum_is_numeric_error(self, tmp_path, capsys):
         # At alpha = 0.002 the gradient rows hold both +inf and -inf.
         code = run("ngd", "--preset", "fig2", "--n", "300", "--alpha", "0.002",
@@ -334,6 +344,11 @@ class TestSaturation:
         assert run("saturation", "--n", "50", "--grid-count", "2", "--grid-min", "4", "--grid-max", "5",
                    "--out", str(out)) == 2
         assert not out.exists()
+
+    def test_overflowing_lipschitz_bound_names_radius(self, tmp_path, capsys):
+        assert run("saturation", "--n", "50", "--r", "1e300", "--grid-count", "3", "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "(r + log 2)^2 / 2" in err and "radius 1e+300" in err
 
     def test_non_finite_risk_is_numeric_error_and_writes_nothing(self, tmp_path):
         # Margins below about -1.8e308 overflow, so the order-1 risk is inf.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from alphaloss.errors import DomainError, UsageError
+from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
     ModelPoint,
@@ -286,6 +286,10 @@ class TestLandscapeConstants:
         rs = np.linspace(0.1, 20, 50)
         vals = [lipschitz_in_inv_alpha(r) for r in rs]
         assert all(x < y for x, y in zip(vals, vals[1:]))
+
+    def test_risk_lipschitz_constant_overflow_is_numeric_error(self):
+        with pytest.raises(NumericError, match=r"\(r \+ log 2\)\^2 / 2, overflows at radius 1e\+300"):
+            lipschitz_in_inv_alpha(1e300)
 
     def test_grad_lipschitz_constant(self):
         assert grad_lipschitz_in_inv_alpha(5.0) == pytest.approx(J_5, rel=1e-14)

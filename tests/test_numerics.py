@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ class TestProjectBall:
     def test_rejects_bad_radius(self):
         with pytest.raises(DomainError):
             project_ball([1.0], 0.0)
+
+    def test_overflowing_norm_lands_on_sphere_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project_ball([3e154, 4e154], 5.0)
+        assert out == pytest.approx([3.0, 4.0], rel=1e-15)
+        assert float(np.linalg.norm(out)) == pytest.approx(5.0, rel=4e-15)
+        assert np.array_equal(project_ball(out, 5.0), out)
+
+    def test_large_finite_norm_keeps_the_plain_rescale(self):
+        v = np.array([1e154, -3e153])
+        assert np.array_equal(project_ball(v, 2.0), v * (2.0 / float(np.linalg.norm(v))))
 
 
 class TestMinEigenSym:

@@ -5,9 +5,10 @@ import pytest
 
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import INFINITY, lipschitz_in_inv_alpha, lipschitz_in_theta, grad_lipschitz_in_inv_alpha
-from alphaloss.numerics import RngState, sigmoid
-from alphaloss.risk import Dataset
+from alphaloss.numerics import RngState, sample_ball, sigmoid
+from alphaloss.risk import Dataset, empirical_risk, empirical_risk_grad
 from alphaloss.slqc import (
+    SLQC_TOL,
     EvolutionRow,
     SlqcParams,
     Verdict,
@@ -109,10 +110,111 @@ class TestCheckPoint:
 
     def test_sweep_report_structure(self, fig2_small):
         params = SlqcParams(0.4, 1.0, np.zeros(2))
-        report = slqc_sweep(1.0, params, fig2_small, 5.0, 50, RngState(3), keep_verdicts=True)
+        report = slqc_sweep(1.0, params, fig2_small, 5.0, 50, RngState(3))
         assert sum(report["counts"].values()) == 50
-        assert len(report["verdicts"]) == 50
         assert "not a proof" in report["kind"]
+
+
+def oracle_sweep(alpha, params, data, r, n_points, seed):
+    """The sweep's report fields recomputed one point at a time from the
+    scalar risk, the scalar gradient and ``ball_min_inner``, on the points
+    that ``sample_ball`` draws from the same seed; also the points and
+    their verdicts."""
+    rng = RngState(seed)
+    points = [sample_ball(rng, data.dim, r) for _ in range(n_points)]
+    base = empirical_risk(alpha, params.theta0, data)
+    counts = {v.value: 0 for v in Verdict}
+    verdicts, gaps, margins, neither = [], [], [], []
+    for theta in points:
+        gap = empirical_risk(alpha, theta, data) - base
+        grad = empirical_risk_grad(alpha, theta, data)
+        grad_norm = float(np.linalg.norm(grad))
+        margin = ball_min_inner(grad, theta, params.theta0, params.rho)
+        note = ""
+        if gap <= params.epsilon + SLQC_TOL:
+            verdict = Verdict.VALUE_GAP
+        else:
+            margins.append(margin)
+            if float(np.linalg.norm(theta - params.theta0)) <= params.rho:
+                verdict = Verdict.NEITHER
+                note = "inside the epsilon/kappa ball with a failed value gap"
+            elif grad_norm > 0.0 and margin >= -SLQC_TOL:
+                verdict = Verdict.GRADIENT_CONE
+            else:
+                verdict = Verdict.NEITHER
+        if verdict is Verdict.NEITHER:
+            diagnostic = {
+                "point": [float(c) for c in theta],
+                "verdict": "neither",
+                "value_gap": gap,
+                "inner": float(np.dot(-grad, params.theta0 - theta)),
+                "rho_grad_norm": params.rho * grad_norm,
+            }
+            if note:
+                diagnostic["note"] = note
+            neither.append(diagnostic)
+        counts[verdict.value] += 1
+        gaps.append(gap)
+        verdicts.append(verdict)
+    fields = {
+        "counts": counts,
+        "worst_value_gap": max(gaps),
+        "worst_cone_margin": min(margins) if margins else None,
+        "neither_diagnostics": neither[:10],
+    }
+    return fields, points, verdicts
+
+
+def assert_same_up_to_rounding(got, want):
+    """Equal, or both floats within a few units in the last place of 1.
+    The margin matmul rounds a many-row batch and a one-row batch
+    differently (the gradients of 60 of the 300 points below differ in the
+    last bit), so the batched sweep and the per-point oracle agree only to
+    rounding."""
+    if want is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+class TestSweepOracle:
+    """Every report field of the batched sweep against the per-point oracle:
+    with a kappa under which the risk is SLQC, one that
+    fails the cone outside the epsilon/kappa ball, and one so small that
+    every point past the gap lies inside the ball."""
+
+    R, EPSILON, N_POINTS, SEED = 5.0, 0.05, 300, 11
+
+    def params(self, kappa_scale):
+        return SlqcParams(self.EPSILON, lipschitz_in_theta(1.0, self.R) * kappa_scale, np.array([1.2, 0.9]))
+
+    @pytest.mark.parametrize("kappa_scale", [1.0, 0.02, 1e-3])
+    def test_sweep_matches_per_point_oracle(self, fig2_small, kappa_scale):
+        params = self.params(kappa_scale)
+        report = slqc_sweep(1.0, params, fig2_small, self.R, self.N_POINTS, RngState(self.SEED))
+        fields, points, verdicts = oracle_sweep(1.0, params, fig2_small, self.R, self.N_POINTS, self.SEED)
+        assert report["counts"] == fields["counts"]
+        assert_same_up_to_rounding(report["worst_value_gap"], fields["worst_value_gap"])
+        assert_same_up_to_rounding(report["worst_cone_margin"], fields["worst_cone_margin"])
+        assert len(report["neither_diagnostics"]) == len(fields["neither_diagnostics"])
+        for got, want in zip(report["neither_diagnostics"], fields["neither_diagnostics"]):
+            assert got.keys() == want.keys()
+            assert (got["point"], got["verdict"], got.get("note")) == (want["point"], want["verdict"], want.get("note"))
+            for key in ("value_gap", "inner", "rho_grad_norm"):
+                assert_same_up_to_rounding(got[key], want[key])
+        for theta, verdict in zip(points, verdicts):
+            assert check_slqc_point(1.0, theta, params, fig2_small, self.R).satisfied_by is verdict
+
+    def test_the_kappas_exercise_every_compared_field(self, fig2_small):
+        def oracle(kappa_scale):
+            return oracle_sweep(1.0, self.params(kappa_scale), fig2_small, self.R, self.N_POINTS, self.SEED)[0]
+
+        correct, outside, inside = oracle(1.0), oracle(0.02), oracle(1e-3)
+        assert correct["counts"]["gradient_cone"] > 0 and correct["counts"]["neither"] == 0
+        assert correct["worst_cone_margin"] > 0.0
+        notes = ["note" in d for d in outside["neither_diagnostics"]]
+        assert any(notes) and not all(notes)
+        assert inside["counts"]["neither"] > 10 and len(inside["neither_diagnostics"]) == 10
 
 
 class TestStrongConvexityModulus:
