@@ -529,7 +529,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         o = _resolve(ns)
-        files = ns.func(o)
+        with np.errstate(all="ignore"):  # the finiteness checks, not numpy warnings, report non-finite values
+            files = ns.func(o)
         out = Path(os.environ.get(OUT_ENV_VAR, ".") if o.out is None else o.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():

@@ -6,7 +6,7 @@ empirical counterpart over seeded finite samples and says so in every
 output's metadata. Every sample sum is exactly rounded: the result is the
 bits of ``math.fsum`` over the row, which makes every risk value
 independent of summation order and therefore identical across platforms,
-block shapes and worker counts.
+block layouts and worker counts for a batch of two or more points.
 
 ``exact_row_sums`` computes those bits with numpy reductions, after the
 small superaccumulators of Neal (2015, arXiv:1505.05571). Each entry is
@@ -15,11 +15,11 @@ exact in float64; one ``math.fsum`` over the few scaled bin sums per row
 then rounds the exact total once. Rows holding non-finite entries, or
 magnitudes whose rescaling could overflow, go through ``math.fsum``
 directly, which also stays the tests' oracle. Every value, gradient and
-Hessian starts from one margin pass to log p (``_logp``), which heavy paths
-run for blocks of points at once; the same per-sample quantities reach the
-same summation, so batched and one-at-a-time calls agree bit for bit. Grid
-scans (``landscape_scans``, ``saturation_sups``) take every order they need
-from one such pass over the grid.
+Hessian starts from one margin pass to log p (``_logp``); values and
+gradients share one terms formula (``_terms``) and one block driver
+(``_means``). The margin matmul rounds a one-row batch differently, so a
+one-point call agrees with a batch only up to rounding. Grid scans take
+every order they need from one margin pass over the grid.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ __all__ = [
     "empirical_risk",
     "empirical_risk_grad",
     "empirical_risk_hess",
-    "risk_value_grad",
     "value_and_grad",
     "risk_values",
     "risk_values_multi",
     "risk_grads",
+    "risk_values_grads",
     "exact_row_sums",
     "landscape_scan",
     "landscape_scans",
@@ -164,10 +164,12 @@ def _logp(pts: np.ndarray, data: Dataset) -> np.ndarray:
     return log_sigmoid_vec(pts @ data.signed.T)
 
 
-def _blocks(m: int, n: int) -> Iterator[slice]:
-    rows = max(1, _BLOCK_ELEMENTS // max(1, n))
-    for start in range(0, m, rows):
-        yield slice(start, min(start + rows, m))
+def _blocks(m: int, width: int) -> Iterator[slice]:
+    """Blocks of m points, max(2, _BLOCK_ELEMENTS // width) each; a one-point tail joins the last."""
+    rows = max(2, _BLOCK_ELEMENTS // width)
+    stops = [*range(rows, m - 1, rows), m] if m else []
+    for start, stop in zip([0, *stops], stops):
+        yield slice(start, stop)
 
 
 def _fsum_row(row: np.ndarray) -> float:
@@ -238,18 +240,33 @@ def _second_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> np.ndar
     return out
 
 
+def _terms(logp: np.ndarray, data: Dataset, alphas, grad_alpha=None) -> np.ndarray:
+    """Per row of ``logp``, one loss row per order in ``alphas``, then one
+    gradient row per coordinate at ``grad_alpha`` if set: (points * rows, n)."""
+    out = np.empty((len(logp), len(alphas) + (0 if grad_alpha is None else data.dim), data.n))
+    for j, alpha in enumerate(alphas):
+        out[:, j] = loss_from_logp(alpha, logp)
+    if grad_alpha is not None:
+        np.multiply(-grad_weight_from_logp(grad_alpha, logp)[:, None], data.signed.T, out=out[:, len(alphas):])
+    return out.reshape(-1, data.n)
+
+
+def _means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> np.ndarray:
+    """(points, rows) means of the ``_terms`` rows: one margin pass and one exact sum per block."""
+    alphas = [check_alpha(a) for a in alphas]
+    grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
+    pts = _as_points(thetas, data)
+    out = np.empty((len(pts), len(alphas) + (0 if grad_alpha is None else data.dim)))
+    for sl in _blocks(len(pts), (1 + out.shape[1]) * data.n):
+        sums = exact_row_sums(_terms(_logp(pts[sl], data), data, alphas, grad_alpha))
+        out[sl] = sums.reshape(out[sl].shape) / data.n
+    return out
+
+
 def risk_values_multi(alphas, thetas, data: Dataset) -> np.ndarray:
     """Empirical risks at each row of ``thetas`` for several orders at once,
     sharing one margin and log-probability pass; returns (points, orders)."""
-    alphas = [check_alpha(a) for a in alphas]
-    pts = _as_points(thetas, data)
-    n = data.n
-    out = np.empty((pts.shape[0], len(alphas)))
-    for sl in _blocks(pts.shape[0], n):
-        logp = _logp(pts[sl], data)
-        for k, alpha in enumerate(alphas):
-            out[sl, k] = exact_row_sums(loss_from_logp(alpha, logp)) / n
-    return out
+    return _means(thetas, data, alphas)
 
 
 def risk_values(alpha: float, thetas, data: Dataset) -> np.ndarray:
@@ -259,15 +276,13 @@ def risk_values(alpha: float, thetas, data: Dataset) -> np.ndarray:
 
 def risk_grads(alpha: float, thetas, data: Dataset) -> np.ndarray:
     """Empirical risk gradients at each row of ``thetas``."""
-    alpha = check_alpha(alpha)
-    pts = _as_points(thetas, data)
-    n, d = data.n, data.dim
-    out = np.empty((pts.shape[0], d))
-    for sl in _blocks(pts.shape[0], n):
-        factors = -grad_weight_from_logp(alpha, _logp(pts[sl], data))
-        for j in range(d):
-            out[sl, j] = exact_row_sums(factors * data.signed[:, j]) / n
-    return out
+    return _means(thetas, data, grad_alpha=alpha)
+
+
+def risk_values_grads(alpha: float, thetas, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical risks and gradients at each row of ``thetas``, one pass."""
+    means = _means(thetas, data, (alpha,), alpha)
+    return means[:, 0], means[:, 1:]
 
 
 def empirical_risk(alpha: float, theta, data: Dataset) -> float:
@@ -287,25 +302,14 @@ def empirical_risk_hess(alpha: float, theta, data: Dataset) -> np.ndarray:
     return _second_moment(data.xs, hess_factor_from_logp(alpha, logp))
 
 
-def risk_value_grad(alpha: float, theta, data: Dataset) -> tuple[float, np.ndarray]:
-    """Risk and its gradient in one margin pass and one exact-sum call
-    over the loss row and the gradient rows (for optimizer loops)."""
-    alpha = check_alpha(alpha)
-    n, d = data.n, data.dim
-    logp = _logp(_as_points(theta, data), data)[0]
-    block = np.empty((1 + d, n))
-    block[0] = loss_from_logp(alpha, logp)
-    np.multiply(-grad_weight_from_logp(alpha, logp), data.signed.T, out=block[1:])
-    means = exact_row_sums(block) / n
-    return float(means[0]), means[1:]
-
-
 def value_and_grad(alpha: float, data: Dataset):
-    """Objective oracle theta -> (risk, gradient) bound to a dataset."""
+    """Objective oracle theta -> (risk, gradient) bound to a dataset: the
+    one-point ``_terms`` summed directly, without the block loop."""
     alpha = check_alpha(alpha)
 
     def oracle(theta):
-        return risk_value_grad(alpha, theta, data)
+        means = exact_row_sums(_terms(_logp(_as_points(theta, data)[:1], data), data, (alpha,), alpha)) / data.n
+        return float(means[0]), means[1:]
 
     return oracle
 

@@ -20,8 +20,8 @@ gradient-norm infimum over the high-risk region, and the closed-form
 evolution of (epsilon, epsilon/kappa) as alpha grows from a base order.
 A sampled sweep is necessarily one-sided evidence; the reports say so.
 ``check_slqc_point`` is the one-point form of the sweep's classifier: both
-reach the per-point rule only through one batched evaluation of the risk
-values and gradients.
+take values and gradients from one margin pass (``risk_values_grads``) and
+agree up to rounding (the margin matmul rounds a one-row batch differently).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .loss import (
     lipschitz_in_theta,
 )
 from .numerics import RngState, as_vector, check_positive_finite, min_eigen_sym, sample_ball
-from .risk import Dataset, risk_grads, risk_values
+from .risk import Dataset, risk_grads, risk_values, risk_values_grads
 
 # Absolute slack applied to both SLQC inequalities; empirical risks are
 # finite sums with bounded rounding.
@@ -137,12 +137,11 @@ def _classify(theta: np.ndarray, params: SlqcParams, gap: float, grad: np.ndarra
 
 
 def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset) -> list[SlqcVerdict]:
-    """Classify each row of ``points``: one value pass over the points, one
-    over theta0 and one gradient pass over the points."""
+    """Classify each row of ``points``: one margin pass over theta0 for its
+    value and one over the points for their values and gradients."""
     base = risk_values(alpha, params.theta0, data)[0]
-    gaps = risk_values(alpha, points, data) - base
-    grads = risk_grads(alpha, points, data)
-    return [_classify(theta, params, float(gap), grad) for theta, gap, grad in zip(points, gaps, grads)]
+    values, grads = risk_values_grads(alpha, points, data)
+    return [_classify(theta, params, float(gap), grad) for theta, gap, grad in zip(points, values - base, grads)]
 
 
 def _ball_points(rng: RngState, dim: int, r: float, count: int, name: str) -> np.ndarray:

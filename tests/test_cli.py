@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -313,6 +314,20 @@ class TestNgd:
                    "--ref-steps", "50", "--iters", "5", "--out", str(tmp_path))
         assert code == 3
         assert "-inf + inf" in capsys.readouterr().err
+
+
+class TestNumericErrorOutput:
+    @pytest.mark.parametrize("argv", [
+        ("ngd", "--n", "50", "--alpha", "0.002", "--iters", "5", "--ref-steps", "5"),
+        ("landscape", "--n", "50", "--grid-count", "3", "--alphas", "1,0.002"),
+    ])
+    def test_numeric_error_raises_no_warning(self, tmp_path, capsys, argv):
+        # Only the explicit finiteness checks report a non-finite value.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error:")
 
 
 class TestSaturation:

@@ -29,8 +29,8 @@ from alphaloss.risk import (
     landscape_scan,
     landscape_scans,
     risk_grads,
-    risk_value_grad,
     risk_values,
+    risk_values_grads,
     saturation_sup,
     saturation_sups,
     value_and_grad,
@@ -268,7 +268,7 @@ class TestRiskDerivatives:
             theta *= rng.uniform(0.0, 8.0) / np.linalg.norm(theta)
             alpha = orders[i % len(orders)]
             s, data = Sample(x, y), Dataset(x[None, :], np.array([y]))
-            value, grad = risk_value_grad(alpha, theta, data)
+            value, grad = value_and_grad(alpha, data)(theta)
             kernel = np.array([value, *grad])
             pointwise = np.array([loss_margin(alpha, theta, s), *loss_grad(alpha, theta, s)])
             assert kernel.tobytes() == pointwise.tobytes()
@@ -282,8 +282,45 @@ class TestRiskDerivatives:
         value, grad = oracle(theta)
         assert value == empirical_risk(2.0, theta, fig2_small)
         assert np.array_equal(grad, empirical_risk_grad(2.0, theta, fig2_small))
-        v2, g2 = risk_value_grad(2.0, theta, fig2_small)
-        assert v2 == value and np.array_equal(g2, grad)
+        v2, g2 = risk_values_grads(2.0, theta, fig2_small)
+        assert v2[0] == value and np.array_equal(g2[0], grad)
+
+
+class TestEvaluationKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 60), st.integers(1, 400), st.integers(1, 2000))
+    def test_blocks_cover_in_order_with_no_lone_point(self, m, width, cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk, "_BLOCK_ELEMENTS", cap)
+            blocks = list(risk._blocks(m, width))
+        assert [i for sl in blocks for i in range(sl.start, sl.stop)] == list(range(m))
+        rows = max(2, cap // width)
+        for k, sl in enumerate(blocks):
+            size = sl.stop - sl.start
+            assert size <= rows + (k == len(blocks) - 1)  # a merged tail adds one row
+            assert size >= 2 or m == 1
+
+    def test_point_bits_do_not_depend_on_its_block(self, fig2_small, monkeypatch):
+        # Two points per block: p ends [a, b, p] and shares a block with a
+        # in [a, p]. A one-row tail block would round p's margins apart.
+        monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 2 * fig2_small.n)
+        rng = np.random.default_rng(404)
+        a, b = rng.uniform(-5.0, 5.0, size=(2, 2))
+        for p in rng.uniform(-5.0, 5.0, size=(300, 2)):
+            for fn in (risk_values, risk_grads):
+                assert fn(2.0, [a, b, p], fig2_small)[2].tobytes() == fn(2.0, [a, p], fig2_small)[1].tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0 + 1e-7, 2.0, INFINITY])
+    def test_values_grads_equal_separate_passes(self, fig2_small, monkeypatch, alpha):
+        rng = np.random.default_rng(55)
+        # One block per call, then blocks whose layout differs between the three calls.
+        for cap in (risk._BLOCK_ELEMENTS, 7 * fig2_small.n):
+            monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", cap)
+            for m in (2, 3, 40):
+                pts = rng.uniform(-5.0, 5.0, size=(m, 2))
+                values, grads = risk_values_grads(alpha, pts, fig2_small)
+                assert values.tobytes() == risk_values(alpha, pts, fig2_small).tobytes()
+                assert grads.tobytes() == risk_grads(alpha, pts, fig2_small).tobytes()
 
 
 class TestSmallOrderInfinities:
@@ -293,7 +330,7 @@ class TestSmallOrderInfinities:
 
     def test_undefined_sums_are_numeric_errors(self, fig2_small):
         theta = np.array([5.0, 0.0])
-        for fn in (risk_grads, risk_value_grad, empirical_risk_hess):
+        for fn in (risk_grads, lambda a, t, data: value_and_grad(a, data)(t), empirical_risk_hess):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="-inf \\+ inf"):
                 fn(0.002, theta, fig2_small)
 

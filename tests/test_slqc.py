@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alphaloss import risk
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import INFINITY, lipschitz_in_inv_alpha, lipschitz_in_theta, grad_lipschitz_in_inv_alpha
 from alphaloss.numerics import RngState, sample_ball, sigmoid
@@ -204,6 +205,18 @@ class TestSweepOracle:
                 assert_same_up_to_rounding(got[key], want[key])
         for theta, verdict in zip(points, verdicts):
             assert check_slqc_point(1.0, theta, params, fig2_small, self.R).satisfied_by is verdict
+
+    def test_sweep_takes_one_margin_pass_over_its_points(self, fig2_small, monkeypatch):
+        calls = []
+        original = risk._logp
+
+        def counting(pts, data):
+            calls.append(len(pts))
+            return original(pts, data)
+
+        monkeypatch.setattr(risk, "_logp", counting)
+        slqc_sweep(1.0, self.params(1.0), fig2_small, self.R, self.N_POINTS, RngState(self.SEED))
+        assert sorted(calls) == [1, self.N_POINTS]  # theta0, then every point at once
 
     def test_the_kappas_exercise_every_compared_field(self, fig2_small):
         def oracle(kappa_scale):
