@@ -44,14 +44,10 @@ from .data import (
 )
 from .errors import DomainError, NumericError, ParseError, UsageError
 from .loss import curvature_floor, format_alpha, lipschitz_in_inv_alpha, lipschitz_in_theta, parse_alpha
-from .numerics import RngState, check_positive_finite, min_eigen_sym, sample_ball
+from .numerics import RngState, check_positive_finite, csv_text, min_eigen_sym, sample_ball
 from .risk import Dataset, GridSpec, landscape_scans, saturation_sups, value_and_grad
 
 OUT_ENV_VAR = "ALPHALOSS_OUT"
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _json_ready(obj):
@@ -376,12 +372,11 @@ def cmd_saturation(o) -> dict[str, str]:
     grid = _grid(o, dataset.dim)
     bound_const = lipschitz_in_inv_alpha(o.r)
 
-    lines = ["alpha,sup_distance,bound,within_bound"]
+    rows = []
     for alpha, measured in zip(o.alphas, saturation_sups(o.alphas, grid, dataset)):
         bound = bound_const * (0.0 if math.isinf(alpha) else 1.0 / alpha)
-        ok = measured <= bound + slqc.SLQC_TOL
-        lines.append(f"{format_alpha(alpha)},{_fmt(measured)},{_fmt(bound)},{'true' if ok else 'false'}")
-    return {"saturation.csv": "\n".join(lines) + "\n"}
+        rows.append((format_alpha(alpha), measured, bound, measured <= bound + slqc.SLQC_TOL))
+    return {"saturation.csv": csv_text(["alpha", "sup_distance", "bound", "within_bound"], rows)}
 
 
 def cmd_tilted(o) -> dict[str, str]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaLossError, DomainError, ParseError, UsageError
-from .numerics import RngState, as_sym_matrix, as_vector, cholesky
+from .numerics import RngState, as_sym_matrix, as_vector, cholesky, csv_text
 from .risk import Dataset
 
 __all__ = [
@@ -184,10 +184,8 @@ def normalize_features(raw: RawDataset) -> tuple[Dataset, NormalizationRecord]:
 def dataset_csv(data: Dataset) -> str:
     """The `y,x_1,...,x_d` CSV text of a dataset; features at 17 significant
     digits."""
-    lines = [",".join(["y"] + [f"x_{j + 1}" for j in range(data.dim)])]
-    for y, x in zip(data.ys, data.xs):
-        lines.append(",".join([str(int(y))] + [f"{v:.17g}" for v in x]))
-    return "\n".join(lines) + "\n"
+    header = ["y"] + [f"x_{j + 1}" for j in range(data.dim)]
+    return csv_text(header, ([int(y), *x] for y, x in zip(data.ys, data.xs)))
 
 
 def write_csv(data: Dataset, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
-from .numerics import as_vector, check_positive_finite, project_ball
+from .numerics import as_vector, check_positive_finite, csv_text, project_ball, vector_norm
 
 # Below this gradient norm the normalized direction is meaningless; stop.
 GRAD_NORM_FLOOR = 1e-14
@@ -81,7 +81,7 @@ def ngd_run(objective, theta1, config: NgdConfig) -> NgdResult:
         value = float(value)
         grad = np.asarray(grad, dtype=float)
         _check_objective_output(t, theta, value, grad)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = vector_norm(grad)
         if trace is not None:
             trace.append((t, theta.copy(), value, grad_norm))
         if value < best_value:
@@ -152,9 +152,5 @@ def trace_to_csv(result: NgdResult) -> str:
     """Serialize a recorded trace: t,theta_1..theta_d,value,grad_norm."""
     if result.trace is None:
         raise UsageError("this run did not record a trace")
-    d = result.best_theta.shape[0]
-    lines = [",".join(["t"] + [f"theta_{j + 1}" for j in range(d)] + ["value", "grad_norm"])]
-    for t, theta, value, grad_norm in result.trace:
-        fields = [str(t)] + [f"{v:.17g}" for v in theta] + [f"{value:.17g}", f"{grad_norm:.17g}"]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    header = ["t"] + [f"theta_{j + 1}" for j in range(result.best_theta.shape[0])] + ["value", "grad_norm"]
+    return csv_text(header, ([t, *theta, value, grad_norm] for t, theta, value, grad_norm in result.trace))

@@ -1,5 +1,5 @@
-"""Overflow-safe scalar functions, small dense linear algebra, and a
-deterministic PRNG.
+"""Overflow-safe scalar functions and norms, small dense linear algebra, a
+deterministic PRNG, and the one CSV writer of every output table.
 
 Everything here is dependency-light on purpose: eigenvalues come from
 LAPACK (``eigvalsh``), the Cholesky factorization is written out (its fixed
@@ -30,11 +30,14 @@ __all__ = [
     "check_positive_finite",
     "sigmoid",
     "log_sigmoid",
+    "vector_norm",
+    "row_norms",
     "project_ball",
     "min_eigen_sym",
     "cholesky",
     "RngState",
     "sample_ball",
+    "csv_text",
 ]
 
 
@@ -111,20 +114,45 @@ def log_sigmoid_vec(z: np.ndarray) -> np.ndarray:
     return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
 
 
+def vector_norm(v) -> float:
+    """Euclidean norm of a 1-D array: the bits of ``np.linalg.norm`` wherever
+    that is finite, else ``row_norms`` of the one row. An overflow warning
+    from the first attempt follows the caller's ``np.errstate``."""
+    norm = float(np.linalg.norm(v))
+    return float(row_norms(np.reshape(v, (1, -1)))[0]) if math.isinf(norm) else norm
+
+
+def row_norms(a) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array: the bits of
+    ``np.linalg.norm(a, axis=1)`` wherever those are finite. Squaring
+    overflows once an entry passes about 1.3e154, although the norm may not;
+    such a row is first scaled by the power of two nearest its largest
+    |entry|, so its norm is inf only when it lies past the float range.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=1)
+        big = np.isinf(norms)
+        if big.any():
+            exps = np.frexp(np.max(np.abs(a[big]), axis=1))[1]
+            norms[big] = np.ldexp(np.linalg.norm(np.ldexp(a[big], -exps[:, None]), axis=1), exps)
+    return norms
+
+
 def project_ball(v, r: float) -> np.ndarray:
     """Euclidean projection of ``v`` onto the origin-centered ball of radius r.
 
-    Identity inside the ball; radial rescale v * (r/||v||) outside. The
-    membership test carries a 4e-15 relative slack so that a just-projected
-    vector (whose recomputed norm may round a few ulp past r) is returned
-    unchanged, making the projection exactly idempotent. A vector whose
-    norm overflows (entries past about 1e154) is first divided by its
-    largest |entry|, so it too lands on the sphere.
+    Identity inside the ball; radial rescale v * (r/||v||) outside, with the
+    norm from ``vector_norm``. The membership test carries a 4e-15 relative
+    slack so that a just-projected vector (whose recomputed norm may round a
+    few ulp past r) is returned unchanged, making the projection exactly
+    idempotent. A vector whose norm lies past the float range is first
+    divided by its largest |entry|, so it too lands on the sphere.
     """
     arr = as_vector(v)
     r = check_positive_finite(r, "radius")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(arr))
+        norm = vector_norm(arr)
     if norm <= r * (1.0 + 4e-15):
         return arr
     if math.isinf(norm):
@@ -258,3 +286,19 @@ def sample_ball(rng: RngState, dim: int, radius: float) -> np.ndarray:
         point = np.array([(2.0 * rng.uniform() - 1.0) * radius for _ in range(dim)])
         if float(np.dot(point, point)) <= radius * radius:
             return point
+
+
+def _csv_cell(v) -> str:
+    if v is None or isinstance(v, bool):
+        return {None: "", True: "true", False: "false"}[v]
+    return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+
+
+def csv_text(header, rows, comments=()) -> str:
+    """Output CSV text: a ``# comment`` line per comment, the header, then a
+    line per row, each ending in a newline. A float cell (numpy floats too)
+    has 17 significant digits, so it parses back to the same bits (inf is
+    ``inf``); None is an empty cell (no claim), a bool ``true`` or ``false``,
+    and anything else, such as an int or preformatted text, ``str(v)``."""
+    lines = [*(f"# {c}" for c in comments), ",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]
+    return "".join(line + "\n" for line in lines)

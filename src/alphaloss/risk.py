@@ -41,7 +41,7 @@ from .loss import (
     hess_factor_from_logp,
     loss_from_logp,
 )
-from .numerics import check_positive_finite, log_sigmoid_vec
+from .numerics import check_positive_finite, csv_text, log_sigmoid_vec
 
 MAX_GRID_NODES = 10_000_000
 
@@ -155,6 +155,14 @@ def _as_points(thetas, data: Dataset) -> np.ndarray:
         raise DomainError("parameter points contain non-finite entries")
     if pts.shape[1] != data.dim:
         raise UsageError(f"theta dim {pts.shape[1]} does not match dataset dim {data.dim}")
+    return pts
+
+
+def _as_point(theta, data: Dataset) -> np.ndarray:
+    """Validate one point, 1-D or a (1, d) array, as a (1, d) array."""
+    pts = _as_points(theta, data)
+    if len(pts) != 1:
+        raise UsageError(f"expected one point, got an array of {len(pts)} points")
     return pts
 
 
@@ -287,18 +295,18 @@ def risk_values_grads(alpha: float, thetas, data: Dataset) -> tuple[np.ndarray, 
 
 def empirical_risk(alpha: float, theta, data: Dataset) -> float:
     """Mean pointwise loss over the dataset at parameter ``theta``."""
-    return float(risk_values(alpha, theta, data)[0])
+    return float(risk_values(alpha, _as_point(theta, data), data)[0])
 
 
 def empirical_risk_grad(alpha: float, theta, data: Dataset) -> np.ndarray:
     """Gradient of the empirical risk at ``theta``."""
-    return risk_grads(alpha, theta, data)[0]
+    return risk_grads(alpha, _as_point(theta, data), data)[0]
 
 
 def empirical_risk_hess(alpha: float, theta, data: Dataset) -> np.ndarray:
     """Hessian of the empirical risk at ``theta``: mean of factor * x x^T."""
     alpha = check_alpha(alpha)
-    logp = _logp(_as_points(theta, data), data)[0]
+    logp = _logp(_as_point(theta, data), data)[0]
     return _second_moment(data.xs, hess_factor_from_logp(alpha, logp))
 
 
@@ -308,7 +316,7 @@ def value_and_grad(alpha: float, data: Dataset):
     alpha = check_alpha(alpha)
 
     def oracle(theta):
-        means = exact_row_sums(_terms(_logp(_as_points(theta, data)[:1], data), data, (alpha,), alpha)) / data.n
+        means = exact_row_sums(_terms(_logp(_as_point(theta, data), data), data, (alpha,), alpha)) / data.n
         return float(means[0]), means[1:]
 
     return oracle
@@ -382,12 +390,9 @@ class LandscapeTable:
             raise DomainError("risk values must be nonnegative")
 
     def to_csv(self) -> str:
-        d = self.thetas.shape[1]
-        lines = [f"# {key} = {value}" for key, value in self.metadata.items()]
-        lines.append(",".join([f"theta_{j + 1}" for j in range(d)] + ["risk"]))
-        for row, risk in zip(self.thetas, self.risks):
-            lines.append(",".join(f"{v:.17g}" for v in list(row) + [risk]))
-        return "\n".join(lines) + "\n"
+        header = [f"theta_{j + 1}" for j in range(self.thetas.shape[1])] + ["risk"]
+        rows = ([*row, risk] for row, risk in zip(self.thetas, self.risks))
+        return csv_text(header, rows, [f"{key} = {value}" for key, value in self.metadata.items()])
 
 
 def _grid_risks(alphas: list[float], grid: GridSpec, data: Dataset) -> tuple[np.ndarray, dict]:

@@ -41,7 +41,16 @@ from .loss import (
     lipschitz_in_inv_alpha,
     lipschitz_in_theta,
 )
-from .numerics import RngState, as_vector, check_positive_finite, min_eigen_sym, sample_ball
+from .numerics import (
+    RngState,
+    as_vector,
+    check_positive_finite,
+    csv_text,
+    min_eigen_sym,
+    row_norms,
+    sample_ball,
+    vector_norm,
+)
 from .risk import Dataset, risk_grads, risk_values, risk_values_grads
 
 # Absolute slack applied to both SLQC inequalities; empirical risks are
@@ -113,12 +122,12 @@ def ball_min_inner(g, theta, theta0, rho: float) -> float:
     theta = as_vector(theta, "theta")
     theta0 = as_vector(theta0, "theta0")
     rho = check_positive_finite(rho, "rho")
-    return float(np.dot(-g, theta0 - theta)) - rho * float(np.linalg.norm(g))
+    return float(np.dot(-g, theta0 - theta)) - rho * vector_norm(g)
 
 
 def _classify(theta: np.ndarray, params: SlqcParams, gap: float, grad: np.ndarray) -> SlqcVerdict:
     rho = params.rho
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = vector_norm(grad)
     inner = float(np.dot(-grad, params.theta0 - theta))
     rho_grad = rho * grad_norm if grad_norm > 0.0 else 0.0
     note = ""
@@ -241,7 +250,7 @@ def estimate_grad_infimum(
     qualifying = risk_values(alpha0, points, data) - base > epsilon0
     if not np.any(qualifying):
         return math.inf
-    norms = np.linalg.norm(risk_grads(alpha0, points[qualifying], data), axis=1)
+    norms = row_norms(risk_grads(alpha0, points[qualifying], data))
     return float(np.min(norms))
 
 
@@ -359,10 +368,4 @@ def evolve_from_log_loss(
 def evolution_to_csv(rows) -> str:
     """Serialize evolution rows: header alpha,epsilon,rho,in_window; rows
     outside the window leave epsilon and rho empty."""
-    lines = ["alpha,epsilon,rho,in_window"]
-    for row in rows:
-        eps = "" if row.epsilon is None else f"{row.epsilon:.17g}"
-        rho = "" if row.rho is None else f"{row.rho:.17g}"
-        alpha = "inf" if math.isinf(row.alpha) else f"{row.alpha:.17g}"
-        lines.append(f"{alpha},{eps},{rho},{'true' if row.in_window else 'false'}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["alpha", "epsilon", "rho", "in_window"], ((r.alpha, r.epsilon, r.rho, r.in_window) for r in rows))

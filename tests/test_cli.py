@@ -1,8 +1,14 @@
+import csv
 import json
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaloss import cli, risk, slqc
 from alphaloss.cli import main
@@ -251,6 +257,17 @@ class TestCertify:
         assert self._run(tmp_path) == 3
         assert not (tmp_path / "certificate.json").exists()
 
+    def test_gradient_norms_past_1e154_keep_the_sweep_honest(self, tmp_path):
+        # At alpha0 = 0.0016 the gradients reach 1e197: their squares overflow,
+        # their norms do not. An inf norm made every point a violation and
+        # the gradient infimum the empty-set sentinel.
+        assert run("certify", "--n", "50", "--r", "0.5", "--alpha0", "0.0016", "--kappa0", "1",
+                   "--epsilon0", "0.05", "--sweep", "20", "--i-budget", "20", "--ngd-cap", "5",
+                   "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "certificate.json").read_text())
+        assert report["grad_infimum_upper"] == pytest.approx(2.06e197, rel=1e-3)
+        assert report["slqc_sweep"]["counts"] == {"gradient_cone": 20, "neither": 0, "value_gap": 0}
+
     def test_alpha0_above_one_needs_kappa0(self, tmp_path):
         assert self._run(tmp_path, "--alpha0", "2") == 2
 
@@ -291,6 +308,19 @@ class TestNgd:
         trace = (tmp_path / "ngd_trace.csv").read_text()
         assert trace.startswith("t,theta_1,theta_2,value,grad_norm")
         assert len(trace.strip().splitlines()) == 21
+
+    def test_gradient_norms_past_1e154_stay_finite(self, tmp_path):
+        # The squares of these gradients overflow; an inf norm turned every
+        # step into grad / inf = 0, so the run never left theta1.
+        assert run("ngd", "--n", "50", "--r", "0.5", "--alpha", "0.002", "--iters", "3", "--ref-steps", "3",
+                   "--trace", "--out", str(tmp_path)) == 0
+        with open(tmp_path / "ngd_trace.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        norms = [float(row["grad_norm"]) for row in rows]
+        values = [float(row["value"]) for row in rows]
+        assert norms[0] == pytest.approx(8.57e175, rel=1e-3)
+        assert all(math.isfinite(v) for v in norms)
+        assert values[0] > values[1] > values[2]
 
     def test_budget_division_by_zero_is_numeric_error_and_writes_nothing(self, tmp_path):
         # epsilon^2 underflows to 0 in the iteration budget.
@@ -533,3 +563,33 @@ class TestJsonText:
 
     def test_infinities_are_strings(self):
         assert json.loads(cli._json_text({"x": math.inf, "y": [-math.inf]})) == {"x": "inf", "y": ["-inf"]}
+
+
+# Base flags that keep every command tiny, and the extreme texts the fuzz
+# gives one numeric option at a time.
+FUZZ_BASE = {"n": "20", "grid_count": "3", "sweep": "3", "i_budget": "3", "ngd_cap": "3", "iters": "3",
+             "ref_steps": "3"}
+FUZZ_VALUES = ("1e-308", "5e-324", "1e308", "-1e308", "0", "-0.0", "inf")
+NUMERIC_CONVERTERS = (cli._int, cli._float, cli._positive_int, cli._positive_float, cli._alpha, cli._alpha_list)
+FUZZ_CASES = [(command, key) for command, (_, _, defaults) in cli._COMMANDS.items() for key in defaults
+              if cli._OPTIONS[key][0] in NUMERIC_CONVERTERS]
+
+
+class TestExtremeOptionFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(FUZZ_CASES), st.sampled_from(FUZZ_VALUES))
+    def test_documented_exit_and_no_nan_in_outputs(self, case, value):
+        command, key = case
+        defaults = cli._COMMANDS[command][2]
+        options = {k: v for k, v in FUZZ_BASE.items() if k in defaults}
+        with tempfile.TemporaryDirectory() as root:
+            if command == "tilted":
+                options["joint"] = str(Path(root) / "joint.csv")
+                Path(options["joint"]).write_text("0.4,0.1\n0.1,0.4\n")
+            options[key] = value
+            out = Path(root) / "out"
+            # --flag=value, so argparse reads "-1e308" as a value, not a flag
+            code = run(command, *(f"{cli._flag(k)}={v}" for k, v in options.items()), "--out", str(out))
+            assert code in (0, 2, 3, 4)
+            written = list(out.iterdir()) if out.exists() else []
+            assert not [p.name for p in written if re.search(r"\bnan\b", p.read_text(), re.IGNORECASE)]

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from alphaloss.numerics import (
     RngState,
     as_sym_matrix,
     cholesky,
+    csv_text,
     log_sigmoid,
     min_eigen_sym,
     project_ball,
+    row_norms,
     sample_ball,
     sigmoid,
+    vector_norm,
 )
 
 # High-precision scalar references (mpmath, 40 digits).
@@ -126,6 +130,60 @@ class TestProjectBall:
     def test_large_finite_norm_keeps_the_plain_rescale(self):
         v = np.array([1e154, -3e153])
         assert np.array_equal(project_ball(v, 2.0), v * (2.0 / float(np.linalg.norm(v))))
+
+
+def exact_norm(row) -> float:
+    """The Euclidean norm of ``row``, rounded from an exact sum of squares
+    (fractions) and an integer square root carried to 80 extra bits."""
+    total = sum(Fraction(float(v)) ** 2 for v in row)
+    return float(Fraction(math.isqrt(total.numerator * 4 ** 80 // total.denominator), 2 ** 80))
+
+
+class TestNorms:
+    @given(st.lists(st.lists(st.floats(-1e160, 1e160), min_size=3, max_size=3), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_numpy_where_it_is_finite(self, rows):
+        a = np.array(rows)
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(a, axis=1)
+            finite = np.isfinite(want)
+            assert row_norms(a)[finite].tobytes() == want[finite].tobytes()
+            for row in a:
+                want = float(np.linalg.norm(row))
+                assert vector_norm(row) == want or math.isinf(want)
+
+    @given(st.lists(st.floats(1.4e154, 1e307), min_size=1, max_size=4), st.lists(st.floats(-1e300, 1e300), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_overflowing_squares_keep_a_finite_norm(self, big, rest):
+        # Every norm drawn here lies below 2e307.
+        row = np.array([*big, *rest])
+        with np.errstate(over="ignore"):
+            assert math.isinf(float(np.linalg.norm(row)))
+            got = vector_norm(row)
+        assert got == pytest.approx(exact_norm(row), rel=1e-15)
+        assert row_norms(np.stack([row, np.ones(len(row))]))[0] == got
+
+    def test_norm_past_the_float_range_is_inf(self):
+        with np.errstate(over="ignore"):
+            assert vector_norm([1.5e308, 1.5e308]) == math.inf
+
+
+class TestCsvText:
+    def test_layout_and_cell_kinds(self):
+        rows = [(1, 0.1, None, True, "x"), (np.int64(2), np.float64(math.inf), -0.0, False, "1.0")]
+        text = csv_text(["a", "b", "c", "d", "e"], rows, ["k = v"])
+        assert text == "# k = v\na,b,c,d,e\n1,0.10000000000000001,,true,x\n2,inf,-0,false,1.0\n"
+
+    def test_no_rows_is_the_header_line(self):
+        assert csv_text(["alpha", "epsilon"], []) == "alpha,epsilon\n"
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_float_cells_parse_back_to_the_same_bits(self, values):
+        values += [5e-324, -0.0, math.inf, -math.inf]
+        for row in (values, [np.float64(v) for v in values]):
+            cells = csv_text(["v"] * len(row), [row]).splitlines()[1].split(",")
+            assert np.array([float(c) for c in cells]).tobytes() == np.array(values).tobytes()
 
 
 class TestMinEigenSym:

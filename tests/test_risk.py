@@ -200,6 +200,19 @@ class TestEmpiricalRisk:
         with pytest.raises(UsageError):
             empirical_risk(1.0, np.zeros(3), fig2_small)
 
+    @pytest.mark.parametrize("fn", [
+        empirical_risk, empirical_risk_grad, empirical_risk_hess,
+        lambda alpha, theta, data: value_and_grad(alpha, data)(theta),
+    ], ids=["empirical_risk", "empirical_risk_grad", "empirical_risk_hess", "value_and_grad"])
+    def test_one_point_functions_take_exactly_one_point(self, fig2_small, fn):
+        theta = np.array([0.7, -1.3])
+        for pts in (np.stack([theta, -theta]), np.empty((0, 2))):
+            with pytest.raises(UsageError, match="one point"):
+                fn(2.0, pts, fig2_small)
+        one, row = (fn(2.0, pts, fig2_small) for pts in (theta, theta[None, :]))
+        parts = (lambda out: out if isinstance(out, tuple) else (out,))
+        assert [np.asarray(p).tobytes() for p in parts(one)] == [np.asarray(p).tobytes() for p in parts(row)]
+
     def test_batch_matches_single(self, fig2_small):
         rng = np.random.default_rng(77)
         pts = rng.normal(size=(7, 2))
