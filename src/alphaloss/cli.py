@@ -44,7 +44,7 @@ from .data import (
 )
 from .errors import DomainError, NumericError, ParseError, UsageError
 from .loss import curvature_floor, format_alpha, lipschitz_in_inv_alpha, lipschitz_in_theta, parse_alpha
-from .numerics import RngState, check_positive_finite, csv_text, min_eigen_sym, sample_ball
+from .numerics import RngState, check_positive_finite, csv_text, min_eigen_sym, sample_ball, vector_norm
 from .risk import Dataset, GridSpec, landscape_scans, saturation_sups, value_and_grad
 
 OUT_ENV_VAR = "ALPHALOSS_OUT"
@@ -334,7 +334,7 @@ def cmd_ngd(o) -> dict[str, str]:
     theta1 = sample_ball(RngState(o.seed).spawn(3), dataset.dim, r)
     iterations = o.iters
     if iterations is None:
-        iterations = ngd.iteration_budget(epsilon, kappa, float(np.linalg.norm(theta1 - ref_theta)))
+        iterations = ngd.iteration_budget(epsilon, kappa, vector_norm(theta1 - ref_theta))
     result = ngd.ngd_run(objective, theta1, ngd.NgdConfig(eta, iterations, radius=r, record_trace=o.trace))
 
     summary = {

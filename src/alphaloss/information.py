@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, UsageError
-from .loss import LOG_BRANCH_TOL, alpha_loss, check_alpha
+from .loss import alpha_loss, check_alpha, is_log_order
 
 PROB_SUM_TOL = 1e-12
 
@@ -108,23 +108,30 @@ def discrete_alpha_risk(joint: DiscreteJoint, posterior: Posterior, alpha: float
     alpha = check_alpha(alpha)
     if posterior.q.shape != joint.p.shape:
         raise UsageError(f"posterior shape {posterior.q.shape} does not match joint shape {joint.p.shape}")
-    terms = []
-    for i in range(joint.n_x):
-        for j in range(joint.n_y):
-            mass = joint.p[i, j]
-            if mass == 0.0:
-                continue
-            q = posterior.q[i, j]
-            if q == 0.0:
-                if math.isinf(alpha):
-                    terms.append(mass)
-                elif alpha > 1.0:
-                    terms.append(mass * alpha / (alpha - 1.0))
-                else:
-                    return math.inf
-            else:
-                terms.append(mass * alpha_loss(alpha, q))
-    return math.fsum(terms)
+    cells = joint.p > 0.0
+    mass, q = joint.p[cells].tolist(), posterior.q[cells].tolist()
+    if alpha <= 1.0 and 0.0 in q:
+        return math.inf
+    return math.fsum([_cell_risk(alpha, m, v) for m, v in zip(mass, q)])
+
+
+def _cell_risk(alpha: float, mass: float, q: float) -> float:
+    """mass times the alpha-loss of q, or its limit at q = 0 for alpha > 1, in
+    math: numpy's log and expm1 round differently in places."""
+    if q > 0.0:
+        return mass * alpha_loss(alpha, q)
+    if math.isinf(alpha):
+        return mass
+    return mass * alpha / (alpha - 1.0)
+
+
+def _scaled_powers(m: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of m ** alpha over its largest entry, in the log domain (zeros stay zero), and that entry's log."""
+    pos = m > 0.0
+    logs = np.full_like(m, -math.inf)
+    logs[pos] = alpha * np.log(m[pos])
+    shifts = logs.max(axis=1, keepdims=True)
+    return np.exp(logs - shifts), shifts[:, 0]
 
 
 def tilted_posterior(joint: DiscreteJoint, alpha: float) -> Posterior:
@@ -137,49 +144,24 @@ def tilted_posterior(joint: DiscreteJoint, alpha: float) -> Posterior:
     no risk, and trigger a warning.
     """
     alpha = check_alpha(alpha)
-    out = np.empty_like(joint.p)
-    zero_rows = []
-    for i in range(joint.n_x):
-        row = joint.p[i]
-        total = row.sum()
-        if total == 0.0:
-            zero_rows.append(i)
-            out[i] = 1.0 / joint.n_y
-            continue
-        cond = row / total
-        if math.isinf(alpha):
-            top = cond == cond.max()
-            out[i] = top / top.sum()
-        elif abs(1.0 - 1.0 / alpha) < LOG_BRANCH_TOL:
-            out[i] = cond
-        else:
-            # log-domain tilt; zero conditional entries stay exactly zero
-            logs = np.full_like(cond, -math.inf)
-            pos = cond > 0.0
-            logs[pos] = alpha * np.log(cond[pos])
-            shift = logs.max()
-            weights = np.exp(logs - shift)
-            out[i] = weights / weights.sum()
-    if zero_rows:
+    marg = joint.marginal_x()
+    full = marg > 0.0
+    out = np.full_like(joint.p, 1.0 / joint.n_y)  # a massless row stays a uniform placeholder
+    cond = joint.p[full] / marg[full, None]
+    if math.isinf(alpha):
+        top = cond == cond.max(axis=1, keepdims=True)
+        cond = top / top.sum(axis=1, keepdims=True)
+    elif not is_log_order(alpha):
+        weights = _scaled_powers(cond, alpha)[0]
+        cond = weights / weights.sum(axis=1, keepdims=True)
+    out[full] = cond
+    if not full.all():
         warnings.warn(
-            f"joint rows {zero_rows} have zero marginal mass; tilted rows are uniform placeholders",
+            f"joint rows {np.flatnonzero(~full).tolist()} have zero marginal mass; tilted rows are uniform placeholders",
             RuntimeWarning,
             stacklevel=2,
         )
     return Posterior(out)
-
-
-def _shannon_cond_entropy(joint: DiscreteJoint) -> float:
-    marg = joint.marginal_x()
-    terms = []
-    for i in range(joint.n_x):
-        if marg[i] == 0.0:
-            continue
-        for j in range(joint.n_y):
-            p = joint.p[i, j]
-            if p > 0.0:
-                terms.append(-p * math.log(p / marg[i]))
-    return math.fsum(terms)
 
 
 def arimoto_cond_entropy(joint: DiscreteJoint, alpha: float) -> float:
@@ -189,18 +171,16 @@ def arimoto_cond_entropy(joint: DiscreteJoint, alpha: float) -> float:
     alpha = check_alpha(alpha)
     if math.isinf(alpha):
         return -math.log(math.fsum(joint.p.max(axis=1).tolist()))
-    if abs(1.0 - 1.0 / alpha) < LOG_BRANCH_TOL:
-        return _shannon_cond_entropy(joint)
-    # log of sum_x (sum_y p^alpha)^(1/alpha), all in the log domain
-    row_logs = []
-    for i in range(joint.n_x):
-        row = joint.p[i]
-        pos = row > 0.0
-        if not np.any(pos):
-            continue
-        logs = alpha * np.log(row[pos])
-        shift = logs.max()
-        row_logs.append((shift + math.log(np.exp(logs - shift).sum())) / alpha)
+    if is_log_order(alpha):
+        rows, cols = np.nonzero(joint.p)  # Shannon: the log-loss of the true posterior
+        mass = joint.p[rows, cols]
+        cond = mass / joint.marginal_x()[rows]
+        return math.fsum([-m * math.log(c) for m, c in zip(mass.tolist(), cond.tolist())])
+    # log of sum_x (sum_y p^alpha)^(1/alpha) over the rows with mass. A row
+    # sums only its positive entries: zeros would regroup numpy's pairwise sum.
+    p = joint.p[joint.marginal_x() > 0.0]
+    weights, shifts = _scaled_powers(p, alpha)
+    row_logs = [(s + math.log(w[m].sum())) / alpha for s, w, m in zip(shifts.tolist(), weights, p > 0.0)]
     shift = max(row_logs)
     log_s = shift + math.log(math.fsum([math.exp(v - shift) for v in row_logs]))
     return alpha / (1.0 - alpha) * log_s
@@ -214,7 +194,7 @@ def min_alpha_risk(joint: DiscreteJoint, alpha: float) -> float:
     entropy = arimoto_cond_entropy(joint, alpha)
     if math.isinf(alpha):
         return -math.expm1(-entropy)
-    if abs(1.0 - 1.0 / alpha) < LOG_BRANCH_TOL:
+    if is_log_order(alpha):
         return entropy
     return -math.expm1((1.0 - alpha) / alpha * entropy) * alpha / (alpha - 1.0)
 
@@ -223,17 +203,14 @@ def load_matrix_csv(path) -> np.ndarray:
     """Load a plain CSV matrix of probabilities (row = feature, column =
     label). Raises ParseError with the offending line number."""
     rows = []
-    width = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             fields = text.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ParseError(f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+            if rows and len(fields) != len(rows[0]):
+                raise ParseError(f"{path}: line {lineno}: expected {len(rows[0])} fields, got {len(fields)}")
             try:
                 rows.append([float(f) for f in fields])
             except ValueError:

@@ -53,6 +53,7 @@ __all__ = [
     "Sample",
     "ModelPoint",
     "check_alpha",
+    "is_log_order",
     "parse_alpha",
     "format_alpha",
     "alpha_loss",
@@ -99,6 +100,17 @@ def format_alpha(alpha: float) -> str:
 def _exponent(alpha: float) -> float:
     """The power 1 - 1/alpha; exactly 1.0 at alpha = inf."""
     return 1.0 - 1.0 / alpha  # 1/inf == 0.0 exactly
+
+
+def _loss_exponent(alpha: float) -> float | None:
+    """1 - 1/alpha, or None where the loss is exactly -log p: |1 - 1/alpha| < LOG_BRANCH_TOL."""
+    u = _exponent(alpha)
+    return None if abs(u) < LOG_BRANCH_TOL else u
+
+
+def is_log_order(alpha: float) -> bool:
+    """Whether the loss at this order is exactly -log p (see ``_loss_exponent``)."""
+    return _loss_exponent(check_alpha(alpha)) is None
 
 
 @dataclass(frozen=True)
@@ -150,8 +162,8 @@ def alpha_loss(alpha: float, p: float) -> float:
         raise DomainError(f"p must lie in (0, 1], got {p!r}")
     if math.isinf(alpha):
         return 1.0 - p
-    u = _exponent(alpha)
-    if abs(u) < LOG_BRANCH_TOL:
+    u = _loss_exponent(alpha)
+    if u is None:
         return -math.log(p)
     return -math.expm1(u * math.log(p)) / u
 
@@ -205,8 +217,8 @@ def loss_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:
     logp = np.asarray(logp, dtype=float)
     if math.isinf(alpha):
         return -np.expm1(logp)  # 1 - p, stable for p near 1
-    u = _exponent(alpha)
-    if abs(u) < LOG_BRANCH_TOL:
+    u = _loss_exponent(alpha)
+    if u is None:
         return -logp
     return -np.expm1(u * logp) / u
 
@@ -264,7 +276,10 @@ def lipschitz_in_theta(alpha: float, r: float) -> float:
     if alpha > 1.0:
         raise DomainError(f"lipschitz_in_theta requires alpha <= 1, got {alpha!r}")
     u = _exponent(alpha)
-    return sigmoid(r) * math.exp(u * log_sigmoid(-r))
+    try:
+        return sigmoid(r) * math.exp(u * log_sigmoid(-r))
+    except OverflowError:
+        raise NumericError(f"the Lipschitz constant in theta overflows at alpha {alpha!r}, radius {r!r}") from None
 
 
 def lipschitz_in_inv_alpha(r: float) -> float:

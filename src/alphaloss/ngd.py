@@ -66,10 +66,9 @@ def ngd_run(objective, theta1, config: NgdConfig) -> NgdResult:
     gradient norm falls below GRAD_NORM_FLOOR.
     """
     theta = as_vector(theta1, "theta1").copy()
-    if config.radius is not None and float(np.linalg.norm(theta)) > config.radius + 1e-9:
+    if config.radius is not None and vector_norm(theta) > config.radius + 1e-9:
         raise UsageError(
-            f"theta1 norm {float(np.linalg.norm(theta))!r} lies outside the projection ball "
-            f"of radius {config.radius}"
+            f"theta1 norm {vector_norm(theta)!r} lies outside the projection ball of radius {config.radius}"
         )
     best_theta = theta.copy()
     best_value = math.inf
@@ -108,7 +107,13 @@ def iteration_budget(epsilon: float, kappa: float, dist: float) -> int:
         raise DomainError(f"epsilon and kappa must be positive, got {epsilon!r}, {kappa!r}")
     if dist < 0.0 or not math.isfinite(dist):
         raise DomainError(f"dist must be a finite nonnegative real, got {dist!r}")
-    return max(1, math.ceil(kappa * kappa * dist * dist / (epsilon * epsilon)))
+    try:
+        return max(1, math.ceil(kappa * kappa * dist * dist / (epsilon * epsilon)))
+    except (OverflowError, ValueError, ZeroDivisionError):  # an inf, a NaN, or epsilon^2 underflowing to 0
+        raise NumericError(
+            f"the NGD iteration budget ceil(kappa^2 dist^2 / epsilon^2) is not a finite number at "
+            f"epsilon {epsilon!r}, kappa {kappa!r}, dist {dist!r}"
+        ) from None
 
 
 def projected_gd_reference(objective, theta1, steps: int, step_size: float,

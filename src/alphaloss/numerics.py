@@ -278,13 +278,21 @@ class RngState:
 
 def sample_ball(rng: RngState, dim: int, radius: float) -> np.ndarray:
     """One point uniform on the ball of given radius, by rejection from the
-    bounding cube. Advances ``rng`` a data-dependent number of steps."""
+    bounding cube. Advances ``rng`` a data-dependent number of steps.
+
+    The membership test squares coordinates, which overflows past a radius
+    of about 1.3e154; it is made on the point scaled by the power of two that
+    brings the radius into [0.5, 1). That scaling is exact, so the test
+    decides as unscaled arithmetic would wherever that stays finite."""
     if dim < 1:
         raise UsageError(f"dim must be >= 1, got {dim}")
     radius = check_positive_finite(radius, "radius")
+    exp = math.frexp(radius)[1]  # ldexp, since 2**-exp overflows for a subnormal radius
+    unit = math.ldexp(radius, -exp)
     while True:
         point = np.array([(2.0 * rng.uniform() - 1.0) * radius for _ in range(dim)])
-        if float(np.dot(point, point)) <= radius * radius:
+        scaled = np.ldexp(point, -exp)
+        if float(np.dot(scaled, scaled)) <= unit * unit:
             return point
 
 

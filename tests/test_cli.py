@@ -338,6 +338,14 @@ class TestNgd:
         assert summary["reference_value"] < math.log(2.0)
         assert math.hypot(*summary["reference_theta"]) == pytest.approx(1.0, rel=1e-14)
 
+    def test_start_point_sampled_past_1e154_stays_in_the_ball(self, tmp_path):
+        # theta1's squared norm overflows; the run must neither sample
+        # outside the ball nor reject its own start point.
+        assert run("ngd", "--n", "20", "--iters", "3", "--ref-steps", "3", "--r=1e308", "--out", str(tmp_path)) == 0
+        summary = json.loads((tmp_path / "ngd_summary.json").read_text())
+        assert math.hypot(*summary["theta1"]) <= 1e308
+        assert all(math.isfinite(v) for v in (summary["best_value"], summary["achieved_gap"], *summary["best_theta"]))
+
     def test_undefined_sample_sum_is_numeric_error(self, tmp_path, capsys):
         # At alpha = 0.002 the gradient rows hold both +inf and -inf.
         code = run("ngd", "--preset", "fig2", "--n", "300", "--alpha", "0.002",
@@ -350,6 +358,8 @@ class TestNumericErrorOutput:
     @pytest.mark.parametrize("argv", [
         ("ngd", "--n", "50", "--alpha", "0.002", "--iters", "5", "--ref-steps", "5"),
         ("landscape", "--n", "50", "--grid-count", "3", "--alphas", "1,0.002"),
+        ("certify", "--n", "20", "--sweep", "3", "--i-budget", "3", "--ngd-cap", "3", "--r=1e308"),
+        ("certify", "--n", "20", "--sweep", "3", "--i-budget", "3", "--ngd-cap", "3", "--alpha0", "0.002"),
     ])
     def test_numeric_error_raises_no_warning(self, tmp_path, capsys, argv):
         # Only the explicit finiteness checks report a non-finite value.

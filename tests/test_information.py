@@ -1,7 +1,11 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaloss.errors import DomainError, ParseError, UsageError
 from alphaloss.information import (
@@ -13,7 +17,8 @@ from alphaloss.information import (
     min_alpha_risk,
     tilted_posterior,
 )
-from alphaloss.loss import INFINITY
+from alphaloss.cli import main
+from alphaloss.loss import INFINITY, alpha_loss
 
 LN2 = math.log(2.0)
 
@@ -230,3 +235,158 @@ class TestCsvLoading:
         path.write_text("# only a comment\n")
         with pytest.raises(ParseError, match="no data"):
             load_matrix_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Bit equality with per-cell oracles: the straightforward loop forms of the
+# discrete layer, one matrix entry at a time.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_risk(joint, posterior, alpha):
+    terms = []
+    for i in range(joint.n_x):
+        for j in range(joint.n_y):
+            mass, q = joint.p[i, j], posterior.q[i, j]
+            if mass == 0.0:
+                continue
+            if q > 0.0:
+                terms.append(mass * alpha_loss(alpha, q))
+            elif math.isinf(alpha):
+                terms.append(mass)
+            elif alpha > 1.0:
+                terms.append(mass * alpha / (alpha - 1.0))
+            else:
+                return math.inf
+    return math.fsum(terms)
+
+
+def _oracle_tilted(joint, alpha):
+    out = np.empty_like(joint.p)
+    for i in range(joint.n_x):
+        row = joint.p[i]
+        total = row.sum()
+        if total == 0.0:
+            out[i] = 1.0 / joint.n_y
+            continue
+        cond = row / total
+        if math.isinf(alpha):
+            top = cond == cond.max()
+            out[i] = top / top.sum()
+        elif abs(1.0 - 1.0 / alpha) < 1e-6:
+            out[i] = cond
+        else:
+            logs = np.full_like(cond, -math.inf)
+            pos = cond > 0.0
+            logs[pos] = alpha * np.log(cond[pos])
+            weights = np.exp(logs - logs.max())
+            out[i] = weights / weights.sum()
+    return Posterior(out)
+
+
+def _oracle_entropy(joint, alpha):
+    if math.isinf(alpha):
+        return -math.log(math.fsum(joint.p.max(axis=1).tolist()))
+    marg = joint.marginal_x()
+    if abs(1.0 - 1.0 / alpha) < 1e-6:
+        return math.fsum(-joint.p[i, j] * math.log(joint.p[i, j] / marg[i])
+                         for i in range(joint.n_x) for j in range(joint.n_y) if joint.p[i, j] > 0.0)
+    row_logs = []
+    for row in joint.p:
+        pos = row > 0.0
+        if pos.any():
+            logs = alpha * np.log(row[pos])
+            shift = logs.max()
+            row_logs.append((shift + math.log(np.exp(logs - shift).sum())) / alpha)
+    shift = max(row_logs)
+    return alpha / (1.0 - alpha) * (shift + math.log(math.fsum([math.exp(v - shift) for v in row_logs])))
+
+
+def _outcome(f, *args):
+    """The result's bytes, or the type of the error raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            value = f(*args)
+    except Exception as exc:  # the error type is the outcome
+        return type(exc)
+    return np.asarray(value.q if isinstance(value, Posterior) else value, dtype=float).tobytes()
+
+
+ORDERS = (0.3, 0.5, 1.0, 1.0 + 1e-7, 1.7, 2.0, 37.0, 1e6, 1e300, 1e308, INFINITY)
+CELL = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, 0.5]), st.floats(1e-9, 10.0))
+
+
+@st.composite
+def joint_and_posterior(draw):
+    """A joint up to 6 x 12 with zero cells, zero-mass rows and ties, and a
+    posterior of the same shape with zero cells."""
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    m = np.array(draw(st.lists(CELL, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    if not m.any():
+        m[draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))] = 1.0
+    q = np.array(draw(st.lists(CELL, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    q[~q.any(axis=1), 0] = 1.0
+    return DiscreteJoint(m / math.fsum(m.ravel().tolist())), Posterior(q / q.sum(axis=1, keepdims=True))
+
+
+class TestArrayFormMatchesCellOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(case=joint_and_posterior(), alpha=st.sampled_from(ORDERS))
+    def test_bit_equal(self, case, alpha):
+        joint, posterior = case
+        assert _outcome(discrete_alpha_risk, joint, posterior, alpha) == _outcome(_oracle_risk, joint, posterior, alpha)
+        tilted = _outcome(tilted_posterior, joint, alpha)
+        assert tilted == _outcome(_oracle_tilted, joint, alpha)
+        if not isinstance(tilted, type):
+            t = Posterior(np.frombuffer(tilted).reshape(joint.p.shape))
+            assert _outcome(discrete_alpha_risk, joint, t, alpha) == _outcome(_oracle_risk, joint, t, alpha)
+        assert _outcome(arimoto_cond_entropy, joint, alpha) == _outcome(_oracle_entropy, joint, alpha)
+
+    def test_rows_of_eight_or_more_labels_with_zeros(self):
+        # zeros inside a long row would regroup numpy's pairwise row sum
+        rng = np.random.default_rng(90)
+        for ny in (7, 8, 9, 12, 17):
+            for k in range(40):
+                m = rng.uniform(0.0, 1.0, size=(3, ny)) * (rng.uniform(size=(3, ny)) < 0.7)
+                m[0, 0] += 0.1
+                m[2] *= k % 2  # every other joint has a massless row
+                joint = DiscreteJoint(m / math.fsum(m.ravel().tolist()))
+                for alpha in ORDERS:
+                    assert _outcome(arimoto_cond_entropy, joint, alpha) == _outcome(_oracle_entropy, joint, alpha)
+                    assert _outcome(tilted_posterior, joint, alpha) == _outcome(_oracle_tilted, joint, alpha)
+
+    def test_massless_row_at_a_huge_order_stays_a_placeholder(self):
+        # alpha * log(1/7) overflows at this order: the placeholder must not be tilted
+        joint = DiscreteJoint(np.array([[1.0] + [0.0] * 6, [0.0] * 7]))
+        with pytest.warns(RuntimeWarning, match=r"joint rows \[1\]") as record:
+            q = tilted_posterior(joint, 1e308).q
+        assert len(record) == 1
+        assert q[0].tolist() == [1.0] + [0.0] * 6
+        assert q[1].tolist() == [1.0 / 7] * 7
+
+
+# sha256 of tilted.json for four runs of `tilted`, as written before the
+# discrete layer took its array form.
+TILTED_DIGESTS = [
+    ("0.2,0.2,0.1\n0.15,0.15,0.15\n0.05,0,0\n", "inf", None,
+     "f22392d37fecf0400f80e3ee60aa9cb9ab2317cb69f4886374ac987b7bf1a6de"),
+    ("0.1,0.2,0,0.15,0.05,0.1,0.1,0.2,0.1\n", "2", None,
+     "b04f306df3e561c2d4f5c4663dc4c57d3df9c383a38702f2351e0f2d56377159"),
+    ("0.3,0.1,0\n0.05,0.25,0.3\n", "1.0000001", None,
+     "76f9d420339619ed81f61ffdb71be6ae6ee3a702761f8b0efb9400cbb5217f41"),
+    ("0.4,0.1\n0.1,0.4\n", "0.5", "0.8,0.2\n1,0\n",
+     "d1bdf41f99c2f14d391c340c047ee6eed700f442cf2442d697a9d7242d93d5d0"),
+]
+
+
+@pytest.mark.parametrize("joint_text,alpha,posterior_text,digest", TILTED_DIGESTS)
+def test_tilted_report_bytes_are_pinned(tmp_path, monkeypatch, joint_text, alpha, posterior_text, digest):
+    monkeypatch.chdir(tmp_path)  # the report names its input files as given
+    (tmp_path / "joint.csv").write_text(joint_text)
+    argv = ["tilted", "--joint", "joint.csv", "--alpha", alpha, "--out", "out"]
+    if posterior_text is not None:
+        (tmp_path / "post.csv").write_text(posterior_text)
+        argv += ["--posterior", "post.csv"]
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "out" / "tilted.json").read_bytes()).hexdigest() == digest

@@ -16,6 +16,7 @@ from alphaloss.loss import (
     grad_lipschitz_in_inv_alpha,
     hess_factor,
     hess_factor_from_logp,
+    is_log_order,
     lipschitz_in_inv_alpha,
     lipschitz_in_theta,
     loss_grad,
@@ -70,6 +71,18 @@ class TestAlphaValidation:
     def test_format_round_trip(self):
         for a in (0.5, 1.0, 1.001, INFINITY):
             assert parse_alpha(format_alpha(a)) == a
+
+
+class TestLogOrder:
+    def test_band_about_one(self):
+        # |1 - 1/alpha| < 1e-6 takes the exact log-loss limit; inf never does
+        for alpha in (1.0, 1.0 + 1e-7, 1.0 - 1e-7, 1.0 + 9.9e-7):
+            assert is_log_order(alpha)
+            assert alpha_loss(alpha, 0.3) == -math.log(0.3)
+        for alpha in (1.0 + 1.1e-6, 0.5, 1.7, INFINITY):
+            assert not is_log_order(alpha)
+        with pytest.raises(DomainError):
+            is_log_order(0.0)
 
 
 class TestAlphaLoss:
@@ -279,6 +292,11 @@ class TestLandscapeConstants:
         assert all(x < y for x, y in zip(values, values[1:]))
         with pytest.raises(DomainError):
             lipschitz_in_theta(2.0, 5.0)
+
+    def test_lipschitz_in_theta_overflow_is_numeric_error_naming_it(self):
+        # (1 - sigmoid(5))^(1 - 500) is about e^2498
+        with pytest.raises(NumericError, match=r"Lipschitz constant in theta.* alpha 0\.002, radius 5\.0"):
+            lipschitz_in_theta(0.002, 5.0)
 
     def test_risk_lipschitz_constant(self):
         assert lipschitz_in_inv_alpha(5.0) == pytest.approx(L_5, rel=1e-14)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ class TestBudget:
             iteration_budget(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             iteration_budget(0.1, 1.0, math.inf)
+
+    @pytest.mark.parametrize("epsilon,kappa,dist", [(0.4, 1.0, 1e308), (0.4, 1e308, 5.0), (1e-320, 1.0, 1.0),
+                                                    (0.1, math.inf, 0.0)])
+    def test_unrepresentable_budget_is_numeric_error_naming_it(self, epsilon, kappa, dist):
+        inputs = re.escape(f"epsilon {epsilon!r}, kappa {kappa!r}, dist {dist!r}")
+        with pytest.raises(NumericError, match="iteration budget .* at " + inputs):
+            iteration_budget(epsilon, kappa, dist)
 
 
 class TestReference:

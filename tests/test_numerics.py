@@ -302,6 +302,24 @@ class TestSampleBall:
         pts2 = [sample_ball(rng2, 3, 2.5) for _ in range(200)]
         assert all(np.array_equal(a, b) for a, b in zip(pts, pts2))
 
+    @pytest.mark.parametrize("radius", [5.0, 0.5, 3.3, 1e-3, 7.77e150])
+    def test_scaled_test_decides_as_the_unscaled_one(self, radius):
+        # where squaring the radius stays finite, the points are those of
+        # the plain test ||p||^2 <= r^2 on the same stream
+        rng, oracle = RngState(23), RngState(23)
+        for _ in range(500):
+            while True:
+                point = np.array([(2.0 * oracle.uniform() - 1.0) * radius for _ in range(3)])
+                if float(np.dot(point, point)) <= radius * radius:
+                    break
+            assert np.array_equal(sample_ball(rng, 3, radius), point)
+
+    @pytest.mark.parametrize("radius", [1e300, 1.7976931348623157e308, 1e-300, 1e-309, 5e-324])
+    def test_inside_the_ball_where_squares_overflow_or_underflow(self, radius):
+        rng = RngState(9)
+        points = np.array([sample_ball(rng, 3, radius) for _ in range(500)])
+        assert np.all(np.linalg.norm(points / radius, axis=1) <= 1.0 + 1e-15)
+
     def test_bad_inputs(self):
         with pytest.raises(UsageError):
             sample_ball(RngState(1), 0, 1.0)
