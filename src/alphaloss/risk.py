@@ -4,20 +4,28 @@ Hessian, landscape grid scans, and the saturation-distance scan.
 The population risk is an expectation; this artifact works with its
 empirical counterpart over seeded finite samples and says so in every
 output's metadata. Every sample sum is exactly rounded: the result is the
-bits of ``math.fsum`` over the row, which makes every risk value
-independent of summation order and therefore identical across platforms,
-block layouts and worker counts for a batch of two or more points.
+bits of ``math.fsum`` over the row, so it does not depend on summation
+order, block layout or worker count. The sum itself uses only IEEE
+addition and subtraction, so its bits do not depend on the CPU either; the
+per-sample terms do, because numpy picks its ``exp`` and ``log1p`` kernels
+(and the BLAS its matmul kernel) at run time. Risk values therefore repeat
+bit for bit on the same numpy CPU dispatch and BLAS kernel.
 
-``exact_row_sums`` computes those bits with numpy reductions, after the
-small superaccumulators of Neal (2015, arXiv:1505.05571). Each entry is
-split by exponent into two halves whose per-(row, exponent) bin sums stay
-exact in float64; one ``math.fsum`` over the few scaled bin sums per row
-then rounds the exact total once. Rows holding non-finite entries, or
-magnitudes whose rescaling could overflow, go through ``math.fsum``
-directly, which also stays the tests' oracle. Every value, gradient and
-Hessian starts from one margin pass to log p (``_logp``); values and
-gradients share one terms formula (``_terms``) and one block driver
-(``_means``). The margin matmul rounds a one-row batch differently, so a
+The sums come from error-free extraction (ExtractVector of Rump, Ogita and
+Oishi 2008, *Accurate floating-point summation part I*), in place on each
+block of terms (``_extract_sums``). Per row, sigma is a power of two well
+above the row's largest entry; (sigma + x) - sigma extracts each entry's
+high part exactly, the high parts add up exactly in any order, and the
+exact remainders feed the next, smaller sigma. After a few such folds one
+``math.fsum`` over the row's fold sums rounds the exact total once. Rows
+holding non-finite entries or entries above 2^900 go through ``math.fsum``
+directly (``_fsum_row``), which also stays the tests' oracle; a finite
+mean whose sum passes the float range is taken in a scaled frame there.
+
+Every value, gradient and Hessian starts from one margin pass to log p
+(``_logp``); values and gradients share one terms formula (``_terms``)
+and one block driver (``_means``), whose blocks of about 200,000 elements
+stay in cache. The margin matmul rounds a one-row batch differently, so a
 one-point call agrees with a batch only up to rounding. Grid scans take
 every order they need from one margin pass over the grid.
 """
@@ -45,20 +53,19 @@ from .numerics import check_positive_finite, csv_text, log_sigmoid_vec
 
 MAX_GRID_NODES = 10_000_000
 
-# Cap on elements per evaluation block; keeps intermediates ~tens of MB.
-_BLOCK_ELEMENTS = 4_000_000
+# Cap on elements per evaluation block (log p plus the stacked terms): about
+# 1.6 MB of terms, so a block and its extraction scratch fit in cache.
+_BLOCK_ELEMENTS = 200_000
 
-# Cap on elements per exact-sum chunk; keeps the reducer's temporaries ~MB
-# and every bin sum far below 2^53.
-_SUM_CHUNK = 1 << 16
-# Mantissa split point: the high half is an integer below 2^27, the low
-# half lies on a 2^-26 grid, so bin sums of either stay exact. Both halves
-# keep only bits of the entry, so rescaled bin sums are exact down to the
-# subnormals.
-_SPLIT_BITS = 27
-# Largest frexp exponent whose bin sums rescale far from overflow; chunks
-# with larger entries (above ~1e289) use math.fsum.
-_EXP_MAX = 960
+# Folds of error-free extraction per block before what remains of a row
+# joins its final fsum; loss and gradient rows settle in 2 or 3.
+_MAX_FOLDS = 4
+# Most columns one fold sum adds up. A fold sum of W columns is exact while
+# W * 2^c <= 2^54, c = ceil(log2(W + 2)); W = 2^20 gives 2^41.
+_FOLD_COLUMNS = 1 << 20
+# Rows with an entry above this go to math.fsum, so sigma stays far from
+# overflow.
+_EXTRACT_MAX = 2.0 ** 900
 
 __all__ = [
     "Dataset",
@@ -180,60 +187,87 @@ def _blocks(m: int, width: int) -> Iterator[slice]:
         yield slice(start, stop)
 
 
-def _fsum_row(row: np.ndarray) -> float:
+def _fsum_row(row: np.ndarray, divisor: int = 1) -> float:
+    """``math.fsum`` of a row, over ``divisor``: the catch-all for rows the
+    extraction skips. When the partial sums pass the float range, the row
+    is summed in a frame scaled by 2^-shift, divided there and scaled back:
+    the exact sum is still rounded once and then divided, as for every
+    other row, and only a result past the float range is an error."""
+    values = row.tolist()
     try:
-        return math.fsum(row.tolist())
-    except (ValueError, OverflowError) as exc:
+        try:
+            return math.fsum(values) / divisor
+        except OverflowError:
+            shift = len(values).bit_length() + 1  # 2^shift > 2n: the scaled partial sums stay finite
+            return math.ldexp(math.fsum(np.ldexp(row, -shift).tolist()) / divisor, shift)
+    except ValueError as exc:
         raise NumericError(f"sample sum is undefined: {exc}") from None
+    except OverflowError:
+        raise NumericError(f"sample {'sum' if divisor == 1 else 'mean'} overflows") from None
 
 
-def _bin_terms(chunk: np.ndarray) -> np.ndarray | None:
-    """Per row of ``chunk``, its per-exponent bin sums scaled back to
-    values: terms whose exact sum is the row's exact sum. None when the
-    chunk holds non-finite entries or entries above 2^_EXP_MAX."""
-    mant, exps = np.frexp(chunk)
-    lo_exp, hi_exp = int(exps.min()), int(exps.max())
-    if hi_exp > _EXP_MAX:
-        return None
-    rows = chunk.shape[0]
-    span = hi_exp - lo_exp + 1
-    size = rows * span
-    # Bin of entry (i, e) is i * span + (e - lo_exp).
-    bins = (exps - (lo_exp - np.arange(0, size, span)[:, None])).ravel()
-    mant *= 2.0 ** _SPLIT_BITS
-    high = np.trunc(mant)
-    with np.errstate(invalid="ignore"):  # inf - inf marks non-finite entries
-        mant -= high
-    sums = np.stack([np.bincount(bins, high.ravel(), size).reshape(rows, span),
-                     np.bincount(bins, mant.ravel(), size).reshape(rows, span)], axis=1)
-    if not np.isfinite(sums).all():  # inf or nan entries leave nan low halves
-        return None
-    scale = np.arange(lo_exp - _SPLIT_BITS, lo_exp - _SPLIT_BITS + span)
-    return np.ldexp(sums, scale).reshape(rows, 2 * span)
+def _extract_sums(block: np.ndarray, divisor: int = 1, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Exactly-rounded sum of each row of a 2-D float block, over
+    ``divisor``. The block is overwritten (the remainders are left in it),
+    and so is ``scratch``, a float array of at least the block's size that
+    a caller summing many blocks passes to each (a fresh one is made when
+    it is None).
+
+    Per row, with every |x| < 2^e and c = ceil(log2(W + 2)) for the W
+    columns added into one fold sum (all n, up to _FOLD_COLUMNS), let
+    sigma = 2^(e + c). Each fold takes q = (sigma + x) - sigma and leaves
+    x - q in the block. Both steps are exact: sigma + x lies in
+    [sigma/2, 2 sigma], so the subtraction is exact (Sterbenz), and x - q is
+    the rounding error of that addition, which is a float. Every q is a
+    multiple of u = 2^-53 sigma and at most |x| + u, so a partial sum of W
+    of them is a multiple of u of size at most W 2^e + W u <= sigma
+    (2^c >= W + 2, and W u <= 2^(e+1) as W 2^c <= 2^54): a float, so the
+    fold sum is exact in any order. The remainders are at most u, so the
+    next fold uses sigma * 2^(c + 1 - 53). Folds stop when every
+    remainder is zero or after _MAX_FOLDS. One ``math.fsum`` over a row's
+    fold sums, plus the nonzero entries of any remainder left, then rounds
+    the row's exact sum once: ``math.fsum``'s bits. Rows with a non-finite
+    entry or one above _EXTRACT_MAX go to ``_fsum_row``.
+    """
+    rows, n = block.shape
+    if n == 0:
+        return np.zeros(rows)
+    top = np.maximum(block.max(axis=1), -block.min(axis=1))  # nan stays nan
+    hard = np.flatnonzero(~(top <= _EXTRACT_MAX))
+    if hard.size:  # summed by _fsum_row; zeroed, they keep sigma and the folds finite
+        fallback = [_fsum_row(block[i], divisor) for i in hard]
+        block[hard] = top[hard] = 0.0
+    c = (min(n, _FOLD_COLUMNS) + 1).bit_length()
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + c)[:, None]
+    starts = np.arange(0, n, _FOLD_COLUMNS)
+    scratch = np.empty_like(block) if scratch is None else scratch[:block.size].reshape(block.shape)
+    folds = []
+    for _ in range(_MAX_FOLDS):
+        np.add(block, sigma, out=scratch)
+        scratch -= sigma
+        block -= scratch
+        folds.append(np.add.reduceat(scratch, starts, axis=1))
+        if not block.any():
+            break
+        sigma *= 2.0 ** (c + 1 - 53)
+    terms = np.concatenate(folds, axis=1).tolist()
+    if len(folds) == _MAX_FOLDS:  # the remainder's nonzero entries join their rows' fsums
+        for i in np.flatnonzero(block.any(axis=1)):
+            terms[i] += block[i][block[i] != 0].tolist()
+    out = np.array([math.fsum(row) for row in terms]) / divisor
+    if hard.size:
+        out[hard] = fallback
+    return out
 
 
 def exact_row_sums(block) -> np.ndarray:
     """Exactly-rounded sum of each row of a 2-D block: the bits of
-    ``math.fsum(row.tolist())``, from numpy bin reductions in chunks of at
-    most 2^16 elements. A row with both +inf and -inf has no sum and raises
-    NumericError; a row with infinities of one sign sums to that infinity.
+    ``math.fsum(row.tolist())``, by error-free extraction on a copy of the
+    block (``_extract_sums``). A row with both +inf and -inf has no sum and
+    raises NumericError; a row with infinities of one sign sums to that
+    infinity, and a finite sum past the float range raises NumericError.
     """
-    block = np.asarray(block, dtype=float)
-    rows, n = block.shape
-    out = np.zeros(rows)
-    if n == 0:
-        return out
-    cols = min(n, _SUM_CHUNK)
-    step = _SUM_CHUNK // cols
-    for start in range(0, rows, step):
-        group = block[start:start + step]
-        parts = [_bin_terms(group[:, c:c + cols]) for c in range(0, n, cols)]
-        if any(part is None for part in parts):
-            out[start:start + step] = [_fsum_row(row) for row in group]
-        else:
-            terms = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            out[start:start + step] = [math.fsum(row) for row in terms.tolist()]
-    return out
+    return _extract_sums(np.array(block, dtype=float))
 
 
 def _second_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -241,7 +275,7 @@ def _second_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> np.ndar
     n, d = xs.shape
     scaled = xs if weights is None else weights[:, None] * xs
     pairs = [(j, k) for j in range(d) for k in range(j, d)]
-    means = exact_row_sums(np.stack([scaled[:, j] * xs[:, k] for j, k in pairs])) / n
+    means = _extract_sums(np.stack([scaled[:, j] * xs[:, k] for j, k in pairs]), n)
     out = np.empty((d, d))
     for (j, k), v in zip(pairs, means):
         out[j, k] = out[k, j] = v
@@ -265,9 +299,14 @@ def _means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> np.ndarray:
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
     pts = _as_points(thetas, data)
     out = np.empty((len(pts), len(alphas) + (0 if grad_alpha is None else data.dim)))
+    # One scratch for every block: a fresh one per block would be freed
+    # with its block, and the allocator would return and refetch the pages.
+    scratch = np.empty(0)
     for sl in _blocks(len(pts), (1 + out.shape[1]) * data.n):
-        sums = exact_row_sums(_terms(_logp(pts[sl], data), data, alphas, grad_alpha))
-        out[sl] = sums.reshape(out[sl].shape) / data.n
+        terms = _terms(_logp(pts[sl], data), data, alphas, grad_alpha)
+        if scratch.size < terms.size:
+            scratch = np.empty(terms.size)
+        out[sl] = _extract_sums(terms, data.n, scratch).reshape(out[sl].shape)
     return out
 
 
@@ -316,7 +355,7 @@ def value_and_grad(alpha: float, data: Dataset):
     alpha = check_alpha(alpha)
 
     def oracle(theta):
-        means = exact_row_sums(_terms(_logp(_as_point(theta, data), data), data, (alpha,), alpha)) / data.n
+        means = _extract_sums(_terms(_logp(_as_point(theta, data), data), data, (alpha,), alpha), data.n)
         return float(means[0]), means[1:]
 
     return oracle

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaloss import risk
+from alphaloss.data import normalize_features, preset, sample_gmm
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
@@ -18,7 +20,7 @@ from alphaloss.loss import (
     loss_hess,
     loss_margin,
 )
-from alphaloss.numerics import min_eigen_sym, sigmoid
+from alphaloss.numerics import RngState, min_eigen_sym, sigmoid
 from alphaloss.risk import (
     Dataset,
     GridSpec,
@@ -95,18 +97,10 @@ def fsum_rows(block: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row.tolist()) for row in block])
 
 
-@st.composite
-def sum_blocks(draw):
-    """Blocks of 1-5 rows and up to 70000 columns (past the 2^16-element
-    chunk), with entries from one exponent window anywhere from the
-    subnormals up to about 1e300, and optionally signed zeros, exact
-    cancellation pairs and non-finite entries."""
-    rows = draw(st.integers(1, 5))
-    cols = draw(st.one_of(st.integers(1, 40), st.integers(1, 70_000), st.integers(65_000, 70_000)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lo = draw(st.integers(-1074, 997))
-    hi = draw(st.integers(lo, min(997, lo + 80)))
-    shape = (rows, cols)
+def _block_entries(draw, rng, shape, lo, hi):
+    """Entries with exponents in [lo, hi], then optionally signed zeros,
+    exact cancellation pairs and non-finite entries."""
+    rows, cols = shape
     mant = rng.uniform(0.5, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
     block = np.ldexp(mant, rng.integers(lo, hi + 1, shape))
     zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))
@@ -123,6 +117,34 @@ def sum_blocks(draw):
     return block
 
 
+@st.composite
+def sum_blocks(draw):
+    """Blocks of 1-5 rows and up to 70000 columns, with entries from one
+    exponent window of at most 80 binades anywhere from the subnormals up
+    to about 1e300 (``_block_entries``)."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.one_of(st.integers(1, 40), st.integers(1, 70_000), st.integers(65_000, 70_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-1074, 997))
+    hi = draw(st.integers(lo, min(997, lo + 80)))
+    return _block_entries(draw, rng, (rows, cols), lo, hi)
+
+
+@st.composite
+def extraction_blocks(draw):
+    """Blocks of 1-5 rows and up to 2^17 columns whose exponent window may
+    span the whole range the extraction takes, subnormals to 2^900: wide
+    windows exhaust the fold cap, so the remainder path runs. Entries as in
+    ``sum_blocks``."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.one_of(st.integers(1, 40), st.sampled_from([65_537, 1 << 17]), st.integers(1, 1 << 17)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([1974, 400, 60, 0]))
+    lo = draw(st.integers(-1074, 900 - span))
+    hi = lo + span
+    return _block_entries(draw, rng, (rows, cols), lo, hi)
+
+
 class TestExactRowSums:
     @settings(max_examples=150, deadline=None)
     @given(sum_blocks())
@@ -135,14 +157,55 @@ class TestExactRowSums:
             return
         assert exact_row_sums(block).tobytes() == expected.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(extraction_blocks(), st.sampled_from([None, 1, 2]), st.sampled_from([None, 1, 7, 1000]))
+    def test_extraction_bit_equal_to_fsum(self, block, folds, columns):
+        # A cap of one or two folds leaves a remainder in most rows; narrow
+        # fold widths sum each fold in many column groups.
+        try:
+            expected = fsum_rows(block)
+        except ValueError:
+            with pytest.raises(NumericError, match="-inf \\+ inf"):
+                exact_row_sums(block)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            if folds:
+                patch.setattr(risk, "_MAX_FOLDS", folds)
+            if columns:
+                patch.setattr(risk, "_FOLD_COLUMNS", columns)
+            assert exact_row_sums(block).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("shape", [(1, 65_536), (1, 65_537), (2, 32_768), (3, 32_769), (2, 140_000)])
     def test_chunk_boundaries(self, shape):
         rng = np.random.default_rng(shape[1])
         block = rng.normal(size=shape) * np.exp(rng.uniform(-30.0, 30.0, size=shape))
         assert exact_row_sums(block).tobytes() == fsum_rows(block).tobytes()
 
-    # The last row's 2^1024 binade would hold 2e308 and overflow on
-    # rescale, though the row sums to 8e307.
+    @pytest.mark.parametrize("columns", [1000, 4096])
+    def test_rows_wider_than_one_fold_sum(self, monkeypatch, columns):
+        # Entries of one sign: a fold sum over more than _FOLD_COLUMNS
+        # columns would pass sigma and round.
+        monkeypatch.setattr(risk, "_FOLD_COLUMNS", columns)
+        block = np.random.default_rng(columns).uniform(0.5, 1.0, size=(2, 140_000))
+        block[1] *= 2.0 ** -40
+        assert exact_row_sums(block).tobytes() == fsum_rows(block).tobytes()
+
+    def test_rows_past_the_fold_cap(self):
+        # A fold takes 52 - c bits (c = 3 for 6 columns): the first two rows
+        # span 2^1000 to 2^-1074 and need about 42 folds.
+        row = [2.0 ** 1000, 3.0, -(2.0 ** -600), 5e-324, -(2.0 ** 1000), 2.0 ** -1000]
+        block = np.array([row, row[::-1], [1.0, 2.0 ** -60, 2.0 ** -1074, 0.0, 0.0, 0.0]])
+        assert (1000 + 1074) // (52 - 3) > risk._MAX_FOLDS
+        assert exact_row_sums(block).tobytes() == fsum_rows(block).tobytes()
+
+    def test_input_is_not_modified(self):
+        block = np.array([[0.1, 0.2, 0.3], [1e-30, 1.0, -1.0]])
+        before = block.copy()
+        exact_row_sums(block)
+        assert block.tobytes() == before.tobytes()
+
+    # The last row takes the math.fsum path (entries above 2^900); it sums
+    # to 8e307, though some summation orders pass the float range.
     @pytest.mark.parametrize("row", [[-0.0], [-0.0, -0.0], [0.0, -0.0], [1.5, -1.5], [1e-300, -1e-300],
                                      [1.0, math.inf, 2.0], [-math.inf, 0.5, -math.inf],
                                      [1e308, -6e307, 1e308, -6e307]])
@@ -150,12 +213,37 @@ class TestExactRowSums:
         block = np.array([row])
         assert exact_row_sums(block).tobytes() == fsum_rows(block).tobytes()
 
-    def test_fsum_overflow_is_numeric_error(self):
-        with pytest.raises(NumericError, match="overflow"):
-            exact_row_sums(np.array([[1e308, 1e308, -1e308]]))
+    def test_overflowing_partial_sums_give_the_finite_sum(self):
+        # math.fsum raises on this row; its exact sum is the finite 1e308.
+        assert exact_row_sums(np.array([[1e308, 1e308, -1e308]])).tolist() == [1e308]
+
+    def test_sum_past_the_float_range_is_numeric_error(self):
+        with pytest.raises(NumericError, match="sample sum overflows"):
+            exact_row_sums(np.array([[1e308, 1e308]]))
+
+    def test_infinities_after_overflowing_partial_sums(self):
+        # math.fsum raises OverflowError before it reaches the infinities.
+        assert exact_row_sums(np.array([[1e308, 1e308, math.inf]])).tolist() == [math.inf]
+        with pytest.raises(NumericError, match="undefined: -inf \\+ inf"):
+            exact_row_sums(np.array([[1e308, 1e308, math.inf, -math.inf]]))
 
     def test_empty_rows_sum_to_zero(self):
         assert exact_row_sums(np.empty((2, 0))).tobytes() == fsum_rows(np.empty((2, 0))).tobytes()
+
+    def test_finite_mean_of_an_overflowing_sum(self):
+        # Each loss is about 6e307; their sum passes the float range, their
+        # mean does not. The mean is the exact sum rounded once, then divided,
+        # as on every other path: here with Fractions, in a frame scaled by
+        # 2^-10 where nothing overflows or underflows. That is within one ulp
+        # of the exact mean.
+        data = Dataset(np.array([[0.6, 0.8]] * 3), np.array([-1, -1, -1]))
+        losses = risk._terms(risk._logp(np.array([[1e308, 0.0]]), data), data, (1.0,))[0].tolist()
+        exact = sum(map(Fraction, losses))
+        scaled_sum = Fraction(float(exact / 2**10))
+        expected = math.ldexp(float(scaled_sum) / 3, 10)
+        assert empirical_risk(1.0, [1e308, 0.0], data) == expected
+        ulp = math.ulp(float(exact / 3))
+        assert abs(Fraction(expected) - exact / 3) <= ulp
 
 
 class TestEmpiricalRisk:
@@ -334,6 +422,23 @@ class TestEvaluationKernel:
                 values, grads = risk_values_grads(alpha, pts, fig2_small)
                 assert values.tobytes() == risk_values(alpha, pts, fig2_small).tobytes()
                 assert grads.tobytes() == risk_grads(alpha, pts, fig2_small).tobytes()
+
+
+    def test_cache_sized_blocks_give_the_bytes_of_one_block(self, monkeypatch):
+        # A fig3-style grid on 5000 samples: the default cap cuts it into
+        # blocks of a few points, a cap of 4,000,000 into a handful.
+        raw = sample_gmm(preset("fig3"), 5000, RngState(42))
+        data, _ = normalize_features(raw)
+        nodes = GridSpec(((-5.0, 5.0, 21), (-5.0, 5.0, 21)), mask_radius=5.0).nodes()
+
+        def outputs():
+            yield risk.risk_values_multi([1.0, 2.0, 4.0, 10.0, INFINITY], nodes, data)
+            for alpha in (0.5, 1.0, 2.0, INFINITY):
+                yield from risk_values_grads(alpha, nodes, data)
+
+        small = [a.tobytes() for a in outputs()]
+        monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 4_000_000)
+        assert [a.tobytes() for a in outputs()] == small
 
 
 class TestSmallOrderInfinities:

@@ -216,7 +216,10 @@ class TestSweepOracle:
 
         monkeypatch.setattr(risk, "_logp", counting)
         slqc_sweep(1.0, self.params(1.0), fig2_small, self.R, self.N_POINTS, RngState(self.SEED))
-        assert sorted(calls) == [1, self.N_POINTS]  # theta0, then every point at once
+        # theta0's one call, then the points in blocks that cover each point
+        # once and never hold one point alone
+        assert calls[0] == 1
+        assert sum(calls[1:]) == self.N_POINTS and min(calls[1:]) >= 2
 
     def test_the_kappas_exercise_every_compared_field(self, fig2_small):
         def oracle(kappa_scale):
