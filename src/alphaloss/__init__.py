@@ -23,11 +23,10 @@ from .numerics import RngState, cholesky, log_sigmoid, min_eigen_sym, project_ba
 from .risk import (
     Dataset,
     GridSpec,
-    LandscapeTable,
     empirical_risk,
     empirical_risk_grad,
     empirical_risk_hess,
-    landscape_scan,
+    landscape_scans,
     saturation_sup,
     value_and_grad,
 )
@@ -61,11 +60,10 @@ __all__ = [
     "sigmoid",
     "Dataset",
     "GridSpec",
-    "LandscapeTable",
     "empirical_risk",
     "empirical_risk_grad",
     "empirical_risk_hess",
-    "landscape_scan",
+    "landscape_scans",
     "saturation_sup",
     "value_and_grad",
     "__version__",

@@ -171,12 +171,12 @@ def _sample_dataset(o) -> tuple[Dataset, dict, GmmSpec]:
     else:
         spec, name, note = preset(o.preset), o.preset, PRESET_NOTES.get(o.preset, "")
     raw = sample_gmm(spec, o.n, RngState(o.seed))
-    dataset, record = normalize_features(raw)
+    dataset, scale = normalize_features(raw)
     meta = {
         "preset": name,
         "n": o.n,
         "seed": o.seed,
-        "scale": record.scale,
+        "scale": scale,
         "dataset": dataset.content_digest(),
     }
     if note:
@@ -212,8 +212,18 @@ def cmd_gen_data(o) -> dict[str, str]:
 def cmd_landscape(o) -> dict[str, str]:
     dataset, meta = _resolve_dataset(o)
     grid = _grid(o, dataset.dim)
-    tables = landscape_scans(o.alphas, grid, dataset, metadata=meta)
-    return {f"landscape_alpha={format_alpha(a)}.csv": table.to_csv() for a, table in zip(o.alphas, tables)}
+    nodes, risks = landscape_scans(o.alphas, grid, dataset)
+    # Comment order: alpha, r, dataset (meta's value, in this literal's place), then the rest of meta.
+    meta = {"r": "none" if o.no_mask else repr(o.r), "dataset": meta["dataset"], **meta}
+    header = [f"theta_{j + 1}" for j in range(grid.dim)] + ["risk"]
+    return {
+        f"landscape_alpha={format_alpha(a)}.csv": csv_text(
+            header,
+            np.column_stack([nodes, column]),
+            [f"alpha = {format_alpha(a)}", *(f"{key} = {value}" for key, value in meta.items())],
+        )
+        for a, column in zip(o.alphas, risks.T)
+    }
 
 
 def cmd_certify(o) -> dict[str, str]:

@@ -3,9 +3,9 @@ into the unit ball, and dataset CSV I/O.
 
 The three built-in presets reproduce the mixture parameters of the
 paper-style experiment settings this package ships with (see README).
-Normalization is a single global rescale by the largest raw feature norm,
-recorded in a NormalizationRecord so every derived output can state how
-its features were produced.
+Normalization is a single global rescale by the largest raw feature norm;
+``normalize_features`` returns that scale with the dataset, so every
+derived output can state how its features were produced.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .risk import Dataset
 __all__ = [
     "GmmSpec",
     "RawDataset",
-    "NormalizationRecord",
     "PRESET_NAMES",
     "PRESET_NOTES",
     "preset",
@@ -94,13 +93,6 @@ class RawDataset:
     ys: np.ndarray
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """The single divisor applied to all features (1.0 means untouched)."""
-
-    scale: float
-
-
 PRESET_NAMES = ("fig1", "fig2", "fig3")
 
 # The fig1 source prints an asymmetric class -1 covariance (-2.02 vs -2.01);
@@ -169,16 +161,15 @@ def sample_gmm(spec: GmmSpec, n: int, rng: RngState) -> RawDataset:
     return RawDataset(xs, ys)
 
 
-def normalize_features(raw: RawDataset) -> tuple[Dataset, NormalizationRecord]:
+def normalize_features(raw: RawDataset) -> tuple[Dataset, float]:
     """Divide every feature vector by the largest raw norm (floored at 1),
-    producing a unit-ball dataset; normalizing twice is the identity."""
+    producing a unit-ball dataset, and return it with that divisor (1.0
+    means untouched); normalizing twice is the identity."""
     xs = np.asarray(raw.xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] < 1:
         raise UsageError(f"raw features must be a nonempty 2-D array, got shape {xs.shape}")
     scale = max(1.0, float(np.max(np.linalg.norm(xs, axis=1))))
-    if scale == 1.0:
-        return Dataset(xs, raw.ys), NormalizationRecord(1.0)
-    return Dataset(xs / scale, raw.ys), NormalizationRecord(scale)
+    return Dataset(xs / scale, raw.ys), scale
 
 
 def dataset_csv(data: Dataset) -> str:

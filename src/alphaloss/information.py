@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, UsageError
+from .errors import DomainError, NumericError, ParseError, UsageError
 from .loss import alpha_loss, check_alpha, is_log_order
 
 PROB_SUM_TOL = 1e-12
@@ -196,7 +196,10 @@ def min_alpha_risk(joint: DiscreteJoint, alpha: float) -> float:
         return -math.expm1(-entropy)
     if is_log_order(alpha):
         return entropy
-    return -math.expm1((1.0 - alpha) / alpha * entropy) * alpha / (alpha - 1.0)
+    try:
+        return -math.expm1((1.0 - alpha) / alpha * entropy) * alpha / (alpha - 1.0)
+    except OverflowError:
+        raise NumericError(f"the minimal alpha-risk overflows at alpha {alpha!r}") from None
 
 
 def load_matrix_csv(path) -> np.ndarray:

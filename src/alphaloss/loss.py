@@ -165,7 +165,10 @@ def alpha_loss(alpha: float, p: float) -> float:
     u = _loss_exponent(alpha)
     if u is None:
         return -math.log(p)
-    return -math.expm1(u * math.log(p)) / u
+    try:
+        return -math.expm1(u * math.log(p)) / u
+    except OverflowError:
+        raise NumericError(f"the alpha-loss overflows at alpha {alpha!r}, p {p!r}") from None
 
 
 def _sample_logp(theta, s: Sample) -> float:
@@ -262,7 +265,10 @@ def curvature_floor(alpha: float, r: float) -> float:
     u = _exponent(alpha)
     p = sigmoid(r)
     q = sigmoid(-r)
-    return math.exp(u * log_sigmoid(r)) * (p * q - u * q * q)
+    try:
+        return math.exp(u * log_sigmoid(r)) * (p * q - u * q * q)
+    except OverflowError:
+        raise NumericError(f"the curvature floor overflows at alpha {alpha!r}, radius {r!r}") from None
 
 
 def lipschitz_in_theta(alpha: float, r: float) -> float:

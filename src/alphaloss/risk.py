@@ -1,5 +1,6 @@
 """Empirical risk of the alpha-loss over a dataset, with gradient and
-Hessian, landscape grid scans, and the saturation-distance scan.
+Hessian, landscape grid scans, and the saturation-distance scan. Scans
+return arrays; the command line writes them to files.
 
 The population risk is an expectation; this artifact works with its
 empirical counterpart over seeded finite samples and says so in every
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -49,7 +50,7 @@ from .loss import (
     hess_factor_from_logp,
     loss_from_logp,
 )
-from .numerics import check_positive_finite, csv_text, log_sigmoid_vec
+from .numerics import check_positive_finite, log_sigmoid_vec
 
 MAX_GRID_NODES = 10_000_000
 
@@ -70,7 +71,6 @@ _EXTRACT_MAX = 2.0 ** 900
 __all__ = [
     "Dataset",
     "GridSpec",
-    "LandscapeTable",
     "empirical_risk",
     "empirical_risk_grad",
     "empirical_risk_hess",
@@ -80,7 +80,6 @@ __all__ = [
     "risk_grads",
     "risk_values_grads",
     "exact_row_sums",
-    "landscape_scan",
     "landscape_scans",
     "saturation_sup",
     "saturation_sups",
@@ -414,31 +413,14 @@ class GridSpec:
         return pts
 
 
-@dataclass(frozen=True)
-class LandscapeTable:
-    """Risk values over grid nodes plus the metadata to regenerate them."""
-
-    thetas: np.ndarray
-    risks: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.thetas.shape[0] != self.risks.shape[0]:
-            raise UsageError("row count mismatch between nodes and risks")
-        if np.any(self.risks < 0):
-            raise DomainError("risk values must be nonnegative")
-
-    def to_csv(self) -> str:
-        header = [f"theta_{j + 1}" for j in range(self.thetas.shape[1])] + ["risk"]
-        rows = ([*row, risk] for row, risk in zip(self.thetas, self.risks))
-        return csv_text(header, rows, [f"{key} = {value}" for key, value in self.metadata.items()])
-
-
-def _grid_risks(alphas: list[float], grid: GridSpec, data: Dataset) -> tuple[np.ndarray, dict]:
-    """The grid's nodes and, for each distinct order in ``alphas``, its risk
-    at every node (order -> column), all from one margin pass. A grid with
-    no node inside its mask raises UsageError, and a risk that is not
-    finite raises NumericError."""
+def landscape_scans(alphas, grid: GridSpec, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's nodes, row-major with masked nodes omitted, and the
+    empirical risk at every node: (nodes, risks), one risk column per order
+    in ``alphas``, in input order. Each distinct order is evaluated once,
+    all from one margin pass. A grid with no node inside its mask raises
+    UsageError, a risk that is not finite NumericError, a negative one
+    DomainError."""
+    alphas = [check_alpha(a) for a in alphas]
     if grid.dim != data.dim:
         raise UsageError(f"grid dim {grid.dim} does not match dataset dim {data.dim}")
     nodes = grid.nodes()
@@ -449,25 +431,9 @@ def _grid_risks(alphas: list[float], grid: GridSpec, data: Dataset) -> tuple[np.
     bad = [format_alpha(a) for a, ok in zip(orders, np.isfinite(values).all(axis=0)) if not ok]
     if bad:
         raise NumericError(f"risk is not finite at some grid node for order(s) {', '.join(bad)}")
-    return nodes, dict(zip(orders, values.T))
-
-
-def landscape_scans(alphas, grid: GridSpec, data: Dataset, metadata: dict | None = None) -> list[LandscapeTable]:
-    """Empirical risk at every grid node, row-major, masked nodes omitted:
-    one table per order, in input order, all from one margin pass."""
-    alphas = [check_alpha(a) for a in alphas]
-    nodes, risks = _grid_risks(alphas, grid, data)
-    common = {
-        "r": "none" if grid.mask_radius is None else repr(grid.mask_radius),
-        "dataset": data.content_digest(),
-    }
-    common.update(metadata or {})
-    return [LandscapeTable(nodes, risks[a], {"alpha": format_alpha(a), **common}) for a in alphas]
-
-
-def landscape_scan(alpha: float, grid: GridSpec, data: Dataset, metadata: dict | None = None) -> LandscapeTable:
-    """Empirical risk at every grid node for one order (``landscape_scans``)."""
-    return landscape_scans([alpha], grid, data, metadata)[0]
+    if np.any(values < 0):
+        raise DomainError("risk values must be nonnegative")
+    return nodes, values[:, [orders.index(a) for a in alphas]]
 
 
 def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = math.inf) -> list[float]:
@@ -483,8 +449,8 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
     low = [a for a in [*alphas, reference] if a < 1.0]
     if low:
         raise DomainError(f"saturation scan requires orders >= 1, got {', '.join(map(repr, low))}")
-    _, risks = _grid_risks([*alphas, reference], grid, data)
-    return [float(np.max(np.abs(risks[a] - risks[reference]))) for a in alphas]
+    _, risks = landscape_scans([*alphas, reference], grid, data)
+    return np.max(np.abs(risks[:, :-1] - risks[:, -1:]), axis=0).tolist()
 
 
 def saturation_sup(alpha: float, alpha2: float, grid: GridSpec, data: Dataset) -> float:

@@ -39,7 +39,6 @@ from .loss import (
     curvature_floor,
     grad_lipschitz_in_inv_alpha,
     lipschitz_in_inv_alpha,
-    lipschitz_in_theta,
 )
 from .numerics import (
     RngState,
@@ -70,7 +69,6 @@ __all__ = [
     "estimate_grad_infimum",
     "evolution_window",
     "evolve_bounds",
-    "evolve_from_log_loss",
     "evolution_to_csv",
 ]
 
@@ -91,7 +89,7 @@ class SlqcParams:
 
     def __post_init__(self):
         eps = float(self.epsilon)
-        if not (eps > 0.0) or math.isnan(eps):
+        if not (eps > 0.0):
             raise DomainError(f"epsilon must be positive, got {self.epsilon!r}")
         kap = check_positive_finite(self.kappa, "kappa")
         object.__setattr__(self, "epsilon", eps)
@@ -242,7 +240,7 @@ def estimate_grad_infimum(
     """
     alpha0 = check_alpha(alpha0)
     epsilon0 = float(epsilon0)
-    if not (epsilon0 > 0.0) or math.isnan(epsilon0):
+    if not (epsilon0 > 0.0):
         raise DomainError(f"epsilon0 must be positive, got {epsilon0!r}")
     points = _ball_points(rng, data.dim, r, budget, "budget")
     theta0 = as_vector(theta0, "theta0")
@@ -343,26 +341,6 @@ def evolve_bounds(
             raise NumericError(f"evolution bounds at alpha = {alpha!r} are not finite (epsilon {eps!r}, rho {rho!r})")
         rows.append(EvolutionRow(alpha, eps, rho, True))
     return rows
-
-
-def evolve_from_log_loss(
-    epsilon0: float,
-    r: float,
-    grad_inf: float,
-    alphas,
-    allow_infinite_grad_inf: bool = False,
-) -> list[EvolutionRow]:
-    """Evolution from the log-loss base order alpha0 = 1, whose kappa0 is
-    the risk's Lipschitz constant in theta, sigmoid(r)."""
-    return evolve_bounds(
-        1.0,
-        epsilon0,
-        lipschitz_in_theta(1.0, r),
-        r,
-        grad_inf,
-        alphas,
-        allow_infinite_grad_inf,
-    )
 
 
 def evolution_to_csv(rows) -> str:

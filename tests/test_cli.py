@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import re
@@ -107,6 +108,24 @@ class TestLandscape:
         assert "# alpha = 1.0" in text
         assert "theta_1,theta_2,risk" in text
 
+    @pytest.mark.parametrize("source, provenance", [
+        (["--preset", "fig1", "--n", "60"], ["preset = fig1", "n = 60", "seed = 42", "scale = ", "note = cov_neg"]),
+        (["--data", "gen/dataset.csv"], ["data = gen/dataset.csv"]),
+    ])
+    @pytest.mark.parametrize("mask, r, rows", [([], "5.0", 5), (["--no-mask"], "none", 9)])
+    def test_csv_layout_and_comment_order(self, tmp_path, monkeypatch, source, provenance, mask, r, rows):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen-data", "--n", "40", "--out", "gen") == 0
+        assert run("landscape", *source, *mask, "--alphas", "inf", "--grid-count", "3", "--out", "out") == 0
+        lines = (tmp_path / "out" / "landscape_alpha=inf.csv").read_text().splitlines()
+        comments = [line[2:] for line in lines if line.startswith("# ")]
+        assert comments[:2] == ["alpha = inf", f"r = {r}"]
+        assert re.fullmatch(r"dataset = [0-9a-f]{16}", comments[2])
+        assert len(comments) == 3 + len(provenance)
+        assert all(c.startswith(p) for c, p in zip(comments[3:], provenance))
+        assert lines[len(comments)] == "theta_1,theta_2,risk"
+        assert len(lines) == len(comments) + 1 + rows
+
     def test_inf_literal_accepted(self, tmp_path):
         assert run(
             "landscape", "--preset", "fig2", "--n", "50", "--alphas", "inf",
@@ -178,6 +197,37 @@ class TestLandscape:
     def test_missing_data_file_is_io_error(self, tmp_path):
         assert run("landscape", "--data", str(tmp_path / "nope.csv"), "--alphas", "1",
                    "--out", str(tmp_path)) == 4
+
+
+# sha256 of every landscape CSV of four small `landscape` runs, as written
+# while risk.LandscapeTable still built the files: a sampled fig1 run (its
+# comments carry the preset's note), a --data run on a gen-data output, an
+# unmasked rectangle, and a list with a repeated order.
+LANDSCAPE_DIGESTS = [
+    (["--preset", "fig1", "--n", "120", "--seed", "7", "--alphas", "2", "--grid-count", "5"], {
+        "landscape_alpha=2.0.csv": "37ef5099cf6ebabcd64e0717e3ae83d02906850f56e49bf5cf832bd229d25129",
+    }),
+    (["--data", "gen/dataset.csv", "--alphas", "1", "--grid-count", "5"], {
+        "landscape_alpha=1.0.csv": "72276bdeada1d601ec4322852cfbbd446ac6a043b34b24a7341130bd66316adf",
+    }),
+    (["--preset", "fig2", "--n", "100", "--no-mask", "--grid-min", "-2", "--grid-max", "3", "--grid-count", "4"], {
+        "landscape_alpha=1.0.csv": "b0625085a37cfcaa4cad5663c668abe78aa1c81b0402a5f7447574a73681ee88",
+    }),
+    (["--preset", "fig2", "--n", "100", "--alphas", "2,1,inf,2", "--grid-count", "5"], {
+        "landscape_alpha=2.0.csv": "04d3fbb0dcbc9c28b440b88a3dde338197ff1284758bde9a237ddf98ddeeda2e",
+        "landscape_alpha=1.0.csv": "007ac880f27cd817a81025dba8da822fffa93f1308c0d06f95813a9d8f526a3b",
+        "landscape_alpha=inf.csv": "b33de2ba743890993caf0a07c5b07d283a28be7f65cecb8f89b61ac60ecfad97",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv,digests", LANDSCAPE_DIGESTS)
+def test_landscape_bytes_are_pinned(tmp_path, monkeypatch, argv, digests):
+    monkeypatch.chdir(tmp_path)  # the comments name a --data file as given
+    assert run("gen-data", "--preset", "fig3", "--n", "90", "--seed", "11", "--out", "gen") == 0
+    assert run("landscape", *argv, "--out", "out") == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").iterdir()}
+    assert written == digests
 
 
 class TestCertify:
@@ -360,14 +410,22 @@ class TestNumericErrorOutput:
         ("landscape", "--n", "50", "--grid-count", "3", "--alphas", "1,0.002"),
         ("certify", "--n", "20", "--sweep", "3", "--i-budget", "3", "--ngd-cap", "3", "--r=1e308"),
         ("certify", "--n", "20", "--sweep", "3", "--i-budget", "3", "--ngd-cap", "3", "--alpha0", "0.002"),
+        ("certify", "--n", "20", "--sweep", "3", "--i-budget", "3", "--ngd-cap", "3", "--alpha0", "1e-300",
+         "--kappa0", "1"),
+        ("tilted", "--joint", "JOINT", "--alpha", "0.0005"),
     ])
     def test_numeric_error_raises_no_warning(self, tmp_path, capsys, argv):
-        # Only the explicit finiteness checks report a non-finite value.
+        # Only the explicit finiteness checks report a non-finite value, and
+        # each names what is not finite.
+        joint = tmp_path / "joint.csv"
+        joint.write_text("0.4,0.1\n0.1,0.4\n")
+        argv = [str(joint) if arg == "JOINT" else arg for arg in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(*argv, "--out", str(tmp_path)) == 3
+            assert run(*argv, "--out", str(tmp_path / "out")) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric error:")
+        assert "math range error" not in err[0]
 
 
 class TestSaturation:

@@ -96,27 +96,27 @@ class TestSampling:
 class TestNormalization:
     def test_identity_when_inside_ball(self):
         raw = RawDataset(np.array([[0.1, 0.2], [0.0, -0.5]]), np.array([1, -1]))
-        data, record = normalize_features(raw)
-        assert record.scale == 1.0
+        data, scale = normalize_features(raw)
+        assert scale == 1.0
         assert np.array_equal(data.xs, raw.xs)
 
     def test_rescale_by_max_norm(self):
         raw = RawDataset(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([1, -1]))
-        data, record = normalize_features(raw)
-        assert record.scale == 4.0
+        data, scale = normalize_features(raw)
+        assert scale == 4.0
         assert np.allclose(np.linalg.norm(data.xs, axis=1), [0.5, 1.0], atol=1e-15)
 
     def test_max_norm_hits_one(self):
         raw = sample_gmm(preset("fig1"), 2000, RngState(3))
-        data, record = normalize_features(raw)
-        assert record.scale > 1.0
+        data, scale = normalize_features(raw)
+        assert scale > 1.0
         assert abs(float(np.max(np.linalg.norm(data.xs, axis=1))) - 1.0) < 1e-12
 
     def test_idempotent(self):
         raw = sample_gmm(preset("fig3"), 500, RngState(9))
         data, _ = normalize_features(raw)
-        again, record = normalize_features(RawDataset(data.xs, data.ys))
-        assert record.scale == 1.0
+        again, scale = normalize_features(RawDataset(data.xs, data.ys))
+        assert scale == 1.0
         assert np.array_equal(again.xs, data.xs)
 
     def test_second_moment_spectrum_in_unit_range(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaloss.errors import DomainError, ParseError, UsageError
+from alphaloss.errors import DomainError, NumericError, ParseError, UsageError
 from alphaloss.information import (
     DiscreteJoint,
     Posterior,
@@ -49,6 +49,13 @@ class TestValidation:
 
 
 class TestRisk:
+    def test_overflowing_cell_loss_is_numeric_error_naming_it(self):
+        # 0.2^(1 - 2000) is about e^3217
+        joint = DiscreteJoint([[0.4, 0.1], [0.1, 0.4]])
+        posterior = Posterior([[0.8, 0.2], [0.2, 0.8]])
+        with pytest.raises(NumericError, match=r"alpha-loss overflows at alpha 0\.0005, p 0\.2"):
+            discrete_alpha_risk(joint, posterior, 0.0005)
+
     def test_log_loss_mixture(self):
         joint = DiscreteJoint([[0.5, 0.5]])
         posterior = Posterior([[0.8, 0.2]])
@@ -184,6 +191,12 @@ class TestArimoto:
 
 
 class TestMinRisk:
+    def test_overflow_is_numeric_error_naming_it(self):
+        # (1 - alpha)/alpha * H_alpha is about 1386 at alpha = 0.0005
+        joint = DiscreteJoint([[0.4, 0.1], [0.1, 0.4]])
+        with pytest.raises(NumericError, match=r"minimal alpha-risk overflows at alpha 0\.0005"):
+            min_alpha_risk(joint, 0.0005)
+
     def test_uniform_binary(self):
         joint = DiscreteJoint([[0.25, 0.25], [0.25, 0.25]])
         assert min_alpha_risk(joint, 1.0) == pytest.approx(LN2, rel=1e-12)

@@ -109,6 +109,11 @@ class TestAlphaLoss:
         with pytest.raises(DomainError):
             alpha_loss(1.0, bad)
 
+    def test_overflow_is_numeric_error_naming_it(self):
+        # 0.2^(1 - 2000) is about e^3217
+        with pytest.raises(NumericError, match=r"alpha-loss overflows at alpha 0\.0005, p 0\.2"):
+            alpha_loss(0.0005, 0.2)
+
     def test_continuity_at_log_branch(self):
         for p in (0.1, 0.5, 0.9):
             base = alpha_loss(1.0, p)
@@ -280,6 +285,11 @@ class TestLandscapeConstants:
             curvature_floor(1.5, 5.0)
         with pytest.raises(DomainError):
             curvature_floor(1.0, 0.0)
+
+    def test_curvature_floor_overflow_is_numeric_error_naming_it(self):
+        # sigmoid(5)^(1 - 1e300) overflows
+        with pytest.raises(NumericError, match=r"curvature floor overflows at alpha 1e-300, radius 5\.0"):
+            curvature_floor(1e-300, 5.0)
 
     def test_lipschitz_in_theta_values(self):
         assert lipschitz_in_theta(1.0, 5.0) == pytest.approx(SIGMOID_5, rel=1e-14)

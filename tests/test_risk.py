@@ -28,7 +28,6 @@ from alphaloss.risk import (
     empirical_risk_grad,
     empirical_risk_hess,
     exact_row_sums,
-    landscape_scan,
     landscape_scans,
     risk_grads,
     risk_values,
@@ -522,52 +521,55 @@ class TestGridSpec:
 class TestLandscape:
     def test_center_row_is_log2(self, fig2_small):
         grid = GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3)))
-        table = landscape_scan(1.0, grid, fig2_small)
-        center = np.where((table.thetas == 0).all(axis=1))[0]
+        nodes, risks = landscape_scans([1.0], grid, fig2_small)
+        center = np.where((nodes == 0).all(axis=1))[0]
         assert center.size == 1
-        assert table.risks[center[0]] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert risks[center[0], 0] == pytest.approx(math.log(2.0), abs=1e-12)
 
-    def test_deterministic_bytes(self, fig2_small):
+    def test_deterministic(self, fig2_small):
         grid = GridSpec(((-2.0, 2.0, 7), (-2.0, 2.0, 7)), mask_radius=2.0)
-        a = landscape_scan(1.5, grid, fig2_small).to_csv()
-        b = landscape_scan(1.5, grid, fig2_small).to_csv()
-        assert a == b
+        first = landscape_scans([1.5], grid, fig2_small)
+        second = landscape_scans([1.5], grid, fig2_small)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_larger_alpha_flattens_the_surface(self, fig2_small):
         grid = GridSpec(((-5.0, 5.0, 11), (-5.0, 5.0, 11)), mask_radius=5.0)
-        high = landscape_scan(10.0, grid, fig2_small)
-        low = landscape_scan(1.0, grid, fig2_small)
-        assert high.risks.max() < low.risks.max()
-
-    def test_csv_shape_and_metadata(self, fig2_small):
-        grid = GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3)))
-        table = landscape_scan(INFINITY, grid, fig2_small, metadata={"seed": 42})
-        text = table.to_csv()
-        lines = text.strip().split("\n")
-        comments = [l for l in lines if l.startswith("#")]
-        assert any("alpha = inf" in c for c in comments)
-        assert any("seed = 42" in c for c in comments)
-        header = [l for l in lines if l.startswith("theta_1")][0]
-        assert header == "theta_1,theta_2,risk"
-        assert len([l for l in lines if not l.startswith("#")]) == 1 + 9
+        _, risks = landscape_scans([10.0, 1.0], grid, fig2_small)
+        assert risks[:, 0].max() < risks[:, 1].max()
 
     def test_grid_dim_mismatch(self, fig2_small):
         with pytest.raises(UsageError):
-            landscape_scan(1.0, GridSpec(((-1.0, 1.0, 3),)), fig2_small)
+            landscape_scans([1.0], GridSpec(((-1.0, 1.0, 3),)), fig2_small)
 
     def test_scans_equal_per_order_scans_bit_for_bit(self, fig2_small, monkeypatch):
         # Small blocks, so the shared pass is cut into many row blocks.
         monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 7 * fig2_small.n)
         grid = GridSpec(((-3.0, 3.0, 9), (-3.0, 3.0, 9)), mask_radius=3.0)
         alphas = [0.5, 1.0, 2.0, INFINITY, 2.0, 10.0, INFINITY]
-        tables = landscape_scans(alphas, grid, fig2_small, metadata={"seed": 42, "dataset": "x"})
-        assert len(tables) == len(alphas)
-        for alpha, table in zip(alphas, tables):
-            single = landscape_scan(alpha, grid, fig2_small, metadata={"seed": 42, "dataset": "x"})
-            assert table.to_csv() == single.to_csv()
-            assert list(table.metadata) == ["alpha", "r", "dataset", "seed"]
-            oracle = risk_values(alpha, grid.nodes(), fig2_small)
-            assert np.array_equal(table.risks, oracle)
+        nodes, risks = landscape_scans(alphas, grid, fig2_small)
+        assert np.array_equal(nodes, grid.nodes())
+        assert risks.shape == (len(nodes), len(alphas))
+        for alpha, column in zip(alphas, risks.T):
+            assert np.array_equal(column, landscape_scans([alpha], grid, fig2_small)[1][:, 0])
+            assert np.array_equal(column, risk_values(alpha, nodes, fig2_small))
+
+    def test_each_distinct_order_is_evaluated_once(self, fig2_small, monkeypatch):
+        calls = []
+        original = risk.risk_values_multi
+
+        def counting(alphas, thetas, data):
+            calls.append(list(alphas))
+            return original(alphas, thetas, data)
+
+        monkeypatch.setattr(risk, "risk_values_multi", counting)
+        landscape_scans([2.0, 1.0, INFINITY, 2.0, 1], GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3))), fig2_small)
+        assert calls == [[2.0, 1.0, INFINITY]]
+
+    def test_negative_risk_is_domain_error(self, fig2_small, monkeypatch):
+        monkeypatch.setattr(risk, "risk_values_multi",
+                            lambda alphas, thetas, data: -np.ones((len(thetas), len(alphas))))
+        with pytest.raises(DomainError, match="nonnegative"):
+            landscape_scans([1.0], GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3))), fig2_small)
 
     def test_grid_without_nodes_is_usage_error(self, fig2_small):
         grid = GridSpec(((4.0, 5.0, 2), (4.0, 5.0, 2)), mask_radius=5.0)

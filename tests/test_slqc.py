@@ -19,7 +19,6 @@ from alphaloss.slqc import (
     evolution_to_csv,
     evolution_window,
     evolve_bounds,
-    evolve_from_log_loss,
     slqc_sweep,
     strong_convexity_modulus,
 )
@@ -327,10 +326,10 @@ class TestEvolution:
         rows = evolve_bounds(1.0, self.E0, self.kappa0(), self.R, self.I, [1.0 + w * (1 - 1e-9)])
         assert rows[0].in_window and rows[0].rho > 0.0
 
-    def test_log_loss_shortcut_matches_direct_formulas(self):
+    def test_log_loss_base_matches_direct_formulas(self):
         w = evolution_window(1.0, self.E0, self.kappa0(), self.R, self.I)
         alphas = [1.0 + w * k / 8 for k in range(8)]
-        rows = evolve_from_log_loss(self.E0, self.R, self.I, alphas)
+        rows = evolve_bounds(1.0, self.E0, lipschitz_in_theta(1.0, self.R), self.R, self.I, alphas)
         sig_r = sigmoid(self.R)
         big_l = lipschitz_in_inv_alpha(self.R)
         big_j = grad_lipschitz_in_inv_alpha(self.R)
@@ -345,13 +344,6 @@ class TestEvolution:
             )
             assert abs(row.epsilon - eps_direct) < 1e-12
             assert abs(row.rho - rho_direct) < 1e-12
-
-    def test_log_loss_shortcut_equals_general_form(self):
-        alphas = [1.0, 1.0 + WINDOW_ENDPOINT / 3]
-        direct = evolve_bounds(1.0, self.E0, self.kappa0(), self.R, self.I, alphas)
-        shortcut = evolve_from_log_loss(self.E0, self.R, self.I, alphas)
-        for a, b in zip(direct, shortcut):
-            assert a == b
 
     def test_rejects_alpha_below_base(self):
         with pytest.raises(UsageError):
