@@ -7,16 +7,12 @@ from .errors import AlphaLossError, DomainError, NumericError, ParseError, Usage
 from .loss import (
     INFINITY,
     ModelPoint,
-    Sample,
     alpha_loss,
     curvature_floor,
     format_alpha,
     grad_lipschitz_in_inv_alpha,
     lipschitz_in_inv_alpha,
     lipschitz_in_theta,
-    loss_grad,
-    loss_hess,
-    loss_margin,
     parse_alpha,
 )
 from .numerics import RngState, cholesky, log_sigmoid, min_eigen_sym, project_ball, sigmoid
@@ -41,16 +37,12 @@ __all__ = [
     "UsageError",
     "INFINITY",
     "ModelPoint",
-    "Sample",
     "alpha_loss",
     "curvature_floor",
     "format_alpha",
     "grad_lipschitz_in_inv_alpha",
     "lipschitz_in_inv_alpha",
     "lipschitz_in_theta",
-    "loss_grad",
-    "loss_hess",
-    "loss_margin",
     "parse_alpha",
     "RngState",
     "cholesky",

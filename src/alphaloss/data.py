@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaLossError, DomainError, ParseError, UsageError
-from .numerics import RngState, as_sym_matrix, as_vector, cholesky, csv_text
+from .errors import AlphaLossError, DomainError, NumericError, ParseError, UsageError
+from .numerics import RngState, as_sym_matrix, as_vector, cholesky, csv_text, row_norms
 from .risk import Dataset
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "sample_gmm",
     "normalize_features",
     "dataset_csv",
-    "write_csv",
     "read_csv",
 ]
 
@@ -164,11 +163,14 @@ def sample_gmm(spec: GmmSpec, n: int, rng: RngState) -> RawDataset:
 def normalize_features(raw: RawDataset) -> tuple[Dataset, float]:
     """Divide every feature vector by the largest raw norm (floored at 1),
     producing a unit-ball dataset, and return it with that divisor (1.0
-    means untouched); normalizing twice is the identity."""
+    means untouched); normalizing twice is the identity. The norms come from
+    ``row_norms``, so only a norm past the float range raises NumericError."""
     xs = np.asarray(raw.xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] < 1:
         raise UsageError(f"raw features must be a nonempty 2-D array, got shape {xs.shape}")
-    scale = max(1.0, float(np.max(np.linalg.norm(xs, axis=1))))
+    scale = max(1.0, float(np.max(row_norms(xs))))
+    if math.isinf(scale):
+        raise NumericError("the largest raw feature norm lies past the float range")
     return Dataset(xs / scale, raw.ys), scale
 
 
@@ -179,15 +181,9 @@ def dataset_csv(data: Dataset) -> str:
     return csv_text(header, ([int(y), *x] for y, x in zip(data.ys, data.xs)))
 
 
-def write_csv(data: Dataset, path) -> None:
-    """Write ``dataset_csv(data)`` to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dataset_csv(data))
-
-
 def read_csv(path) -> Dataset:
-    """Read a dataset written by write_csv; malformed rows raise ParseError
-    with their line number, unit-ball violations raise DomainError."""
+    """Read a dataset CSV as ``dataset_csv`` writes it; malformed rows raise
+    ParseError with their line number, unit-ball violations DomainError."""
     xs = []
     ys = []
     dim = None

@@ -16,8 +16,6 @@ Lipschitz constant in theta, and the Lipschitz constants of the risk and
 its gradient with respect to 1/alpha.
 
 Each per-sample quantity has one formula, a map over log p (``*_from_logp``).
-The one-sample functions are one-row wrappers: the risk kernel's margin and
-log_sigmoid_vec on a single sample, then the map.
 
 Numerical policy: every power p^(1-1/alpha) is evaluated as
 exp((1-1/alpha) * log p) with log p obtained from log_sigmoid, so large
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
-from .numerics import as_vector, check_positive_finite, log_sigmoid, log_sigmoid_vec, sigmoid
+from .numerics import as_vector, check_positive_finite, log_sigmoid, sigmoid
 
 INFINITY = math.inf
 
@@ -50,18 +48,12 @@ __all__ = [
     "INFINITY",
     "LOG_BRANCH_TOL",
     "UNIT_BALL_TOL",
-    "Sample",
     "ModelPoint",
     "check_alpha",
     "is_log_order",
     "parse_alpha",
     "format_alpha",
     "alpha_loss",
-    "loss_margin",
-    "grad_factor",
-    "loss_grad",
-    "hess_factor",
-    "loss_hess",
     "curvature_floor",
     "lipschitz_in_theta",
     "lipschitz_in_inv_alpha",
@@ -114,26 +106,6 @@ def is_log_order(alpha: float) -> bool:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """A labeled feature vector constrained to the unit ball."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_vector(self.x, "x"))
-        if self.y not in (-1, 1):
-            raise DomainError(f"label must be -1 or +1, got {self.y!r}")
-        norm = float(np.linalg.norm(self.x))
-        if norm > 1.0 + UNIT_BALL_TOL:
-            raise DomainError(f"feature norm {norm!r} exceeds the unit ball (tolerance {UNIT_BALL_TOL:.0e})")
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass(frozen=True)
 class ModelPoint:
     """A parameter vector together with its hypothesis-ball radius."""
 
@@ -150,7 +122,7 @@ class ModelPoint:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise loss and its derivative factors.
+# Pointwise loss.
 # ---------------------------------------------------------------------------
 
 
@@ -169,43 +141,6 @@ def alpha_loss(alpha: float, p: float) -> float:
         return -math.expm1(u * math.log(p)) / u
     except OverflowError:
         raise NumericError(f"the alpha-loss overflows at alpha {alpha!r}, p {p!r}") from None
-
-
-def _sample_logp(theta, s: Sample) -> float:
-    """log sigmoid(y * <theta, x>), through the risk kernel's label-signed
-    margin product and log_sigmoid_vec."""
-    theta = as_vector(theta, "theta")
-    if theta.shape[0] != s.dim:
-        raise UsageError(f"theta has dim {theta.shape[0]} but sample has dim {s.dim}")
-    return log_sigmoid_vec(theta @ (s.x * s.y))
-
-
-def loss_margin(alpha: float, theta, s: Sample) -> float:
-    """Loss of the logistic classifier at a sample: alpha_loss at
-    sigmoid(y * <theta, x>), evaluated in the log domain."""
-    return float(loss_from_logp(alpha, _sample_logp(theta, s)))
-
-
-def grad_factor(alpha: float, theta, s: Sample) -> float:
-    """Scalar factor of the loss gradient: -y * p^(1-1/alpha) * (1-p)
-    with p = sigmoid(y * <theta, x>). The gradient is this times x."""
-    return -s.y * float(grad_weight_from_logp(alpha, _sample_logp(theta, s)))
-
-
-def loss_grad(alpha: float, theta, s: Sample) -> np.ndarray:
-    """Gradient of loss_margin with respect to theta: grad_factor * x."""
-    return grad_factor(alpha, theta, s) * s.x
-
-
-def hess_factor(alpha: float, theta, s: Sample) -> float:
-    """Scalar factor of the loss Hessian, p = sigmoid(y * <theta, x>).
-    The Hessian is this times x x^T."""
-    return float(hess_factor_from_logp(alpha, _sample_logp(theta, s)))
-
-
-def loss_hess(alpha: float, theta, s: Sample) -> np.ndarray:
-    """Hessian of loss_margin with respect to theta: hess_factor * x x^T."""
-    return hess_factor(alpha, theta, s) * np.outer(s.x, s.x)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +201,12 @@ def curvature_floor(alpha: float, r: float) -> float:
     p = sigmoid(r)
     q = sigmoid(-r)
     try:
-        return math.exp(u * log_sigmoid(r)) * (p * q - u * q * q)
+        floor = math.exp(u * log_sigmoid(r)) * (p * q - u * q * q)
     except OverflowError:
-        raise NumericError(f"the curvature floor overflows at alpha {alpha!r}, radius {r!r}") from None
+        floor = math.inf
+    if math.isinf(floor):  # the power, or its product with the bracket, passes the float range
+        raise NumericError(f"the curvature floor overflows at alpha {alpha!r}, radius {r!r}")
+    return floor
 
 
 def lipschitz_in_theta(alpha: float, r: float) -> float:

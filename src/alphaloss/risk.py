@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
 from .loss import (
-    Sample,
     UNIT_BALL_TOL,
     check_alpha,
     format_alpha,
@@ -50,7 +49,7 @@ from .loss import (
     hess_factor_from_logp,
     loss_from_logp,
 )
-from .numerics import check_positive_finite, log_sigmoid_vec
+from .numerics import check_positive_finite, log_sigmoid_vec, row_norms
 
 MAX_GRID_NODES = 10_000_000
 
@@ -88,7 +87,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled feature vectors in the unit ball; immutable once built."""
+    """Labeled feature vectors in the unit ball; immutable once built. One
+    labeled sample (x, y) is the one-row ``Dataset(x[None, :], [y])``."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -116,16 +116,6 @@ class Dataset:
         # attribute, not a field, so equality and repr are unchanged.
         object.__setattr__(self, "signed", xs * self.ys[:, None])
 
-    @classmethod
-    def from_samples(cls, samples) -> "Dataset":
-        samples = list(samples)
-        if not samples:
-            raise UsageError("dataset must contain at least one sample")
-        dims = {s.dim for s in samples}
-        if len(dims) != 1:
-            raise UsageError(f"samples disagree on dimension: {sorted(dims)}")
-        return cls(np.stack([s.x for s in samples]), np.array([s.y for s in samples]))
-
     @property
     def n(self) -> int:
         return self.xs.shape[0]
@@ -133,10 +123,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.xs.shape[1]
-
-    def samples(self) -> Iterator[Sample]:
-        for i in range(self.n):
-            yield Sample(self.xs[i], int(self.ys[i]))
 
     def second_moment(self) -> np.ndarray:
         """Sample mean of x x^T (exactly-rounded entry sums)."""
@@ -408,7 +394,7 @@ class GridSpec:
         mesh = np.meshgrid(*lines, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         if self.mask_radius is not None:
-            keep = np.linalg.norm(pts, axis=1) <= self.mask_radius + 1e-12
+            keep = row_norms(pts) <= self.mask_radius + 1e-12
             pts = pts[keep]
         return pts
 

@@ -59,13 +59,13 @@ def rel_err(approx, exact, floor=1e-12):
 # kernel with itself.
 
 
-def _oracle_margin_and_exponent(alpha, theta, s):
-    return s.y * float(np.dot(theta, s.x)), 1.0 - 1.0 / alpha
+def _oracle_margin_and_exponent(alpha, theta, x, y):
+    return y * float(np.dot(theta, x)), 1.0 - 1.0 / alpha
 
 
-def oracle_loss(alpha, theta, s):
-    """Loss at one sample: -expm1(u log p)/u, -log p at u ~ 0, 1 - p at inf."""
-    z, u = _oracle_margin_and_exponent(alpha, theta, s)
+def oracle_loss(alpha, theta, x, y):
+    """Loss at sample (x, y): -expm1(u log p)/u, -log p at u ~ 0, 1 - p at inf."""
+    z, u = _oracle_margin_and_exponent(alpha, theta, x, y)
     logp = log_sigmoid(z)
     if math.isinf(alpha):
         return -math.expm1(logp)
@@ -74,14 +74,14 @@ def oracle_loss(alpha, theta, s):
     return -math.expm1(u * logp) / u
 
 
-def oracle_grad_factor(alpha, theta, s):
-    """Gradient factor at one sample: -y p^u (1 - p), with 1 - p = sigmoid(-z)."""
-    z, u = _oracle_margin_and_exponent(alpha, theta, s)
-    return -s.y * math.exp(u * log_sigmoid(z)) * sigmoid(-z)
+def oracle_grad_factor(alpha, theta, x, y):
+    """Gradient factor at sample (x, y): -y p^u (1 - p), with 1 - p = sigmoid(-z)."""
+    z, u = _oracle_margin_and_exponent(alpha, theta, x, y)
+    return -y * math.exp(u * log_sigmoid(z)) * sigmoid(-z)
 
 
-def oracle_hess_factor(alpha, theta, s):
-    """Hessian factor at one sample: p^u (p (1 - p) - u (1 - p)^2)."""
-    z, u = _oracle_margin_and_exponent(alpha, theta, s)
+def oracle_hess_factor(alpha, theta, x, y):
+    """Hessian factor at sample (x, y): p^u (p (1 - p) - u (1 - p)^2)."""
+    z, u = _oracle_margin_and_exponent(alpha, theta, x, y)
     p, q = sigmoid(z), sigmoid(-z)
     return math.exp(u * log_sigmoid(z)) * (p * q - u * q * q)

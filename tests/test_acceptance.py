@@ -18,18 +18,11 @@ import pytest
 from alphaloss.cli import main as cli_main
 from alphaloss.data import normalize_features, preset, sample_gmm
 from alphaloss.information import DiscreteJoint, Posterior, discrete_alpha_risk, min_alpha_risk, tilted_posterior
-from alphaloss.loss import (
-    INFINITY,
-    Sample,
-    lipschitz_in_inv_alpha,
-    lipschitz_in_theta,
-    loss_grad,
-    loss_hess,
-    loss_margin,
-)
+from alphaloss.loss import INFINITY, lipschitz_in_inv_alpha, lipschitz_in_theta
 from alphaloss.ngd import NgdConfig, iteration_budget, ngd_run, projected_gd_reference
 from alphaloss.numerics import RngState, min_eigen_sym, sample_ball, sigmoid
 from alphaloss.risk import (
+    Dataset,
     GridSpec,
     empirical_risk,
     empirical_risk_hess,
@@ -87,14 +80,15 @@ def test_criterion_1_derivative_correctness():
             x = rng.normal(size=3)
             x = x / np.linalg.norm(x) * rng.uniform(0.0, 1.0)
             y = 1 if rng.uniform() < 0.5 else -1
-            s = Sample(x, y)
+            data = Dataset(x[None, :], [y])  # one labeled sample
+            oracle = value_and_grad(alpha, data)
             theta = rng.normal(size=3)
             theta = theta / np.linalg.norm(theta) * rng.uniform(0.0, R)
-            grad = loss_grad(alpha, theta, s)
-            grad_fd = fd_grad(lambda t: loss_margin(alpha, t, s), theta)
+            grad = oracle(theta)[1]
+            grad_fd = fd_grad(lambda t: oracle(t)[0], theta)
             assert rel_err(grad, grad_fd, floor=1e-10) <= 1e-6
-            hess = loss_hess(alpha, theta, s)
-            hess_fd = fd_jacobian(lambda t: loss_grad(alpha, t, s), theta)
+            hess = empirical_risk_hess(alpha, theta, data)
+            hess_fd = fd_jacobian(lambda t: oracle(t)[1], theta)
             assert rel_err(hess, 0.5 * (hess_fd + hess_fd.T), floor=1e-10) <= 1e-5
 
 

@@ -61,6 +61,17 @@ class TestGenData:
         assert run("gen-data", "--n", "0", "--out", str(tmp_path)) == 2
         assert not (tmp_path / "dataset.csv").exists()
 
+    def test_spec_whose_squared_norms_overflow_gets_a_finite_scale(self, tmp_path):
+        spec = {"prior_neg": 0.5, "mean_neg": [1e200, 1e200], "mean_pos": [-1e200, 2e200],
+                "cov_neg": [[1, 0], [0, 1]], "cov_pos": [[1, 0], [0, 1]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run("gen-data", "--spec-json", str(path), "--n", "5", "--out", str(tmp_path / "out")) == 0
+        sidecar = json.loads((tmp_path / "out" / "dataset.json").read_text())
+        assert isinstance(sidecar["scale"], float) and math.isfinite(sidecar["scale"])
+        rows = (tmp_path / "out" / "dataset.csv").read_text().splitlines()[1:]
+        assert rows and all(float(v) != 0.0 for row in rows for v in row.split(",")[1:])
+
     def test_fig1_sidecar_records_symmetrization(self, tmp_path):
         assert run("gen-data", "--preset", "fig1", "--n", "50", "--out", str(tmp_path)) == 0
         sidecar = json.loads((tmp_path / "dataset.json").read_text())

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from alphaloss.errors import DomainError, ParseError, UsageError
+from alphaloss.cli import main as cli_main
+from alphaloss.errors import DomainError, NumericError, ParseError, UsageError
 from alphaloss.data import (
     GmmSpec,
     RawDataset,
@@ -10,7 +11,6 @@ from alphaloss.data import (
     preset,
     read_csv,
     sample_gmm,
-    write_csv,
 )
 from alphaloss.numerics import RngState, cholesky, min_eigen_sym
 
@@ -106,6 +106,18 @@ class TestNormalization:
         assert scale == 4.0
         assert np.allclose(np.linalg.norm(data.xs, axis=1), [0.5, 1.0], atol=1e-15)
 
+    def test_scale_from_norms_whose_squares_overflow(self):
+        raw = RawDataset(np.array([[1e200, 1e200], [-1e200, 2e200]]), np.array([-1, 1]))
+        data, scale = normalize_features(raw)
+        assert scale == pytest.approx(5.0 ** 0.5 * 1e200, rel=1e-15)
+        assert np.all(data.xs != 0.0)
+        assert np.allclose(np.linalg.norm(data.xs, axis=1), [2.0 ** 0.5 / 5.0 ** 0.5, 1.0], atol=1e-15)
+
+    def test_norm_past_float_range_is_numeric_error(self):
+        raw = RawDataset(np.array([[1.5e308, 1.5e308]]), np.array([1]))
+        with pytest.raises(NumericError, match="float range"):
+            normalize_features(raw)
+
     def test_max_norm_hits_one(self):
         raw = sample_gmm(preset("fig1"), 2000, RngState(3))
         data, scale = normalize_features(raw)
@@ -134,7 +146,7 @@ class TestCsv:
         raw = sample_gmm(preset("fig2"), 300, RngState(13))
         data, _ = normalize_features(raw)
         path = tmp_path / "data.csv"
-        write_csv(data, path)
+        path.write_text(dataset_csv(data), encoding="utf-8")
         again = read_csv(path)
         assert np.array_equal(again.xs, data.xs)
         assert np.array_equal(again.ys, data.ys)
@@ -142,20 +154,21 @@ class TestCsv:
     def test_write_bytes_deterministic(self, tmp_path):
         data, _ = normalize_features(sample_gmm(preset("fig2"), 100, RngState(4)))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(data, p1)
-        write_csv(data, p2)
+        p1.write_text(dataset_csv(data), encoding="utf-8")
+        p2.write_text(dataset_csv(data), encoding="utf-8")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_written_file_is_the_csv_text(self, tmp_path):
+        # gen-data writes the dataset's CSV text, byte for byte
         data, _ = normalize_features(sample_gmm(preset("fig1"), 40, RngState(9)))
-        path = tmp_path / "data.csv"
-        write_csv(data, path)
+        assert cli_main(["gen-data", "--preset", "fig1", "--n", "40", "--seed", "9", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "dataset.csv"
         assert path.read_bytes() == dataset_csv(data).encode("utf-8")
 
     def test_header(self, tmp_path):
         data, _ = normalize_features(sample_gmm(preset("fig2"), 5, RngState(4)))
         path = tmp_path / "data.csv"
-        write_csv(data, path)
+        path.write_text(dataset_csv(data), encoding="utf-8")
         assert path.read_text().splitlines()[0] == "y,x_1,x_2"
 
     def test_zero_label_is_parse_error(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,24 +8,21 @@ from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
     ModelPoint,
-    Sample,
     alpha_loss,
     check_alpha,
     curvature_floor,
     format_alpha,
-    grad_factor,
     grad_lipschitz_in_inv_alpha,
-    hess_factor,
+    grad_weight_from_logp,
     hess_factor_from_logp,
     is_log_order,
     lipschitz_in_inv_alpha,
     lipschitz_in_theta,
-    loss_grad,
-    loss_hess,
-    loss_margin,
+    loss_from_logp,
     parse_alpha,
 )
 from alphaloss.numerics import log_sigmoid_vec, sigmoid
+from alphaloss.risk import Dataset, empirical_risk_hess, value_and_grad
 
 from conftest import fd_grad, fd_jacobian, oracle_grad_factor, oracle_hess_factor, oracle_loss, rel_err
 
@@ -152,92 +150,96 @@ def _random_case(rng, dim=3):
     theta = rng.normal(size=dim)
     theta = theta / np.linalg.norm(theta) * rng.uniform(0, 5)
     y = 1 if rng.uniform() < 0.5 else -1
-    return theta, Sample(x, y)
+    return theta, x, y
+
+
+def one_row(x, y):
+    """One labeled sample as a one-row Dataset."""
+    return Dataset(np.array([x], dtype=float), [y])
+
+
+def loss_and_grad(alpha, theta, x, y):
+    """Loss and gradient in theta at one labeled sample."""
+    return value_and_grad(alpha, one_row(x, y))(theta)
 
 
 class TestMarginLoss:
-    def test_zero_parameter_gives_log2(self, ):
-        s = Sample([0.3, -0.4], -1)
-        assert loss_margin(1.0, np.zeros(2), s) == pytest.approx(LN2, rel=1e-15)
+    def test_zero_parameter_gives_log2(self):
+        assert loss_and_grad(1.0, np.zeros(2), [0.3, -0.4], -1)[0] == pytest.approx(LN2, rel=1e-15)
 
     def test_large_positive_margin(self):
-        s = Sample([1.0, 0.0], 1)
-        assert loss_margin(1.0, [5.0, 0.0], s) == pytest.approx(SOFTPLUS_M5, rel=1e-12)
+        assert loss_and_grad(1.0, [5.0, 0.0], [1.0, 0.0], 1)[0] == pytest.approx(SOFTPLUS_M5, rel=1e-12)
 
     def test_large_negative_margin_soft01(self):
-        s = Sample([1.0, 0.0], -1)
-        assert loss_margin(INFINITY, [5.0, 0.0], s) == pytest.approx(SIGMOID_5, rel=1e-12)
+        assert loss_and_grad(INFINITY, [5.0, 0.0], [1.0, 0.0], -1)[0] == pytest.approx(SIGMOID_5, rel=1e-12)
 
     def test_deep_negative_margin_no_overflow(self):
-        s = Sample([1.0], 1)
-        v = loss_margin(0.5, [-600.0], s)  # ~ e^600, huge but finite
+        v = loss_and_grad(0.5, [-600.0], [1.0], 1)[0]  # ~ e^600, huge but finite
         assert math.isfinite(v) and v > 1e200
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
-            loss_margin(1.0, [1.0, 2.0, 3.0], Sample([1.0, 0.0], 1))
+            loss_and_grad(1.0, [1.0, 2.0, 3.0], [1.0, 0.0], 1)
 
 
 class TestGradient:
+    # With x = e_1 the gradient's first entry is the factor -y p^(1-1/alpha) (1-p).
     def test_symmetry_point_log_loss(self):
         # exponent 1 - 1/alpha vanishes at alpha = 1: factor is -y (1-p)
-        s = Sample([1.0, 0.0], 1)
-        assert grad_factor(1.0, np.zeros(2), s) == -0.5
-        assert grad_factor(1.0, np.zeros(2), Sample([1.0, 0.0], -1)) == 0.5
+        assert loss_and_grad(1.0, np.zeros(2), [1.0, 0.0], 1)[1][0] == -0.5
+        assert loss_and_grad(1.0, np.zeros(2), [1.0, 0.0], -1)[1][0] == 0.5
 
     def test_symmetry_point_alpha2(self):
-        s = Sample([1.0, 0.0], 1)
-        assert grad_factor(2.0, np.zeros(2), s) == pytest.approx(-math.sqrt(0.5) * 0.5, rel=1e-14)
+        g = loss_and_grad(2.0, np.zeros(2), [1.0, 0.0], 1)[1]
+        assert g[0] == pytest.approx(-math.sqrt(0.5) * 0.5, rel=1e-14)
 
     def test_symmetry_point_soft01(self):
-        s = Sample([1.0, 0.0], 1)
-        assert grad_factor(INFINITY, np.zeros(2), s) == pytest.approx(-0.25, rel=1e-14)
+        assert loss_and_grad(INFINITY, np.zeros(2), [1.0, 0.0], 1)[1][0] == pytest.approx(-0.25, rel=1e-14)
 
     def test_gradient_vector_shape_and_direction(self):
-        s = Sample([1.0, 0.0], 1)
-        g = loss_grad(1.0, np.zeros(2), s)
+        g = loss_and_grad(1.0, np.zeros(2), [1.0, 0.0], 1)[1]
         assert g == pytest.approx([-0.5, 0.0])
 
     def test_zero_feature_gives_zero_gradient(self):
-        s = Sample([0.0, 0.0], 1)
-        assert np.array_equal(loss_grad(2.0, [1.0, 2.0], s), np.zeros(2))
+        assert np.array_equal(loss_and_grad(2.0, [1.0, 2.0], [0.0, 0.0], 1)[1], np.zeros(2))
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(101)
         for i in range(200):
             alpha = ALPHA_SWEEP[i % len(ALPHA_SWEEP)]
-            theta, s = _random_case(rng)
-            exact = loss_grad(alpha, theta, s)
-            approx = fd_grad(lambda t: loss_margin(alpha, t, s), theta)
+            theta, x, y = _random_case(rng)
+            oracle = value_and_grad(alpha, one_row(x, y))
+            exact = oracle(theta)[1]
+            approx = fd_grad(lambda t: oracle(t)[0], theta)
             assert rel_err(exact, approx, floor=1e-10) < 1e-6
 
 
 class TestHessian:
+    # With x = e_1 the Hessian's top-left entry is the factor.
     def test_symmetry_point_log_loss(self):
-        s = Sample([1.0, 0.0], 1)
-        assert hess_factor(1.0, np.zeros(2), s) == pytest.approx(0.25, rel=1e-14)
+        h = empirical_risk_hess(1.0, np.zeros(2), one_row([1.0, 0.0], 1))
+        assert h[0, 0] == pytest.approx(0.25, rel=1e-14)
 
     def test_symmetry_point_alpha2(self):
-        s = Sample([1.0, 0.0], 1)
-        assert hess_factor(2.0, np.zeros(2), s) == pytest.approx(math.sqrt(2.0) / 16.0, rel=1e-14)
+        h = empirical_risk_hess(2.0, np.zeros(2), one_row([1.0, 0.0], 1))
+        assert h[0, 0] == pytest.approx(math.sqrt(2.0) / 16.0, rel=1e-14)
 
     def test_rank_one_structure(self):
-        s = Sample([0.6, 0.8], -1)
-        h = loss_hess(2.0, [0.3, -0.2], s)
+        h = empirical_risk_hess(2.0, [0.3, -0.2], one_row([0.6, 0.8], -1))
         assert np.array_equal(h, h.T)
         assert np.linalg.matrix_rank(h) <= 1
 
     def test_zero_feature_gives_zero_hessian(self):
-        s = Sample([0.0, 0.0], -1)
-        assert np.array_equal(loss_hess(0.5, [1.0, 1.0], s), np.zeros((2, 2)))
+        assert np.array_equal(empirical_risk_hess(0.5, [1.0, 1.0], one_row([0.0, 0.0], -1)), np.zeros((2, 2)))
 
     def test_matches_finite_difference_of_gradient(self):
         rng = np.random.default_rng(202)
         for i in range(200):
             alpha = ALPHA_SWEEP[i % len(ALPHA_SWEEP)]
-            theta, s = _random_case(rng)
-            exact = loss_hess(alpha, theta, s)
-            approx = fd_jacobian(lambda t: loss_grad(alpha, t, s), theta)
+            theta, x, y = _random_case(rng)
+            data = one_row(x, y)
+            exact = empirical_risk_hess(alpha, theta, data)
+            approx = fd_jacobian(lambda t: value_and_grad(alpha, data)(t)[1], theta)
             assert rel_err(exact, 0.5 * (approx + approx.T), floor=1e-10) < 1e-5
 
     def test_factor_floor_over_margin_sweep(self):
@@ -249,22 +251,24 @@ class TestHessian:
                 assert np.all(hess_factor_from_logp(a, log_sigmoid_vec(zs)) >= floor - 1e-12)
 
 
-class TestOneRowWrappers:
-    """loss_margin, grad_factor and hess_factor run the log p maps on one
-    sample; they agree with the scalar sigmoid-based oracles."""
+class TestMapsAtTheMargin:
+    """The log p maps at one sample's margin y <theta, x> agree with the
+    scalar sigmoid-based oracles."""
 
     def test_match_scalar_oracles(self):
         rng = np.random.default_rng(303)
         orders = ALPHA_SWEEP + (0.1, 1.0 + 1e-7)
         for i in range(700):
             alpha = orders[i % len(orders)]
-            theta, s = _random_case(rng)
-            assert loss_margin(alpha, theta, s) == pytest.approx(oracle_loss(alpha, theta, s), rel=1e-13)
-            assert grad_factor(alpha, theta, s) == pytest.approx(oracle_grad_factor(alpha, theta, s), rel=1e-13)
+            theta, x, y = _random_case(rng)
+            logp = log_sigmoid_vec(theta @ (x * y))
+            assert loss_from_logp(alpha, logp) == pytest.approx(oracle_loss(alpha, theta, x, y), rel=1e-13)
+            grad_factor = -y * grad_weight_from_logp(alpha, logp)
+            assert grad_factor == pytest.approx(oracle_grad_factor(alpha, theta, x, y), rel=1e-13)
             # the factor crosses zero for alpha > 1, so its error is
             # measured against max(1, |factor|)
-            oracle = oracle_hess_factor(alpha, theta, s)
-            assert abs(hess_factor(alpha, theta, s) - oracle) <= 1e-13 * max(1.0, abs(oracle))
+            oracle = oracle_hess_factor(alpha, theta, x, y)
+            assert abs(hess_factor_from_logp(alpha, logp) - oracle) <= 1e-13 * max(1.0, abs(oracle))
 
 
 class TestLandscapeConstants:
@@ -286,10 +290,14 @@ class TestLandscapeConstants:
         with pytest.raises(DomainError):
             curvature_floor(1.0, 0.0)
 
-    def test_curvature_floor_overflow_is_numeric_error_naming_it(self):
-        # sigmoid(5)^(1 - 1e300) overflows
-        with pytest.raises(NumericError, match=r"curvature floor overflows at alpha 1e-300, radius 5\.0"):
-            curvature_floor(1e-300, 5.0)
+    @pytest.mark.parametrize("alpha, r", [
+        (1e-300, 5.0),  # sigmoid(5)^(1 - 1e300) overflows
+        (1 / 2264, 1.0),  # sigmoid(1)^(1 - 2264) is finite; its product with the bracket is not
+    ])
+    def test_curvature_floor_overflow_is_numeric_error_naming_it(self, alpha, r):
+        message = f"curvature floor overflows at alpha {alpha!r}, radius {r!r}"
+        with pytest.raises(NumericError, match=re.escape(message)):
+            curvature_floor(alpha, r)
 
     def test_lipschitz_in_theta_values(self):
         assert lipschitz_in_theta(1.0, 5.0) == pytest.approx(SIGMOID_5, rel=1e-14)
@@ -328,16 +336,16 @@ class TestLandscapeConstants:
 
 
 class TestDomainTypes:
-    def test_sample_rejects_bad_label(self):
+    def test_one_row_rejects_bad_label(self):
         with pytest.raises(DomainError):
-            Sample([0.1, 0.2], 0)
+            one_row([0.1, 0.2], 0)
 
-    def test_sample_rejects_big_norm(self):
+    def test_one_row_rejects_big_norm(self):
         with pytest.raises(DomainError):
-            Sample([1.0, 1.0], 1)
+            one_row([1.0, 1.0], 1)
 
-    def test_sample_allows_tolerance(self):
-        Sample([1.0 + 5e-10, 0.0], 1)
+    def test_one_row_allows_tolerance(self):
+        one_row([1.0 + 5e-10, 0.0], 1)
 
     def test_model_point_radius(self):
         ModelPoint([3.0, 4.0], 5.0)

@@ -12,15 +12,14 @@ from alphaloss.data import normalize_features, preset, sample_gmm
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
-    Sample,
     curvature_floor,
     grad_lipschitz_in_inv_alpha,
+    grad_weight_from_logp,
+    hess_factor_from_logp,
     lipschitz_in_inv_alpha,
-    loss_grad,
-    loss_hess,
-    loss_margin,
+    loss_from_logp,
 )
-from alphaloss.numerics import RngState, min_eigen_sym, sigmoid
+from alphaloss.numerics import RngState, log_sigmoid_vec, min_eigen_sym, sigmoid
 from alphaloss.risk import (
     Dataset,
     GridSpec,
@@ -67,15 +66,6 @@ class TestDataset:
     def test_rejects_norm_violations(self):
         with pytest.raises(DomainError):
             Dataset(np.array([[1.0, 1.0]]), np.array([1]))
-
-    def test_from_samples_and_iteration(self):
-        data = Dataset.from_samples([Sample([0.1, 0.2], 1), Sample([0.3, 0.0], -1)])
-        assert data.n == 2 and data.dim == 2
-        assert [s.y for s in data.samples()] == [1, -1]
-
-    def test_from_samples_dim_mismatch(self):
-        with pytest.raises(UsageError):
-            Dataset.from_samples([Sample([0.1], 1), Sample([0.1, 0.2], 1)])
 
     def test_second_moment_matches_direct_mean(self, fig2_small):
         direct = fig2_small.xs.T @ fig2_small.xs / fig2_small.n
@@ -263,7 +253,7 @@ class TestEmpiricalRisk:
         for alpha in (0.5, 1.0, 2.0, INFINITY):
             theta = rng.normal(size=2)
             independent = math.fsum(
-                oracle_loss(alpha, theta, s) for s in fig2_small.samples()
+                oracle_loss(alpha, theta, x, y) for x, y in zip(fig2_small.xs, fig2_small.ys)
             ) / fig2_small.n
             assert empirical_risk(alpha, theta, fig2_small) == pytest.approx(independent, rel=1e-13)
 
@@ -353,10 +343,10 @@ class TestRiskDerivatives:
                 lam = min_eigen_sym(empirical_risk_hess(alpha, theta, fig2_small))
                 assert lam >= bound - 1e-8
 
-    def test_one_sample_dataset_matches_pointwise_functions(self):
-        # The one-row wrappers run the kernel's margin and log p maps, so
-        # value and gradient agree bit for bit. The Hessian rounds
-        # (w x_j) x_k in the kernel but w (x_j x_k) in loss_hess.
+    def test_one_row_dataset_matches_maps_at_the_margin(self):
+        # One labeled sample is a one-row Dataset: its value and gradient
+        # are the log p maps at the margin y <theta, x>, bit for bit. The
+        # Hessian rounds (w x_j) x_k in the kernel but w (x_j x_k) here.
         rng = np.random.default_rng(2024)
         orders = (0.1, 0.5, 0.77, 1.0, 1.0 + 1e-7, 1.3, 2.0, 10.0, INFINITY)
         for i in range(3000):
@@ -367,13 +357,15 @@ class TestRiskDerivatives:
             theta = rng.normal(size=d)
             theta *= rng.uniform(0.0, 8.0) / np.linalg.norm(theta)
             alpha = orders[i % len(orders)]
-            s, data = Sample(x, y), Dataset(x[None, :], np.array([y]))
+            data = Dataset(x[None, :], [y])
             value, grad = value_and_grad(alpha, data)(theta)
             kernel = np.array([value, *grad])
-            pointwise = np.array([loss_margin(alpha, theta, s), *loss_grad(alpha, theta, s)])
-            assert kernel.tobytes() == pointwise.tobytes()
+            logp = log_sigmoid_vec(theta @ (x * y))
+            maps = np.array([loss_from_logp(alpha, logp), *(-grad_weight_from_logp(alpha, logp) * (y * x))])
+            assert kernel.tobytes() == maps.tobytes()
             np.testing.assert_allclose(
-                empirical_risk_hess(alpha, theta, data), loss_hess(alpha, theta, s), rtol=1e-14, atol=0.0
+                empirical_risk_hess(alpha, theta, data), hess_factor_from_logp(alpha, logp) * np.outer(x, x),
+                rtol=1e-14, atol=0.0,
             )
 
     def test_value_and_grad_oracle_consistent(self, fig2_small):
@@ -516,6 +508,15 @@ class TestGridSpec:
         nodes = grid.nodes()
         assert np.all(np.linalg.norm(nodes, axis=1) <= 1.0 + 1e-12)
         assert nodes.shape[0] == 13  # 25 minus the 12 outside the unit disc
+
+    def test_mask_keeps_nodes_whose_squared_norm_overflows(self):
+        # Every node but the origin has a squared norm past the float range;
+        # the same 13 of 25 nodes lie in the disc as at radius 1.
+        r = 8e307
+        nodes = GridSpec(((-r, r, 5), (-r, r, 5)), mask_radius=r).nodes()
+        assert nodes.shape[0] == 13
+        unit = GridSpec(((-1.0, 1.0, 5), (-1.0, 1.0, 5)), mask_radius=1.0).nodes()
+        np.testing.assert_allclose(nodes / r, unit, rtol=0.0, atol=1e-15)
 
 
 class TestLandscape:
