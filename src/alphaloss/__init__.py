@@ -6,7 +6,6 @@ for discrete joints, and seeded Gaussian-mixture data generation."""
 from .errors import AlphaLossError, DomainError, NumericError, ParseError, UsageError
 from .loss import (
     INFINITY,
-    ModelPoint,
     alpha_loss,
     curvature_floor,
     format_alpha,
@@ -36,7 +35,6 @@ __all__ = [
     "ParseError",
     "UsageError",
     "INFINITY",
-    "ModelPoint",
     "alpha_loss",
     "curvature_floor",
     "format_alpha",

@@ -29,12 +29,11 @@ rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
-from .numerics import as_vector, check_positive_finite, log_sigmoid, sigmoid
+from .numerics import as_vector, check_positive_finite, log_sigmoid, sigmoid, vector_norm
 
 INFINITY = math.inf
 
@@ -48,8 +47,8 @@ __all__ = [
     "INFINITY",
     "LOG_BRANCH_TOL",
     "UNIT_BALL_TOL",
-    "ModelPoint",
     "check_alpha",
+    "check_in_ball",
     "is_log_order",
     "parse_alpha",
     "format_alpha",
@@ -105,20 +104,17 @@ def is_log_order(alpha: float) -> bool:
     return _loss_exponent(check_alpha(alpha)) is None
 
 
-@dataclass(frozen=True)
-class ModelPoint:
-    """A parameter vector together with its hypothesis-ball radius."""
-
-    theta: np.ndarray
-    radius: float = field(default=1.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", as_vector(self.theta, "theta"))
-        r = check_positive_finite(self.radius, "radius")
-        object.__setattr__(self, "radius", r)
-        norm = float(np.linalg.norm(self.theta))
-        if norm > r + UNIT_BALL_TOL:
-            raise UsageError(f"theta norm {norm!r} exceeds the radius-{r} ball (tolerance {UNIT_BALL_TOL:.0e})")
+def check_in_ball(theta, r: float, name: str) -> np.ndarray:
+    """``theta`` as a finite 1-D array, which must lie in the radius-r ball
+    up to UNIT_BALL_TOL; UsageError naming ``name`` and its norm otherwise.
+    The norm is ``vector_norm``, finite wherever the norm itself is."""
+    theta = as_vector(theta, name)
+    r = check_positive_finite(r, "radius")
+    with np.errstate(over="ignore"):
+        norm = vector_norm(theta)
+    if norm > r + UNIT_BALL_TOL:
+        raise UsageError(f"{name} norm {norm!r} exceeds the radius-{r} ball (tolerance {UNIT_BALL_TOL:.0e})")
+    return theta
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
-from .loss import UNIT_BALL_TOL
+from .loss import check_in_ball
 from .numerics import as_vector, check_positive_finite, csv_text, project_ball, vector_norm
 
 # Below this gradient norm the normalized direction is meaningless; stop.
@@ -67,10 +67,8 @@ def ngd_run(objective, theta1, config: NgdConfig) -> NgdResult:
     gradient norm falls below GRAD_NORM_FLOOR.
     """
     theta = as_vector(theta1, "theta1").copy()
-    if config.radius is not None and vector_norm(theta) > config.radius + UNIT_BALL_TOL:
-        raise UsageError(
-            f"theta1 norm {vector_norm(theta)!r} lies outside the projection ball of radius {config.radius}"
-        )
+    if config.radius is not None:
+        check_in_ball(theta, config.radius, "theta1")
     best_theta = theta.copy()
     best_value = math.inf
     trace = [] if config.record_trace else None

@@ -104,8 +104,7 @@ class Dataset:
             raise DomainError("features contain non-finite entries")
         if not np.all(np.isin(ys, (-1, 1))):
             raise DomainError("labels must be -1 or +1")
-        norms = np.linalg.norm(xs, axis=1)
-        worst = float(np.max(norms))
+        worst = float(np.max(row_norms(xs)))
         if worst > 1.0 + UNIT_BALL_TOL:
             raise DomainError(
                 f"feature norm {worst!r} exceeds the unit ball (tolerance {UNIT_BALL_TOL:.0e})"
@@ -413,7 +412,8 @@ def landscape_scans(alphas, grid: GridSpec, data: Dataset) -> tuple[np.ndarray, 
     if not len(nodes):
         raise UsageError(f"no grid node lies within the mask radius {grid.mask_radius!r}")
     orders = list(dict.fromkeys(alphas))
-    values = risk_values_multi(orders, nodes, data)
+    with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
+        values = risk_values_multi(orders, nodes, data)
     bad = [format_alpha(a) for a, ok in zip(orders, np.isfinite(values).all(axis=0)) if not ok]
     if bad:
         raise NumericError(f"risk is not finite at some grid node for order(s) {', '.join(bad)}")

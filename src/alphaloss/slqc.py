@@ -19,9 +19,12 @@ for alpha <= 1, sampled SLQC sweeps, a sampled upper estimate of the
 gradient-norm infimum over the high-risk region, and the closed-form
 evolution of (epsilon, epsilon/kappa) as alpha grows from a base order.
 A sampled sweep is necessarily one-sided evidence; the reports say so.
-``check_slqc_point`` is the one-point form of the sweep's classifier: both
-take values and gradients from one margin pass (``risk_values_grads``) and
-agree up to rounding (the margin matmul rounds a one-row batch differently).
+``_verdicts`` is the one verdict rule: a few masks over the arrays of a
+batch of points, whose dot products and norms keep ``np.dot``'s bits.
+``check_slqc_point`` returns the entry that ``slqc_sweep`` reports for a
+point; both take values and gradients from one margin pass
+(``risk_values_grads``) and agree up to rounding (the margin matmul rounds
+a one-row batch differently).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
 from .loss import (
-    ModelPoint,
     check_alpha,
+    check_in_ball,
     curvature_floor,
     grad_lipschitz_in_inv_alpha,
     lipschitz_in_inv_alpha,
@@ -60,7 +63,6 @@ __all__ = [
     "SLQC_TOL",
     "Verdict",
     "SlqcParams",
-    "SlqcVerdict",
     "EvolutionRow",
     "ball_min_inner",
     "check_slqc_point",
@@ -77,6 +79,9 @@ class Verdict(enum.Enum):
     VALUE_GAP = "value_gap"
     GRADIENT_CONE = "gradient_cone"
     NEITHER = "neither"
+
+
+_KINDS = tuple(Verdict)  # verdict index -> Verdict
 
 
 @dataclass(frozen=True)
@@ -101,18 +106,6 @@ class SlqcParams:
         return self.epsilon / self.kappa
 
 
-@dataclass(frozen=True)
-class SlqcVerdict:
-    """Per-point outcome with the three numbers that decided it."""
-
-    point: np.ndarray
-    satisfied_by: Verdict
-    value_gap: float
-    inner: float
-    rho_grad_norm: float
-    note: str = ""
-
-
 def ball_min_inner(g, theta, theta0, rho: float) -> float:
     """Exact minimum over theta' in the ball B(theta0, rho) of
     <-g, theta' - theta>, namely <-g, theta0 - theta> - rho * ||g||."""
@@ -123,32 +116,50 @@ def ball_min_inner(g, theta, theta0, rho: float) -> float:
     return float(np.dot(-g, theta0 - theta)) - rho * vector_norm(g)
 
 
-def _classify(theta: np.ndarray, params: SlqcParams, gap: float, grad: np.ndarray) -> SlqcVerdict:
-    rho = params.rho
-    grad_norm = vector_norm(grad)
-    inner = float(np.dot(-grad, params.theta0 - theta))
-    rho_grad = rho * grad_norm if grad_norm > 0.0 else 0.0
-    note = ""
-    if gap <= params.epsilon + SLQC_TOL:
-        verdict = Verdict.VALUE_GAP
-    elif float(np.linalg.norm(theta - params.theta0)) <= rho:
-        # inside the rho ball the cone condition needs a zero gradient,
-        # which contradicts its own premise; only the value gap can hold
-        verdict = Verdict.NEITHER
-        note = "inside the epsilon/kappa ball with a failed value gap"
-    elif grad_norm > 0.0 and inner - rho_grad >= -SLQC_TOL:
-        verdict = Verdict.GRADIENT_CONE
-    else:
-        verdict = Verdict.NEITHER
-    return SlqcVerdict(theta, verdict, gap, inner, rho_grad, note)
+def _norms(a: np.ndarray) -> np.ndarray:
+    """``vector_norm`` of each row, bit for bit: the root of ``np.vecdot``
+    (``np.dot``'s bits), and ``row_norms`` where that overflows."""
+    norms = np.sqrt(np.vecdot(a, a))
+    big = np.isinf(norms)
+    if big.any():
+        norms[big] = row_norms(a[big])
+    return norms
 
 
-def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset) -> list[SlqcVerdict]:
-    """Classify each row of ``points``: one margin pass over theta0 for its
-    value and one over the points for their values and gradients."""
+def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset):
+    """Classify each row of ``points`` (one margin pass over theta0, one over
+    the points). Per row: the index of its ``Verdict``, the value gap,
+    <-g, theta0 - theta>, rho ||g|| (0 where g = 0), and whether it lies in
+    the epsilon/kappa ball, where only the value gap can hold (the cone
+    condition would need a zero gradient)."""
     base = risk_values(alpha, params.theta0, data)[0]
     values, grads = risk_values_grads(alpha, points, data)
-    return [_classify(theta, params, float(gap), grad) for theta, gap, grad in zip(points, values - base, grads)]
+    gaps = values - base
+    with np.errstate(all="ignore"):  # an overflow is an inf, as in float arithmetic
+        to_center = params.theta0 - points
+        inner = np.vecdot(-grads, to_center)
+        grad_norms = _norms(grads)
+        rho_grad = np.multiply(params.rho, grad_norms, out=np.zeros_like(grad_norms), where=grad_norms > 0.0)
+        inside = _norms(to_center) <= params.rho
+        cone = (grad_norms > 0.0) & ~inside & (inner - rho_grad >= -SLQC_TOL)
+    kind = np.select([gaps <= params.epsilon + SLQC_TOL, cone], [0, 1], default=2)
+    return kind, gaps, inner, rho_grad, inside
+
+
+def _entry(points: np.ndarray, verdicts, i: int) -> dict:
+    """The report entry of row i: the point, its verdict and the three
+    numbers that decided it."""
+    kind, gaps, inner, rho_grad, inside = verdicts
+    entry = {
+        "point": points[i].tolist(),
+        "verdict": _KINDS[kind[i]].value,
+        "value_gap": float(gaps[i]),
+        "inner": float(inner[i]),
+        "rho_grad_norm": float(rho_grad[i]),
+    }
+    if kind[i] and inside[i]:
+        entry["note"] = "inside the epsilon/kappa ball with a failed value gap"
+    return entry
 
 
 def _ball_points(rng: RngState, dim: int, r: float, count: int, name: str) -> np.ndarray:
@@ -158,27 +169,14 @@ def _ball_points(rng: RngState, dim: int, r: float, count: int, name: str) -> np
     return np.stack([sample_ball(rng, dim, r) for _ in range(count)])
 
 
-def check_slqc_point(alpha: float, theta, params: SlqcParams, data: Dataset, r: float) -> SlqcVerdict:
+def check_slqc_point(alpha: float, theta, params: SlqcParams, data: Dataset, r: float) -> dict:
     """Classify one point of the empirical alpha-risk against (eps, kappa,
-    theta0): the one-point form of the sweep's classifier. Both theta and
+    theta0): the entry that the sweep reports for a point. Both theta and
     theta0 must lie in the radius-r ball."""
     alpha = check_alpha(alpha)
-    point = ModelPoint(theta, r)  # validates the radius constraint
-    ModelPoint(params.theta0, r)
-    return _verdicts(alpha, params, point.theta[None, :], data)[0]
-
-
-def _diagnostic(v: SlqcVerdict) -> dict:
-    d = {
-        "point": [float(c) for c in v.point],
-        "verdict": v.satisfied_by.value,
-        "value_gap": v.value_gap,
-        "inner": v.inner,
-        "rho_grad_norm": v.rho_grad_norm,
-    }
-    if v.note:
-        d["note"] = v.note
-    return d
+    point = check_in_ball(theta, r, "theta")[None, :]
+    check_in_ball(params.theta0, r, "theta0")
+    return _entry(point, _verdicts(alpha, params, point, data), 0)
 
 
 def slqc_sweep(alpha: float, params: SlqcParams, data: Dataset, r: float, n_points: int, rng: RngState) -> dict:
@@ -192,12 +190,10 @@ def slqc_sweep(alpha: float, params: SlqcParams, data: Dataset, r: float, n_poin
     accordingly.
     """
     alpha = check_alpha(alpha)
+    check_in_ball(params.theta0, r, "theta0")
     points = _ball_points(rng, data.dim, r, n_points, "n_points")
-    ModelPoint(params.theta0, r)
-    verdicts = _verdicts(alpha, params, points, data)
-    past_gap = [v for v in verdicts if v.satisfied_by is not Verdict.VALUE_GAP]
-    worst_cone = min((v.inner - v.rho_grad_norm for v in past_gap), default=math.inf)
-    neither = [v for v in past_gap if v.satisfied_by is Verdict.NEITHER]
+    verdicts = kind, gaps, inner, rho_grad, _ = _verdicts(alpha, params, points, data)
+    worst_cone = float(np.min((inner - rho_grad)[kind > 0], initial=math.inf))
     return {
         "kind": "sampled SLQC sweep (necessary evidence, not a proof)",
         "params": {
@@ -206,10 +202,10 @@ def slqc_sweep(alpha: float, params: SlqcParams, data: Dataset, r: float, n_poin
             "theta0": [float(c) for c in params.theta0],
         },
         "n_points": n_points,
-        "counts": {kind.value: sum(v.satisfied_by is kind for v in verdicts) for kind in Verdict},
-        "worst_value_gap": max(v.value_gap for v in verdicts),
+        "counts": {v.value: int(np.count_nonzero(kind == i)) for i, v in enumerate(_KINDS)},
+        "worst_value_gap": float(np.max(gaps)),
         "worst_cone_margin": None if math.isinf(worst_cone) else worst_cone,
-        "neither_diagnostics": [_diagnostic(v) for v in neither[:10]],
+        "neither_diagnostics": [_entry(points, verdicts, i) for i in np.flatnonzero(kind == 2)[:10]],
     }
 
 

@@ -241,6 +241,41 @@ def test_landscape_bytes_are_pinned(tmp_path, monkeypatch, argv, digests):
     assert written == digests
 
 
+# sha256 of certificate.json and evolution.csv of four small `certify` runs,
+# as written while the SLQC verdicts were classified one point at a time:
+# SLQC holds; falsified, with ten Neither diagnostics; a base order whose
+# gradients reach about 1e175, with Neither diagnostics inside and outside
+# the epsilon/kappa ball; and a base order above 1 with a given kappa0.
+CERTIFY_DIGESTS = [
+    (["--preset", "fig2", "--n", "200", "--seed", "42", "--epsilon0", "0.05", "--sweep", "100",
+      "--i-budget", "100", "--ngd-epsilon", "0.2"], {
+        "certificate.json": "22fad32e8871444740d579fe8032796e9a71d90a73c210fec12b2e84d6ead39b",
+        "evolution.csv": "037a528bd5ced0a7ebbe08fa2e5103b67b30e44fd1ed666aaea5280e5edf414a",
+    }),
+    (["--n", "50", "--epsilon0", "0.05", "--kappa0", "0.001", "--sweep", "20", "--i-budget", "5",
+      "--accept-infinite-i"], {
+        "certificate.json": "707897dce646f2111c6819b1e249e9c0ef9dbd6c353e3fd22804d7c98db2601e",
+        "evolution.csv": "ea803db26398c7ed3fa5f3b2d1672619d37b49f3d85ff74011b4f340b1858165",
+    }),
+    (["--n", "50", "--r", "0.5", "--alpha0", "0.0016", "--kappa0", "1", "--epsilon0", "0.05", "--sweep", "300",
+      "--i-budget", "300", "--ngd-cap", "5"], {
+        "certificate.json": "2d41dc835a426a72bb926d545b1b51c5d579bcdfa2d0e5e9875045bf7e46b570",
+        "evolution.csv": "ca1f43c38d4fb1850df3c99f0792450ea7c8927bad3563355c34ed5c0a35e74a",
+    }),
+    (["--n", "100", "--alpha0", "2", "--kappa0", "1", "--epsilon0", "0.05", "--sweep", "30", "--i-budget", "30"], {
+        "certificate.json": "15f15ab22450eed94c7ab8607daf683a8dbedcd60802d5ca41c7cbf2ce5afbff",
+        "evolution.csv": "190e45ea8509683b863edf8363180f8d6915d1c3b0784eed2e3ccce487723da6",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv,digests", CERTIFY_DIGESTS)
+def test_certify_bytes_are_pinned(tmp_path, argv, digests):
+    assert run("certify", *argv, "--out", str(tmp_path)) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == digests
+
+
 class TestCertify:
     def _run(self, tmp_path, *extra):
         return run(

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
-    ModelPoint,
     alpha_loss,
     check_alpha,
+    check_in_ball,
     curvature_floor,
     format_alpha,
     grad_lipschitz_in_inv_alpha,
@@ -21,7 +22,7 @@ from alphaloss.loss import (
     loss_from_logp,
     parse_alpha,
 )
-from alphaloss.numerics import log_sigmoid_vec, sigmoid
+from alphaloss.numerics import log_sigmoid_vec, sigmoid, vector_norm
 from alphaloss.risk import Dataset, empirical_risk_hess, value_and_grad
 
 from conftest import fd_grad, fd_jacobian, oracle_grad_factor, oracle_hess_factor, oracle_loss, rel_err
@@ -347,9 +348,21 @@ class TestDomainTypes:
     def test_one_row_allows_tolerance(self):
         one_row([1.0 + 5e-10, 0.0], 1)
 
-    def test_model_point_radius(self):
-        ModelPoint([3.0, 4.0], 5.0)
-        with pytest.raises(UsageError):
-            ModelPoint([3.0, 4.1], 5.0)
+    def test_in_ball_radius(self):
+        assert check_in_ball([3.0, 4.0], 5.0, "theta").tolist() == [3.0, 4.0]
+        with pytest.raises(UsageError, match="^theta1 norm"):
+            check_in_ball([3.0, 4.1], 5.0, "theta1")
         with pytest.raises(DomainError):
-            ModelPoint([0.0], 0.0)
+            check_in_ball([0.0], 0.0, "theta")
+
+    def test_in_ball_norm_whose_squares_overflow(self):
+        # the squares pass the float range, the norm 1.4e200 does not
+        theta = [1e200, 1e200]
+        with np.errstate(over="ignore"):
+            norm = vector_norm(np.array(theta))
+        assert norm == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_in_ball(theta, 1e300, "theta").tolist() == theta
+            with pytest.raises(UsageError, match=re.escape(f"theta norm {norm!r} exceeds")):
+                check_in_ball(theta, 1.414e200, "theta")

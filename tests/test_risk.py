@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from alphaloss.data import normalize_features, preset, sample_gmm
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
+    UNIT_BALL_TOL,
     curvature_floor,
     grad_lipschitz_in_inv_alpha,
     grad_weight_from_logp,
@@ -66,6 +68,27 @@ class TestDataset:
     def test_rejects_norm_violations(self):
         with pytest.raises(DomainError):
             Dataset(np.array([[1.0, 1.0]]), np.array([1]))
+
+    def test_norm_whose_squares_overflow_is_named(self):
+        # the squares pass the float range; the message names the finite norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"feature norm 1\.41421356237309\d*e\+200 exceeds"):
+                Dataset(np.array([[1e200, 1e200]]), np.array([1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 2.0 * math.pi), st.floats(1.0 - 1e-8, 1.0 + 1e-8))
+    def test_norm_check_decides_as_the_axis_norm(self, angle, radius):
+        # near the sphere the check decides as np.linalg.norm(axis=1), whose
+        # bits row_norms keeps wherever the norm is finite
+        x = [radius * math.cos(angle), radius * math.sin(angle)]
+        accept = float(np.linalg.norm(np.array([x]), axis=1)[0]) <= 1.0 + UNIT_BALL_TOL
+        try:
+            Dataset(np.array([x]), np.array([1]))
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == accept
 
     def test_second_moment_matches_direct_mean(self, fig2_small):
         direct = fig2_small.xs.T @ fig2_small.xs / fig2_small.n
@@ -582,8 +605,10 @@ class TestLandscape:
     def test_non_finite_risk_is_numeric_error(self, fig2_small):
         # p^(1 - 1/alpha) overflows for tiny alpha although 1/alpha is finite.
         grid = GridSpec(((-5.0, 5.0, 3), (-5.0, 5.0, 3)))
-        with pytest.raises(NumericError, match="1e-300"):
-            landscape_scans([1.0, 1e-300], grid, fig2_small)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error reports the overflow, not a numpy warning
+            with pytest.raises(NumericError, match="1e-300"):
+                landscape_scans([1.0, 1e-300], grid, fig2_small)
 
 
 class TestSaturation:
@@ -631,5 +656,7 @@ class TestSaturation:
         # Margins below about -1.8e308 overflow, so the order-1 risk is inf.
         data = Dataset(np.array([[0.6, 0.8]]), np.array([1]))
         grid = GridSpec(((-1.7e308, -1.6e308, 2), (-1.7e308, -1.6e308, 2)))
-        with pytest.raises(NumericError, match="1.0"):
-            saturation_sups([1.0, 2.0], grid, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error reports the overflow, not a numpy warning
+            with pytest.raises(NumericError, match="1.0"):
+                saturation_sups([1.0, 2.0], grid, data)

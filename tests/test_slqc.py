@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alphaloss import risk
+from alphaloss import risk, slqc
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import INFINITY, lipschitz_in_inv_alpha, lipschitz_in_theta, grad_lipschitz_in_inv_alpha
-from alphaloss.numerics import RngState, sample_ball, sigmoid
+from alphaloss.numerics import RngState, sample_ball, sigmoid, vector_norm
 from alphaloss.risk import Dataset, empirical_risk, empirical_risk_grad
 from alphaloss.slqc import (
     SLQC_TOL,
@@ -65,8 +67,8 @@ class TestCheckPoint:
     def test_at_theta0_is_value_gap(self, fig2_small):
         params = SlqcParams(0.1, 1.0, np.array([0.5, 0.5]))
         verdict = check_slqc_point(1.0, [0.5, 0.5], params, fig2_small, 5.0)
-        assert verdict.satisfied_by is Verdict.VALUE_GAP
-        assert verdict.value_gap == 0.0
+        assert verdict["verdict"] == Verdict.VALUE_GAP.value
+        assert verdict["value_gap"] == 0.0
 
     def test_infinite_epsilon_always_value_gap(self, fig2_small):
         params = SlqcParams(math.inf, 1.0, np.zeros(2))
@@ -75,22 +77,28 @@ class TestCheckPoint:
             theta = rng.normal(size=2)
             theta = theta / np.linalg.norm(theta) * rng.uniform(0, 5)
             verdict = check_slqc_point(2.0, theta, params, fig2_small, 5.0)
-            assert verdict.satisfied_by is Verdict.VALUE_GAP
+            assert verdict["verdict"] == Verdict.VALUE_GAP.value
 
     def test_radius_violation_is_usage_error(self, fig2_small):
         params = SlqcParams(0.1, 1.0, np.zeros(2))
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^theta norm"):
             check_slqc_point(1.0, [6.0, 0.0], params, fig2_small, 5.0)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^theta0 norm"):
             check_slqc_point(1.0, [0.0, 0.0], SlqcParams(0.1, 1.0, np.array([9.0, 0.0])), fig2_small, 5.0)
+
+    def test_sweep_checks_theta0_before_sampling(self, fig2_small):
+        rng = RngState(5)
+        with pytest.raises(UsageError, match="^theta0 norm"):
+            slqc_sweep(1.0, SlqcParams(0.1, 1.0, np.array([9.0, 0.0])), fig2_small, 5.0, 10, rng)
+        assert rng.next_u64() == RngState(5).next_u64()
 
     def test_interior_point_with_failed_gap_is_neither(self):
         # kappa tiny makes rho huge: every non-gap point is interior -> Neither
         data = line_dataset()
         params = SlqcParams(0.01, 1e-6, np.array([5.0]))
         verdict = check_slqc_point(1.0, [-5.0], params, data, 5.0)
-        assert verdict.satisfied_by is Verdict.NEITHER
-        assert "inside" in verdict.note
+        assert verdict["verdict"] == Verdict.NEITHER.value
+        assert "inside" in verdict["note"]
 
     def test_strongly_convex_risk_never_neither(self, fig2_small):
         r = 5.0
@@ -203,7 +211,18 @@ class TestSweepOracle:
             for key in ("value_gap", "inner", "rho_grad_norm"):
                 assert_same_up_to_rounding(got[key], want[key])
         for theta, verdict in zip(points, verdicts):
-            assert check_slqc_point(1.0, theta, params, fig2_small, self.R).satisfied_by is verdict
+            assert check_slqc_point(1.0, theta, params, fig2_small, self.R)["verdict"] == verdict.value
+
+    @pytest.mark.parametrize("kappa_scale", [0.02, 1e-3])
+    def test_point_check_is_the_sweep_entry(self, fig2_small, kappa_scale):
+        params = self.params(kappa_scale)
+        report = slqc_sweep(1.0, params, fig2_small, self.R, self.N_POINTS, RngState(self.SEED))
+        for entry in report["neither_diagnostics"]:
+            got = check_slqc_point(1.0, entry["point"], params, fig2_small, self.R)
+            assert got.keys() == entry.keys()
+            assert (got["point"], got["verdict"], got.get("note")) == (entry["point"], "neither", entry.get("note"))
+            for key in ("value_gap", "inner", "rho_grad_norm"):
+                assert_same_up_to_rounding(got[key], entry[key])
 
     def test_sweep_takes_one_margin_pass_over_its_points(self, fig2_small, monkeypatch):
         calls = []
@@ -230,6 +249,58 @@ class TestSweepOracle:
         notes = ["note" in d for d in outside["neither_diagnostics"]]
         assert any(notes) and not all(notes)
         assert inside["counts"]["neither"] > 10 and len(inside["neither_diagnostics"]) == 10
+
+
+def classify_oracle(theta, params, gap, grad):
+    """The per-point rule that the array verdicts replaced, as it stood:
+    (verdict, value gap, inner product, rho ||g||, note) for one point."""
+    rho = params.rho
+    grad_norm = vector_norm(grad)
+    inner = float(np.dot(-grad, params.theta0 - theta))
+    rho_grad = rho * grad_norm if grad_norm > 0.0 else 0.0
+    note = ""
+    if gap <= params.epsilon + SLQC_TOL:
+        verdict = Verdict.VALUE_GAP
+    elif float(np.linalg.norm(theta - params.theta0)) <= rho:
+        verdict = Verdict.NEITHER
+        note = "inside the epsilon/kappa ball with a failed value gap"
+    elif grad_norm > 0.0 and inner - rho_grad >= -SLQC_TOL:
+        verdict = Verdict.GRADIENT_CONE
+    else:
+        verdict = Verdict.NEITHER
+    return verdict, gap, inner, rho_grad, note
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestArrayVerdicts:
+    """``slqc._verdicts`` against the per-point rule, bit for bit, on the same
+    ``risk_values_grads`` output; the order 0.0016 on a radius-0.5 ball
+    gives gradients near 1e175, whose squares overflow."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([(0.0016, 0.35), (0.5, 3.5), (1.0, 3.5), (2.0, 3.5), (INFINITY, 3.5)]),
+        st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=40),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        st.sampled_from([1e-3, 0.05, 0.3, math.inf]),
+        st.floats(1e-4, 10.0),
+    )
+    def test_bit_equal_to_the_per_point_rule(self, fig2_small, order, coords, center, epsilon, kappa):
+        alpha, scale = order
+        points = np.array(coords) * scale
+        params = SlqcParams(epsilon, kappa, np.array(center) * scale)
+        kind, gaps, inner, rho_grad, inside = slqc._verdicts(alpha, params, points, fig2_small)
+        base = risk.risk_values(alpha, params.theta0, fig2_small)[0]
+        values, grads = risk.risk_values_grads(alpha, points, fig2_small)
+        with np.errstate(all="ignore"):
+            want = [classify_oracle(p, params, float(v - base), g) for p, v, g in zip(points, values, grads)]
+        assert [slqc._KINDS[k] for k in kind] == [w[0] for w in want]
+        for got, column in zip((gaps, inner, rho_grad), list(zip(*want))[1:4]):
+            assert bits(got) == bits(column)
+        assert [bool(k and i) for k, i in zip(kind, inside)] == [bool(w[4]) for w in want]
 
 
 class TestStrongConvexityModulus:
