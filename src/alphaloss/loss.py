@@ -144,26 +144,40 @@ def alpha_loss(alpha: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def loss_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:
+def loss_from_logp(alpha: float, logp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise losses from precomputed log-probabilities (so several
-    orders can share one log_sigmoid pass over the same margins)."""
+    orders can share one log_sigmoid pass over the same margins), into
+    ``out`` (a float array of logp's shape, which may be ``logp`` itself;
+    made when it is None)."""
     alpha = check_alpha(alpha)
     logp = np.asarray(logp, dtype=float)
+    out = np.empty_like(logp) if out is None else out
     if math.isinf(alpha):
-        return -np.expm1(logp)  # 1 - p, stable for p near 1
+        np.expm1(logp, out=out)
+        return np.negative(out, out=out)  # 1 - p, stable for p near 1
     u = _loss_exponent(alpha)
     if u is None:
-        return -logp
-    return -np.expm1(u * logp) / u
+        return np.negative(logp, out=out)
+    np.multiply(u, logp, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    return np.divide(out, u, out=out)
 
 
-def grad_weight_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:
+def grad_weight_from_logp(alpha: float, logp: np.ndarray, out: np.ndarray | None = None,
+                          tmp: np.ndarray | None = None) -> np.ndarray:
     """Nonnegative weights w with gradient factor -y * w, from log p:
-    w = p^(1-1/alpha) * (1-p), with 1-p evaluated as -expm1(log p)."""
+    w = p^(1-1/alpha) * (1-p), with 1-p evaluated as -expm1(log p). ``out``
+    (which may be ``logp`` itself) receives w and ``tmp`` the factor 1-p;
+    each is a float array of logp's shape, made when it is None."""
     alpha = check_alpha(alpha)
     u = _exponent(alpha)
     logp = np.asarray(logp, dtype=float)
-    return np.exp(u * logp) * (-np.expm1(logp))
+    q = np.expm1(logp, out=np.empty_like(logp) if tmp is None else tmp)
+    np.negative(q, out=q)
+    out = np.multiply(u, logp, out=np.empty_like(logp) if out is None else out)
+    np.exp(out, out=out)
+    return np.multiply(out, q, out=out)
 
 
 def hess_factor_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:

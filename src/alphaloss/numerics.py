@@ -108,10 +108,18 @@ def log_sigmoid(z: float) -> float:
     return z - math.log1p(math.exp(z))
 
 
-def log_sigmoid_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized log_sigmoid using the same two branches element-wise."""
+def log_sigmoid_vec(z: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized log_sigmoid using the same two branches element-wise:
+    min(z, 0) - log1p(exp(-|z|)), an array shaped like ``z``. ``out`` (which
+    may be ``z`` itself) receives the result and ``tmp`` the log1p term;
+    each is a float array of z's shape, made when it is None."""
     z = np.asarray(z, dtype=float)
-    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
+    tmp = np.abs(z, out=np.empty_like(z) if tmp is None else tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.log1p(tmp, out=tmp)
+    out = np.minimum(z, 0.0, out=np.empty_like(z) if out is None else out)
+    return np.subtract(out, tmp, out=out)
 
 
 def vector_norm(v) -> float:

@@ -26,9 +26,14 @@ mean whose sum passes the float range is taken in a scaled frame there.
 Every value, gradient and Hessian starts from one margin pass to log p
 (``_logp``); values and gradients share one terms formula (``_terms``)
 and one block driver (``_means``), whose blocks of about 200,000 elements
-stay in cache. The margin matmul rounds a one-row batch differently, so a
-one-point call agrees with a batch only up to rounding. Grid scans take
-every order they need from one margin pass over the grid.
+stay in cache. A batched call makes one buffer set, sized for its largest
+block: the margins (overwritten by log p), one temporary, the terms and
+the extraction scratch. Every block reuses it: the margin pass, the maps
+and the extraction run in place, so no block makes an array of its own,
+and the buffers go with the call. The margin matmul rounds a one-row
+batch differently, so a one-point call agrees with a batch only up to
+rounding. Grid scans take every order they need from one margin pass over
+the grid.
 """
 
 from __future__ import annotations
@@ -157,10 +162,14 @@ def _as_point(theta, data: Dataset) -> np.ndarray:
     return pts
 
 
-def _logp(pts: np.ndarray, data: Dataset) -> np.ndarray:
+def _logp(pts: np.ndarray, data: Dataset, out: np.ndarray | None = None,
+          tmp: np.ndarray | None = None) -> np.ndarray:
     """The margin pass every risk quantity starts from: log p of the true
-    label, one row per point and one column per sample."""
-    return log_sigmoid_vec(pts @ data.signed.T)
+    label, one row per point and one column per sample. The margins and
+    then log p go to ``out``, ``tmp`` takes log_sigmoid's log1p term; both
+    are (points, n) float arrays, made when they are None."""
+    margins = np.matmul(pts, data.signed.T, out=out)
+    return log_sigmoid_vec(margins, out=margins, tmp=tmp)
 
 
 def _blocks(m: int, width: int) -> Iterator[slice]:
@@ -266,14 +275,21 @@ def _second_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def _terms(logp: np.ndarray, data: Dataset, alphas, grad_alpha=None) -> np.ndarray:
+def _terms(logp: np.ndarray, data: Dataset, alphas, grad_alpha=None, out: np.ndarray | None = None,
+           tmp: np.ndarray | None = None) -> np.ndarray:
     """Per row of ``logp``, one loss row per order in ``alphas``, then one
-    gradient row per coordinate at ``grad_alpha`` if set: (points * rows, n)."""
-    out = np.empty((len(logp), len(alphas) + (0 if grad_alpha is None else data.dim), data.n))
+    gradient row per coordinate at ``grad_alpha`` if set: (points * rows, n).
+    The rows go to ``out``, a (points, rows, n) float array, and ``tmp``, of
+    logp's shape, takes the gradient map's 1 - p; both are made when they
+    are None. With ``grad_alpha`` set, ``logp`` is overwritten."""
+    rows = len(alphas) + (0 if grad_alpha is None else data.dim)
+    out = np.empty((len(logp), rows, data.n)) if out is None else out
     for j, alpha in enumerate(alphas):
-        out[:, j] = loss_from_logp(alpha, logp)
+        loss_from_logp(alpha, logp, out=out[:, j])
     if grad_alpha is not None:
-        np.multiply(-grad_weight_from_logp(grad_alpha, logp)[:, None], data.signed.T, out=out[:, len(alphas):])
+        weights = grad_weight_from_logp(grad_alpha, logp, out=logp, tmp=tmp)
+        np.negative(weights, out=weights)
+        np.multiply(weights[:, None], data.signed.T, out=out[:, len(alphas):])
     return out.reshape(-1, data.n)
 
 
@@ -282,15 +298,22 @@ def _means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> np.ndarray:
     alphas = [check_alpha(a) for a in alphas]
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
     pts = _as_points(thetas, data)
-    out = np.empty((len(pts), len(alphas) + (0 if grad_alpha is None else data.dim)))
-    # One scratch for every block: a fresh one per block would be freed
-    # with its block, and the allocator would return and refetch the pages.
-    scratch = np.empty(0)
-    for sl in _blocks(len(pts), (1 + out.shape[1]) * data.n):
-        terms = _terms(_logp(pts[sl], data), data, alphas, grad_alpha)
-        if scratch.size < terms.size:
-            scratch = np.empty(terms.size)
-        out[sl] = _extract_sums(terms, data.n, scratch).reshape(out[sl].shape)
+    n, rows = data.n, len(alphas) + (0 if grad_alpha is None else data.dim)
+    out = np.empty((len(pts), rows))
+    blocks = list(_blocks(len(pts), (1 + rows) * n))
+    # One buffer set per call, sized for the largest block and reused by
+    # every block: log p, one temporary, the terms and the extraction
+    # scratch. Block-sized arrays made and freed per block would have the
+    # allocator return their pages and fault them in again.
+    size = max((sl.stop - sl.start for sl in blocks), default=0) * n
+    logp_buf, tmp_buf = np.empty(size), np.empty(size)
+    terms_buf, scratch = np.empty(size * rows), np.empty(size * rows)
+    for sl in blocks:
+        k = sl.stop - sl.start
+        tmp = tmp_buf[:k * n].reshape(k, n)
+        logp = _logp(pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp)
+        terms = _terms(logp, data, alphas, grad_alpha, out=terms_buf[:k * rows * n].reshape(k, rows, n), tmp=tmp)
+        out[sl] = _extract_sums(terms, n, scratch).reshape(k, rows)
     return out
 
 

@@ -86,7 +86,8 @@ _KINDS = tuple(Verdict)  # verdict index -> Verdict
 
 @dataclass(frozen=True)
 class SlqcParams:
-    """The (epsilon, kappa, theta0) triple; rho = epsilon/kappa."""
+    """The (epsilon, kappa, theta0) triple; rho = epsilon/kappa, finite
+    unless epsilon is inf (then every point passes the value gap)."""
 
     epsilon: float
     kappa: float
@@ -97,6 +98,8 @@ class SlqcParams:
         if not (eps > 0.0):
             raise DomainError(f"epsilon must be positive, got {self.epsilon!r}")
         kap = check_positive_finite(self.kappa, "kappa")
+        if math.isfinite(eps) and math.isinf(eps / kap):
+            raise DomainError(f"rho = epsilon/kappa overflows at epsilon {eps!r}, kappa {kap!r}")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "kappa", kap)
         object.__setattr__(self, "theta0", as_vector(self.theta0, "theta0"))

@@ -276,6 +276,20 @@ def test_certify_bytes_are_pinned(tmp_path, argv, digests):
     assert written == digests
 
 
+# sha256 of a `certify` run whose batched passes take several blocks with a
+# short last one (the 97 budget points in blocks of 50 and 47, the 103 sweep
+# points in four blocks of 25 and one of 3), as written while every block
+# made its own temporaries.
+def test_multi_block_certify_bytes_are_pinned(tmp_path):
+    assert run("certify", "--preset", "fig2", "--n", "2000", "--seed", "42", "--epsilon0", "0.05",
+               "--ngd-epsilon", "0.4", "--sweep", "103", "--i-budget", "97", "--out", str(tmp_path)) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == {
+        "certificate.json": "5a4715a2b651b2a39cc3c809667de03dc4e104826bc8f5b53e25df1009bc567d",
+        "evolution.csv": "520771b898a0de34156f3c386e0b8663b412117d7c810e3e4f26c05bd6774ab7",
+    }
+
+
 class TestCertify:
     def _run(self, tmp_path, *extra):
         return run(

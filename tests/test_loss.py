@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
+    LOG_BRANCH_TOL,
     alpha_loss,
     check_alpha,
     check_in_ball,
@@ -270,6 +274,100 @@ class TestMapsAtTheMargin:
             # measured against max(1, |factor|)
             oracle = oracle_hess_factor(alpha, theta, x, y)
             assert abs(hess_factor_from_logp(alpha, logp) - oracle) <= 1e-13 * max(1.0, abs(oracle))
+
+
+# The out-of-place forms of the maps, as they were before they took
+# ``out``: the oracles of their in-place bodies.
+def old_log_sigmoid_vec(z):
+    z = np.asarray(z, dtype=float)
+    return np.minimum(z, 0.0) - np.log1p(np.exp(-np.abs(z)))
+
+
+def old_loss_from_logp(alpha, logp):
+    logp = np.asarray(logp, dtype=float)
+    if math.isinf(alpha):
+        return -np.expm1(logp)
+    u = 1.0 - 1.0 / alpha
+    if abs(u) < LOG_BRANCH_TOL:
+        return -logp
+    return -np.expm1(u * logp) / u
+
+
+def old_grad_weight_from_logp(alpha, logp):
+    u = 1.0 - 1.0 / alpha
+    logp = np.asarray(logp, dtype=float)
+    return np.exp(u * logp) * (-np.expm1(logp))
+
+
+MAP_ORDERS = (0.5, 1.0, 1.0 + 1e-7, 2.0, 10.0, INFINITY)
+# No buffers; fresh ones; ``out`` aliasing the input; ``out`` a view whose
+# rows lie apart, as the terms block's rows of one order do.
+OUT_MODES = ("none", "fresh", "alias", "rows apart")
+
+
+def map_inputs(lo, hi):
+    """A Python float, a 0-d array, or an array of 1 or 2 dims."""
+    elements = st.floats(lo, hi)
+    shapes = st.one_of(st.just(()), st.tuples(st.integers(0, 300)),
+                       st.tuples(st.integers(1, 4), st.integers(0, 80)))
+    return st.one_of(elements, hnp.arrays(np.float64, shapes, elements=elements))
+
+
+def in_place(fn, x, mode):
+    """``fn(x, out, tmp)`` with the buffers of ``mode``; a returned buffer must be ``out``."""
+    if mode == "none":
+        return fn(x, None, None)
+    x = np.array(x, dtype=float)  # a copy: "alias" overwrites it
+    if mode == "alias":
+        out = x
+    elif mode == "rows apart" and x.ndim:
+        out = np.empty((*x.shape[:-1], 3, x.shape[-1]))[..., 1, :]
+    else:
+        out = np.empty_like(x)
+    result = fn(x, out, np.empty_like(x))
+    assert result is out
+    return result
+
+
+class TestInPlaceMaps:
+    """The maps keep the bits of their out-of-place forms with or without
+    buffers, on scalars, 0-d arrays and arrays, and with ``out`` aliasing
+    the input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(map_inputs(-800.0, 800.0), st.sampled_from(OUT_MODES))
+    def test_log_sigmoid_vec(self, z, mode):
+        want = old_log_sigmoid_vec(z).tobytes()
+        assert in_place(lambda x, out, tmp: log_sigmoid_vec(x, out=out, tmp=tmp), z, mode).tobytes() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(MAP_ORDERS), map_inputs(-800.0, 0.0), st.sampled_from(OUT_MODES))
+    def test_loss_from_logp(self, alpha, logp, mode):
+        with np.errstate(all="ignore"):  # p^(1-1/alpha) overflows at alpha = 0.5
+            want = old_loss_from_logp(alpha, logp).tobytes()
+            got = in_place(lambda x, out, tmp: loss_from_logp(alpha, x, out=out), logp, mode)
+        assert got.tobytes() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(MAP_ORDERS), map_inputs(-800.0, 0.0), st.sampled_from(OUT_MODES))
+    def test_grad_weight_from_logp(self, alpha, logp, mode):
+        with np.errstate(all="ignore"):
+            want = old_grad_weight_from_logp(alpha, logp).tobytes()
+            got = in_place(lambda x, out, tmp: grad_weight_from_logp(alpha, x, out=out, tmp=tmp), logp, mode)
+        assert got.tobytes() == want
+
+    def test_long_rows(self):
+        # Rows long enough for every SIMD body and tail length of the ufuncs.
+        rng = np.random.default_rng(16)
+        z = rng.uniform(-40.0, 40.0, size=(3, 100_003))
+        logp = old_log_sigmoid_vec(z)
+        assert log_sigmoid_vec(z.copy(), out=np.empty_like(z), tmp=np.empty_like(z)).tobytes() == logp.tobytes()
+        for alpha in MAP_ORDERS:
+            rows = np.empty((3, 2, z.shape[1]))
+            loss_from_logp(alpha, logp, out=rows[:, 0])
+            grad_weight_from_logp(alpha, logp.copy(), out=rows[:, 1], tmp=np.empty_like(z))
+            assert rows[:, 0].tobytes() == old_loss_from_logp(alpha, logp).tobytes()
+            assert rows[:, 1].tobytes() == old_grad_weight_from_logp(alpha, logp).tobytes()
 
 
 class TestLandscapeConstants:

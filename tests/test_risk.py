@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -453,6 +454,42 @@ class TestEvaluationKernel:
         small = [a.tobytes() for a in outputs()]
         monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 4_000_000)
         assert [a.tobytes() for a in outputs()] == small
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 60), st.integers(2, 9))
+    def test_tail_blocks_reuse_the_buffers(self, fig2_small, m, per_block):
+        # Blocks of per_block points and a tail of another size, all in the
+        # prefix of one buffer set, give the bytes of one block.
+        pts = np.random.default_rng(m).uniform(-5.0, 5.0, size=(m, 2))
+
+        def outputs():
+            yield risk.risk_values_multi([0.5, 1.0, INFINITY], pts, fig2_small)
+            yield from risk_values_grads(2.0, pts, fig2_small)
+
+        whole = [a.tobytes() for a in outputs()]
+        assert len(list(risk._blocks(m, 4 * fig2_small.n))) == 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk, "_BLOCK_ELEMENTS", per_block * 4 * fig2_small.n)
+            assert [a.tobytes() for a in outputs()] == whole
+
+    def test_peak_memory_is_one_buffer_set(self, fig2_n5000):
+        # log p, one temporary, the terms and the extraction scratch, all
+        # sized for the largest block, plus the output: nothing per block.
+        data = fig2_n5000
+        pts = np.random.default_rng(16).uniform(-3.0, 3.0, size=(400, 2))
+        rows = 1 + data.dim
+        blocks = list(risk._blocks(len(pts), (1 + rows) * data.n))
+        largest = max(sl.stop - sl.start for sl in blocks)
+        buffers = 8 * largest * data.n * (2 + 2 * rows)
+        output = 8 * len(pts) * rows
+        assert len(blocks) > 1
+        tracemalloc.start()
+        try:
+            risk_values_grads(1.0, pts, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers + output + 64 * 1024
 
 
 class TestSmallOrderInfinities:

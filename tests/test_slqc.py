@@ -79,6 +79,11 @@ class TestCheckPoint:
             verdict = check_slqc_point(2.0, theta, params, fig2_small, 5.0)
             assert verdict["verdict"] == Verdict.VALUE_GAP.value
 
+    @pytest.mark.parametrize("epsilon, kappa", [(0.05, 1e-320), (1e300, 1e-10), (0.4, 5e-324)])
+    def test_overflowing_rho_is_domain_error_naming_it(self, epsilon, kappa):
+        with pytest.raises(DomainError, match="^rho = epsilon/kappa overflows"):
+            SlqcParams(epsilon, kappa, np.zeros(2))
+
     def test_radius_violation_is_usage_error(self, fig2_small):
         params = SlqcParams(0.1, 1.0, np.zeros(2))
         with pytest.raises(UsageError, match="^theta norm"):
@@ -228,9 +233,9 @@ class TestSweepOracle:
         calls = []
         original = risk._logp
 
-        def counting(pts, data):
+        def counting(pts, data, **buffers):
             calls.append(len(pts))
-            return original(pts, data)
+            return original(pts, data, **buffers)
 
         monkeypatch.setattr(risk, "_logp", counting)
         slqc_sweep(1.0, self.params(1.0), fig2_small, self.R, self.N_POINTS, RngState(self.SEED))
