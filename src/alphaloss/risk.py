@@ -32,8 +32,28 @@ the extraction scratch. Every block reuses it: the margin pass, the maps
 and the extraction run in place, so no block makes an array of its own,
 and the buffers go with the call. The margin matmul rounds a one-row
 batch differently, so a one-point call agrees with a batch only up to
-rounding. Grid scans take every order they need from one margin pass over
-the grid.
+rounding. The ``value_and_grad`` oracle makes its one-point buffer set
+once, when it is built. Grid scans take every order they need from one
+margin pass over the grid.
+
+The saturation scan needs only the max of the gaps, so it sums with a
+certified float filter (Shewchuk 1997, *Adaptive precision floating-point
+arithmetic and fast robust geometric predicates*): pairwise float sums
+under a proven bound, and exact sums only where the bound cannot decide.
+With u = 2^-53, a float sum S of n terms in any order is within
+gamma * sum|x| of the exact sum s, gamma = (n-1)u / (1 - (n-1)u) (Higham
+2002, *Accuracy and Stability of Numerical Algorithms*). Loss terms are
+nonnegative (log p <= 0, and each map keeps its sign), so sum|x| = s <=
+S / (1 - gamma). The mean M = fl(S / n) adds one rounding, and the exact
+mean fl(fl(s) / n) is within two of s / n, so for gamma <= 0.01 (n below
+about 9e13) |M - exact mean| <= (1.011 gamma + 3.03 u) M. The gap
+fl(|M_a - M_b|) is then within (1.012 gamma + 5.04 u)(M_a + M_b) of the
+exact gap. ``_approx_mean_error`` uses kappa = 2 (gamma + 5 u); the bound
+kappa (M_a + M_b) exceeds that by more than 2 (1 + kappa) u (M_a + M_b),
+which pays for rounding the bound and both sides of the filter's
+comparison. A division that underflows errs by up to 2^-1075 instead, so
+each mean's bound adds 2^-1070 (float sums and differences of subnormals
+are exact).
 """
 
 from __future__ import annotations
@@ -293,8 +313,9 @@ def _terms(logp: np.ndarray, data: Dataset, alphas, grad_alpha=None, out: np.nda
     return out.reshape(-1, data.n)
 
 
-def _means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> np.ndarray:
-    """(points, rows) means of the ``_terms`` rows: one margin pass and one exact sum per block."""
+def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True) -> np.ndarray:
+    """(points, rows) means of the ``_terms`` rows: one margin pass and one sum per block,
+    exactly rounded, or pairwise with ``exact`` False (error: ``_approx_mean_error``)."""
     alphas = [check_alpha(a) for a in alphas]
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
     pts = _as_points(thetas, data)
@@ -306,15 +327,23 @@ def _means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> np.ndarray:
     # scratch. Block-sized arrays made and freed per block would have the
     # allocator return their pages and fault them in again.
     size = max((sl.stop - sl.start for sl in blocks), default=0) * n
-    logp_buf, tmp_buf = np.empty(size), np.empty(size)
-    terms_buf, scratch = np.empty(size * rows), np.empty(size * rows)
+    logp_buf, tmp_buf, terms_buf = np.empty(size), np.empty(size), np.empty(size * rows)
+    scratch = np.empty(size * rows if exact else 0)
     for sl in blocks:
         k = sl.stop - sl.start
         tmp = tmp_buf[:k * n].reshape(k, n)
         logp = _logp(pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp)
         terms = _terms(logp, data, alphas, grad_alpha, out=terms_buf[:k * rows * n].reshape(k, rows, n), tmp=tmp)
-        out[sl] = _extract_sums(terms, n, scratch).reshape(k, rows)
+        sums = _extract_sums(terms, n, scratch) if exact else np.add.reduce(terms, axis=1) / n
+        out[sl] = sums.reshape(k, rows)
     return out
+
+
+def _approx_mean_error(means: np.ndarray, n: int) -> np.ndarray:
+    """Bound on |approximate mean - exact mean| for ``means`` of rows of n
+    nonnegative terms: kappa_n * mean + 2^-1070 (see the module docstring)."""
+    u = 2.0 ** -53
+    return 2.0 * ((n - 1) * u / (1.0 - (n - 1) * u) + 5.0 * u) * means + 2.0 ** -1070
 
 
 def risk_values_multi(alphas, thetas, data: Dataset) -> np.ndarray:
@@ -358,11 +387,16 @@ def empirical_risk_hess(alpha: float, theta, data: Dataset) -> np.ndarray:
 
 def value_and_grad(alpha: float, data: Dataset):
     """Objective oracle theta -> (risk, gradient) bound to a dataset: the
-    one-point ``_terms`` summed directly, without the block loop."""
+    one-point ``_terms`` summed directly, without the block loop, in
+    buffers made with the oracle (so one thread calls it at a time); each
+    call returns a new gradient array."""
     alpha = check_alpha(alpha)
+    n, rows = data.n, 1 + data.dim
+    logp_buf, tmp, terms_buf, scratch = np.empty((1, n)), np.empty((1, n)), np.empty((1, rows, n)), np.empty(rows * n)
 
     def oracle(theta):
-        means = _extract_sums(_terms(_logp(_as_point(theta, data), data), data, (alpha,), alpha), data.n)
+        logp = _logp(_as_point(theta, data), data, out=logp_buf, tmp=tmp)
+        means = _extract_sums(_terms(logp, data, (alpha,), alpha, out=terms_buf, tmp=tmp), n, scratch)
         return float(means[0]), means[1:]
 
     return oracle
@@ -421,6 +455,16 @@ class GridSpec:
         return pts
 
 
+def _grid_nodes(grid: GridSpec, data: Dataset) -> np.ndarray:
+    """The grid's nodes for ``data``; UsageError for a dimension mismatch or no node inside the mask."""
+    if grid.dim != data.dim:
+        raise UsageError(f"grid dim {grid.dim} does not match dataset dim {data.dim}")
+    nodes = grid.nodes()
+    if not len(nodes):
+        raise UsageError(f"no grid node lies within the mask radius {grid.mask_radius!r}")
+    return nodes
+
+
 def landscape_scans(alphas, grid: GridSpec, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The grid's nodes, row-major with masked nodes omitted, and the
     empirical risk at every node: (nodes, risks), one risk column per order
@@ -429,11 +473,7 @@ def landscape_scans(alphas, grid: GridSpec, data: Dataset) -> tuple[np.ndarray, 
     UsageError, a risk that is not finite NumericError, a negative one
     DomainError."""
     alphas = [check_alpha(a) for a in alphas]
-    if grid.dim != data.dim:
-        raise UsageError(f"grid dim {grid.dim} does not match dataset dim {data.dim}")
-    nodes = grid.nodes()
-    if not len(nodes):
-        raise UsageError(f"no grid node lies within the mask radius {grid.mask_radius!r}")
+    nodes = _grid_nodes(grid, data)
     orders = list(dict.fromkeys(alphas))
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
         values = risk_values_multi(orders, nodes, data)
@@ -447,7 +487,13 @@ def landscape_scans(alphas, grid: GridSpec, data: Dataset) -> tuple[np.ndarray, 
 
 def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = math.inf) -> list[float]:
     """Largest grid-node gap |risk(alpha) - risk(reference)| for each order
-    in ``alphas``, in input order, from one margin pass over the grid.
+    in ``alphas``, in input order: the bits of the max over
+    ``landscape_scans``, with its errors. A filter pass sums every order
+    in floats; a node stays when its gap plus its bound reaches the largest
+    gap minus its bound, and only those nodes (at least two, grid allowing)
+    get exact sums. An order equal to the reference has sup 0.0. A mean
+    that is not finite, could be negative, or has no finite bound sends
+    the scan to ``landscape_scans``.
 
     Every order must lie in [1, inf]; the gap obeys the Lipschitz-in-1/alpha
     bound L_r * |1/alpha - 1/reference| when the grid sits inside the
@@ -458,9 +504,25 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
     low = [a for a in [*alphas, reference] if a < 1.0]
     if low:
         raise DomainError(f"saturation scan requires orders >= 1, got {', '.join(map(repr, low))}")
-    _, risks = landscape_scans([*alphas, reference], grid, data)
-    return np.max(np.abs(risks[:, :-1] - risks[:, -1:]), axis=0).tolist()
-
+    nodes = _grid_nodes(grid, data)
+    orders = [a for a in dict.fromkeys(alphas) if a != reference]
+    with np.errstate(all="ignore"):  # a non-finite mean goes to landscape_scans, which reports it
+        means = _means(nodes, data, [*orders, reference], exact=False)
+        errors = _approx_mean_error(means, data.n)
+        gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
+        ok = np.all(means >= 0) and np.all(np.isfinite(means + errors))
+    if not ok:
+        _, risks = landscape_scans([*alphas, reference], grid, data)
+        return np.max(np.abs(risks[:, :-1] - risks[:, -1:]), axis=0).tolist()
+    keep = np.any(gaps + bounds >= np.max(gaps - bounds, axis=0), axis=1)
+    if 0 < np.count_nonzero(keep) < min(2, len(nodes)):
+        keep[np.argmin(keep)] = True  # a one-point call rounds its margins differently
+    sups = dict.fromkeys(alphas, 0.0)
+    if orders:
+        with np.errstate(all="ignore"):
+            exact = risk_values_multi([*orders, reference], nodes[keep], data)
+        sups.update(zip(orders, np.max(np.abs(exact[:, :-1] - exact[:, -1:]), axis=0).tolist()))
+    return [sups[a] for a in alphas]
 
 def saturation_sup(alpha: float, alpha2: float, grid: GridSpec, data: Dataset) -> float:
     """Largest grid-node gap |risk(alpha) - risk(alpha2)| between two orders

@@ -290,6 +290,29 @@ def test_multi_block_certify_bytes_are_pinned(tmp_path):
     }
 
 
+# sha256 of saturation.csv of four small `saturation` runs, as written while
+# every grid node's risks were summed exactly: fig3 at n = 2000 on the
+# default masked grid, an unmasked fig1 rectangle, a repeated infinite order
+# on a finer grid, and a small radius.
+SATURATION_DIGESTS = [
+    (["--preset", "fig3", "--n", "2000", "--seed", "42"],
+     "70715a082dd62eb09d32b18d6fb9b36d270fd96fcdc57667120678861ade96a4"),
+    (["--preset", "fig1", "--n", "500", "--seed", "42", "--no-mask"],
+     "6776ee32c476c4286a5932d80af00414fa3c81bb15f95b6ed562902e79842927"),
+    (["--n", "500", "--seed", "42", "--alphas", "1,1.5,2,inf,inf", "--grid-count", "61"],
+     "d65d32e74d15d3a1fb57e54adb3a56648a434e6ecaf34b20d81d496920e45600"),
+    (["--n", "500", "--seed", "42", "--r", "0.5"],
+     "b20ac7260387cbae5a8295875d12e6a06914b2256cae633216ecc54fa132c1e7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SATURATION_DIGESTS)
+def test_saturation_bytes_are_pinned(tmp_path, argv, digest):
+    assert run("saturation", *argv, "--out", str(tmp_path)) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == {"saturation.csv": digest}
+
+
 class TestCertify:
     def _run(self, tmp_path, *extra):
         return run(

@@ -401,6 +401,23 @@ class TestRiskDerivatives:
         v2, g2 = risk_values_grads(2.0, theta, fig2_small)
         assert v2[0] == value and np.array_equal(g2[0], grad)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0 + 1e-7, 2.0, INFINITY])
+    def test_oracle_buffers_keep_the_bits_and_return_new_gradients(self, fig2_small, alpha):
+        # The oracle reuses the buffers it was built with; every call gives
+        # the bits of a fresh one, and no returned gradient shares memory
+        # with a later call's.
+        oracle = value_and_grad(alpha, fig2_small)
+        rng = np.random.default_rng(18)
+        returned = []
+        for theta in rng.uniform(-5.0, 5.0, size=(30, 2)):
+            value, grad = oracle(theta)
+            fresh_value, fresh_grad = value_and_grad(alpha, fig2_small)(theta)
+            assert value == fresh_value and grad.tobytes() == fresh_grad.tobytes()
+            returned.append((grad, grad.copy()))
+        for grad, copy in returned:
+            assert grad.tobytes() == copy.tobytes()
+        assert not any(np.shares_memory(a, b) for (a, _), (b, _) in zip(returned, returned[1:]))
+
 
 class TestEvaluationKernel:
     @settings(max_examples=300, deadline=None)
@@ -697,3 +714,194 @@ class TestSaturation:
             warnings.simplefilter("error")  # the error reports the overflow, not a numpy warning
             with pytest.raises(NumericError, match="1.0"):
                 saturation_sups([1.0, 2.0], grid, data)
+
+
+@st.composite
+def filter_cases(draw):
+    """A dataset of 1-5 dimensions and 1 to a few thousand samples in the
+    unit ball, up to 6 points with norms up to 600 (so margins reach several
+    hundred), and up to 4 orders in [1, inf] with 1 +- 1e-7 among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    xs = rng.normal(size=(n, d))
+    xs *= (rng.uniform(0.0, 1.0, n) / np.maximum(np.linalg.norm(xs, axis=1), 1e-300))[:, None]
+    data = Dataset(xs, rng.choice([-1, 1], n))
+    radius = draw(st.sampled_from([1.0, 10.0, 600.0]))
+    pts = rng.uniform(-radius, radius, (draw(st.integers(1, 6)), d))
+    special = st.sampled_from([1.0, 1.0 - 1e-7, 1.0 + 1e-7, 2.0, INFINITY])
+    alphas = draw(st.lists(st.one_of(special, st.floats(1.0, 50.0)), min_size=1, max_size=4))
+    return data, pts, alphas
+
+
+def exact_sups(alphas, grid, data, reference=INFINITY):
+    """The oracle: the max of |risk(alpha) - risk(reference)| over ``landscape_scans``."""
+    _, risks = landscape_scans([*alphas, reference], grid, data)
+    return np.max(np.abs(risks[:, :-1] - risks[:, -1:]), axis=0).tolist()
+
+
+def record_exact_calls(patch) -> list:
+    """Record the number of points of every ``risk.risk_values_multi`` call."""
+    calls = []
+    original = risk.risk_values_multi
+
+    def counting(alphas, thetas, data):
+        calls.append(len(thetas))
+        return original(alphas, thetas, data)
+
+    patch.setattr(risk, "risk_values_multi", counting)
+    return calls
+
+
+class TestSaturationFilter:
+    @settings(max_examples=150, deadline=None)
+    @given(filter_cases())
+    def test_approximate_mean_lies_within_its_bound(self, case):
+        data, pts, alphas = case
+        approx = risk._means(pts, data, alphas, exact=False)
+        exact = risk._means(pts, data, alphas)
+        assert np.all(approx >= 0)
+        assert np.all(np.abs(approx - exact) <= risk._approx_mean_error(approx, data.n))
+
+    def test_bound(self):
+        u = 2.0 ** -53
+        assert risk._approx_mean_error(np.array([0.0]), 7)[0] == 2.0 ** -1070
+        assert risk._approx_mean_error(np.array([1.0]), 1)[0] == 10 * u + 2.0 ** -1070
+        assert risk._approx_mean_error(np.array([0.5]), 20_000)[0] == pytest.approx(19_999 * u + 5 * u, rel=1e-9)
+
+    def test_means_near_the_subnormals(self):
+        # Order-inf losses near 1e-300 on 3 samples: the approximate means
+        # underflow in the division, and the absolute part of the bound holds them.
+        data = Dataset(np.array([[1.0], [0.5], [0.25]]), np.array([1, 1, 1]))
+        pts = np.array([[2760.0], [2800.0], [2976.0], [2980.0]])
+        approx = risk._means(pts, data, [INFINITY], exact=False)
+        exact = risk._means(pts, data, [INFINITY])
+        assert np.all(np.abs(approx - exact) <= risk._approx_mean_error(approx, data.n))
+        assert np.any((0 < exact) & (exact < np.finfo(float).tiny))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 300), st.integers(2, 7),
+           st.sampled_from([None, 0.5, 2.0, 5.0]),
+           st.lists(st.sampled_from([1.0, 1.0 + 1e-7, 1.5, 2.0, 4.0, INFINITY]), min_size=1, max_size=6),
+           st.sampled_from([1.0, 2.0, INFINITY]), st.sampled_from([None, 2, 3, 7]))
+    def test_sups_are_the_max_over_the_scan(self, seed, d, n, count, mask, alphas, reference, per_block):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-1.0, 1.0, (n, d)) / math.sqrt(d)
+        data = Dataset(xs, rng.choice([-1, 1], n))
+        grid = GridSpec(((-5.0, 5.0, count),) * d, mask_radius=mask)
+        if not len(grid.nodes()):
+            with pytest.raises(UsageError, match="no grid node"):
+                saturation_sups(alphas, grid, data, reference=reference)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            if per_block is not None:
+                patch.setattr(risk, "_BLOCK_ELEMENTS", per_block * 7 * n)
+            sups = saturation_sups(alphas, grid, data, reference=reference)
+            assert sups == exact_sups(alphas, grid, data, reference)
+        for alpha, sup in zip(alphas, sups):
+            assert alpha != reference or sup == 0.0
+
+    def test_adversarial_errors_within_the_bound(self, monkeypatch):
+        # Approximate means moved by the largest error the bound allows,
+        # with random signs, on 201 nodes 1e-15 apart whose exact gaps
+        # differ by less than that: the largest approximate gap sits at the
+        # wrong node, and the bound still keeps the node of the exact max.
+        rng = np.random.default_rng(18)
+        data = Dataset(rng.uniform(-1.0, 1.0, (3000, 1)), rng.choice([-1, 1], 3000))
+        grid = GridSpec(((5.0 - 2e-13, 5.0, 201),))
+        _, risks = landscape_scans([2.0, INFINITY], grid, data)
+        true_gaps = np.abs(risks[:, 0] - risks[:, 1])
+        u = 2.0 ** -53
+        error = 2999 * u / (1.0 - 2999 * u) + 3.0 * u
+        means, approximations = risk._means, []
+
+        def adversarial(thetas, data, alphas=(), grad_alpha=None, exact=True):
+            out = means(thetas, data, alphas, grad_alpha)
+            if not exact:
+                out *= 1.0 + error * rng.choice([-1.0, 1.0], out.shape)
+                approximations.append(out)
+            return out
+
+        monkeypatch.setattr(risk, "_means", adversarial)
+        for _ in range(10):
+            assert saturation_sups([2.0], grid, data) == [true_gaps.max()]
+        gaps = [np.abs(a[:, 0] - a[:, 1]) for a in approximations]
+        assert any(true_gaps[g == g.max()].max() < true_gaps.max() for g in gaps)
+
+    def test_one_candidate_is_padded_to_a_two_point_call(self):
+        # The far corner (-3.75, -2.5) holds the largest gap alone, and a
+        # one-point call rounds its margins apart from the scan's batch.
+        data, _ = normalize_features(sample_gmm(preset("fig3"), 500, RngState(7)))
+        grid = GridSpec(((-3.75, 0.0, 2), (-2.5, 0.0, 2)))
+        alone = risk.risk_values_multi([1.0, INFINITY], [[-3.75, -2.5]], data)[0]
+        assert abs(alone[0] - alone[1]) != exact_sups([1.0], grid, data)[0]
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_exact_calls(patch)
+            sups = saturation_sups([1.0], grid, data)
+        assert calls == [2]
+        assert sups == exact_sups([1.0], grid, data)
+
+    def test_one_node_grid(self, fig2_small):
+        grid = GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3)), mask_radius=0.5)
+        assert len(grid.nodes()) == 1
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_exact_calls(patch)
+            sups = saturation_sups([1.0, 2.0, INFINITY, 2.0], grid, fig2_small)
+        assert calls == [1]
+        assert sups == exact_sups([1.0, 2.0, INFINITY, 2.0], grid, fig2_small)
+
+    def test_orders_equal_to_the_reference_make_no_exact_call(self, fig2_small):
+        grid = GridSpec(((-1.0, 1.0, 5), (-1.0, 1.0, 5)))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_exact_calls(patch)
+            assert saturation_sups([2.0, 2.0], grid, fig2_small, reference=2.0) == [0.0, 0.0]
+        assert calls == []
+
+    def test_few_fig3_nodes_reach_the_exact_call(self):
+        raw = sample_gmm(preset("fig3"), 2000, RngState(42))
+        data, _ = normalize_features(raw)
+        grid = GridSpec(((-5.0, 5.0, 41), (-5.0, 5.0, 41)), mask_radius=5.0)
+        alphas = [1.0, 2.0, 4.0, 10.0, INFINITY]
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_exact_calls(patch)
+            sups = saturation_sups(alphas, grid, data)
+        # Two of the 1,257 nodes may hold a largest gap; the rest are ruled out.
+        assert len(grid.nodes()) == 1257 and calls == [2]
+        assert sups == exact_sups(alphas, grid, data)
+
+    def test_non_finite_mean_falls_back_to_the_scan_error(self):
+        data = Dataset(np.array([[0.6, 0.8]]), np.array([1]))
+        grid = GridSpec(((-1.7e308, -1.6e308, 2), (-1.7e308, -1.6e308, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as scan:
+                landscape_scans([2.0, 1.0, INFINITY], grid, data)
+            with pytest.raises(NumericError) as sup:
+                saturation_sups([2.0, 1.0], grid, data)
+        assert str(sup.value) == str(scan.value)
+
+    def test_negative_mean_falls_back_to_the_scan_error(self, fig2_small, monkeypatch):
+        # Negated loss rows: every mean is negative, so the filter cannot bound its terms.
+        original = risk.loss_from_logp
+        monkeypatch.setattr(risk, "loss_from_logp", lambda alpha, logp, out=None: np.negative(
+            original(alpha, logp, out=out), out=out))
+        calls = record_exact_calls(monkeypatch)
+        grid = GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="nonnegative"):
+                saturation_sups([1.0, 2.0], grid, fig2_small)
+        assert calls == [9]
+
+    def test_bound_past_the_float_range_falls_back_to_the_scan(self, monkeypatch):
+        # The order-1 loss at the margin -1.8e308 is the largest float: its
+        # mean is finite, its bound is not, and the full scan gives the sup.
+        data = Dataset(np.array([[1.0]]), np.array([1]))
+        grid = GridSpec(((-1.7976931348623157e308, -1.7e308, 2),))
+        calls = record_exact_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sups = saturation_sups([1.0, 2.0], grid, data)
+        assert calls == [2]
+        assert sups == exact_sups([1.0, 2.0], grid, data)
+        assert sups[0] == 1.7976931348623157e308 - 1.0
