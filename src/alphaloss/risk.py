@@ -36,10 +36,12 @@ rounding. The ``value_and_grad`` oracle makes its one-point buffer set
 once, when it is built. Grid scans take every order they need from one
 margin pass over the grid.
 
-The saturation scan needs only the max of the gaps, so it sums with a
-certified float filter (Shewchuk 1997, *Adaptive precision floating-point
-arithmetic and fast robust geometric predicates*): pairwise float sums
-under a proven bound, and exact sums only where the bound cannot decide.
+The saturation scan needs only the max of the gaps, and the SLQC sweep and
+gradient-infimum estimate only verdicts, counts and a few extremes, so
+they sum with a certified float filter (Shewchuk 1997, *Adaptive precision
+floating-point arithmetic and fast robust geometric predicates*): pairwise
+float sums under a proven bound (``float_means``), and exact sums only
+where the bound cannot decide.
 With u = 2^-53, a float sum S of n terms in any order is within
 gamma * sum|x| of the exact sum s, gamma = (n-1)u / (1 - (n-1)u) (Higham
 2002, *Accuracy and Stability of Numerical Algorithms*). Loss terms are
@@ -54,6 +56,22 @@ which pays for rounding the bound and both sides of the filter's
 comparison. A division that underflows errs by up to 2^-1075 instead, so
 each mean's bound adds 2^-1070 (float sums and differences of subnormals
 are exact).
+
+Gradient rows have terms of both signs, -w_i s_ij, with gradient weights
+w_i >= 0 and label-signed features of norm at most 1 + t, t =
+UNIT_BALL_TOL (``Dataset`` checks the computed norm, which is within
+(d/2 + 1) u of the true one). With the rounding of each product, sum|x| <=
+(1 + t)(1 + (d + 4) u) sum w. The same pass sums the weights pairwise
+(``_terms`` leaves -w in the log p buffer), W = fl(fl(sum w) / n), so
+sum w / n <= (1 + 1.03 gamma + u) W. The argument above, with sum|x| / n
+in place of M, bounds the mean's error by (1.011 gamma + 3.03 u) sum|x| / n
+<= (1.011 gamma + 3.03 u)(1 + 1.04 gamma + 1.01 (d + 5) u)(1 + t) W, which
+for (d + 5) u <= 0.01 is below (1.04 gamma + 3.1 u)(1 + t) W: kappa (1 + t)
+W bounds it with room for its own rounding. A product that underflows
+adds at most 2^-1075 to the mean of |x|, which the 2^-1070 pays for. So
+every gradient row of a point has the bound ``_approx_mean_error((1 + t)
+W, n)`` (``float_means``). ``exact_rows`` then runs the exact sums on the
+rows that the bounds cannot settle.
 """
 
 from __future__ import annotations
@@ -104,6 +122,8 @@ __all__ = [
     "risk_grads",
     "risk_values_grads",
     "exact_row_sums",
+    "float_means",
+    "exact_rows",
     "landscape_scans",
     "saturation_sup",
     "saturation_sups",
@@ -313,9 +333,11 @@ def _terms(logp: np.ndarray, data: Dataset, alphas, grad_alpha=None, out: np.nda
     return out.reshape(-1, data.n)
 
 
-def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True) -> np.ndarray:
+def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True,
+           weights: np.ndarray | None = None) -> np.ndarray:
     """(points, rows) means of the ``_terms`` rows: one margin pass and one sum per block,
-    exactly rounded, or pairwise with ``exact`` False (error: ``_approx_mean_error``)."""
+    exactly rounded, or pairwise with ``exact`` False; then ``weights``, if given with
+    ``grad_alpha``, receives each point's mean gradient weight, summed pairwise too."""
     alphas = [check_alpha(a) for a in alphas]
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
     pts = _as_points(thetas, data)
@@ -336,6 +358,8 @@ def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True
         terms = _terms(logp, data, alphas, grad_alpha, out=terms_buf[:k * rows * n].reshape(k, rows, n), tmp=tmp)
         sums = _extract_sums(terms, n, scratch) if exact else np.add.reduce(terms, axis=1) / n
         out[sl] = sums.reshape(k, rows)
+        if weights is not None and grad_alpha is not None:
+            weights[sl] = np.add.reduce(logp, axis=1) / -n  # logp now holds -w
     return out
 
 
@@ -344,6 +368,38 @@ def _approx_mean_error(means: np.ndarray, n: int) -> np.ndarray:
     nonnegative terms: kappa_n * mean + 2^-1070 (see the module docstring)."""
     u = 2.0 ** -53
     return 2.0 * ((n - 1) * u / (1.0 - (n - 1) * u) + 5.0 * u) * means + 2.0 ** -1070
+
+
+def float_means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_means`` rows summed pairwise in floats, and a proven bound on
+    each one's distance from the exact mean: (means, bounds), both (points,
+    rows). A loss row's bound is ``_approx_mean_error`` of its mean (inf
+    where the mean is negative, which nonnegative terms cannot give); a
+    point's gradient rows share ``_approx_mean_error`` of (1 +
+    UNIT_BALL_TOL) times its mean gradient weight (see the module
+    docstring). A mean or bound that is not finite settles nothing."""
+    pts = _as_points(thetas, data)
+    weights = np.zeros(len(pts))
+    means = _means(pts, data, alphas, grad_alpha, exact=False, weights=weights)
+    k = len(alphas)
+    bounds = np.empty_like(means)
+    with np.errstate(all="ignore"):  # an overflow is an inf, which callers treat as no bound
+        bounds[:, :k] = np.where(means[:, :k] >= 0.0, _approx_mean_error(means[:, :k], data.n), np.inf)
+        bounds[:, k:] = _approx_mean_error((1.0 + UNIT_BALL_TOL) * weights, data.n)[:, None]
+    return means, bounds
+
+
+def exact_rows(evaluate, points: np.ndarray, keep: np.ndarray):
+    """The rows of ``points`` where ``keep`` holds, and ``evaluate`` of them
+    in one call: (row indices, result), with result None when no row is
+    kept. When one row of several is kept, the first other row joins it:
+    a one-point call rounds its margins differently, so only a call of two
+    or more points gives a row the bits of the whole batch."""
+    keep = np.array(keep, dtype=bool)
+    if 0 < np.count_nonzero(keep) < min(2, len(points)):
+        keep[np.argmin(keep)] = True
+    rows = np.flatnonzero(keep)
+    return rows, (evaluate(points[rows]) if rows.size else None)
 
 
 def risk_values_multi(alphas, thetas, data: Dataset) -> np.ndarray:
@@ -490,9 +546,9 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
     in ``alphas``, in input order: the bits of the max over
     ``landscape_scans``, with its errors. A filter pass sums every order
     in floats; a node stays when its gap plus its bound reaches the largest
-    gap minus its bound, and only those nodes (at least two, grid allowing)
-    get exact sums. An order equal to the reference has sup 0.0. A mean
-    that is not finite, could be negative, or has no finite bound sends
+    gap minus its bound, and only those nodes get exact sums, in one
+    ``exact_rows`` call. An order equal to the reference has sup 0.0. A
+    mean or bound that is not finite (a negative loss mean has none) sends
     the scan to ``landscape_scans``.
 
     Every order must lie in [1, inf]; the gap obeys the Lipschitz-in-1/alpha
@@ -507,22 +563,20 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
     nodes = _grid_nodes(grid, data)
     orders = [a for a in dict.fromkeys(alphas) if a != reference]
     with np.errstate(all="ignore"):  # a non-finite mean goes to landscape_scans, which reports it
-        means = _means(nodes, data, [*orders, reference], exact=False)
-        errors = _approx_mean_error(means, data.n)
+        means, errors = float_means(nodes, data, [*orders, reference])
         gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
-        ok = np.all(means >= 0) and np.all(np.isfinite(means + errors))
+        ok = np.all(np.isfinite(means + errors))
     if not ok:
         _, risks = landscape_scans([*alphas, reference], grid, data)
         return np.max(np.abs(risks[:, :-1] - risks[:, -1:]), axis=0).tolist()
     keep = np.any(gaps + bounds >= np.max(gaps - bounds, axis=0), axis=1)
-    if 0 < np.count_nonzero(keep) < min(2, len(nodes)):
-        keep[np.argmin(keep)] = True  # a one-point call rounds its margins differently
     sups = dict.fromkeys(alphas, 0.0)
     if orders:
         with np.errstate(all="ignore"):
-            exact = risk_values_multi([*orders, reference], nodes[keep], data)
+            _, exact = exact_rows(lambda pts: risk_values_multi([*orders, reference], pts, data), nodes, keep)
         sups.update(zip(orders, np.max(np.abs(exact[:, :-1] - exact[:, -1:]), axis=0).tolist()))
     return [sups[a] for a in alphas]
+
 
 def saturation_sup(alpha: float, alpha2: float, grid: GridSpec, data: Dataset) -> float:
     """Largest grid-node gap |risk(alpha) - risk(alpha2)| between two orders

@@ -19,12 +19,27 @@ for alpha <= 1, sampled SLQC sweeps, a sampled upper estimate of the
 gradient-norm infimum over the high-risk region, and the closed-form
 evolution of (epsilon, epsilon/kappa) as alpha grows from a base order.
 A sampled sweep is necessarily one-sided evidence; the reports say so.
-``_verdicts`` is the one verdict rule: a few masks over the arrays of a
-batch of points, whose dot products and norms keep ``np.dot``'s bits.
-``check_slqc_point`` returns the entry that ``slqc_sweep`` reports for a
-point; both take values and gradients from one margin pass
-(``risk_values_grads``) and agree up to rounding (the margin matmul rounds
-a one-row batch differently).
+``_rule`` is the one verdict rule: a few masks over the arrays of a batch
+of points, whose dot products and norms keep ``np.dot``'s bits.
+``check_slqc_point`` applies it to exact values and gradients from one
+margin pass (``risk_values_grads``, in ``_verdicts``) and returns the entry
+that ``slqc_sweep`` reports for a point; the two agree up to rounding (the
+margin matmul rounds a one-row batch differently).
+
+The sweep and the gradient-infimum estimate need verdicts, counts and a
+few extremes, not every exact sum, so both run risk's certified float
+filter. One float pass (``float_means``) gives every point its values and
+gradients with proven error bounds, and the bounds are carried through the
+gap subtraction, ``np.vecdot``, ``_norms`` and the rho product, each bound
+doubled to pay for the rounding of both paths and of the bound itself,
+plus 2^-500 for products and squares that underflow. Rounding is
+monotone, so every exact result lies in [fl(x - e), fl(x + e)] for a float
+x within e of it, and a threshold outside that interval settles the
+comparison. A point whose quantities stay below 2^1000 leaves its exact
+counterparts no room to overflow. Only the points that the intervals
+cannot settle, or that may hold a reported number, go through one exact
+pass (``exact_rows``); a float mean or bound that is not finite sends the
+whole call down the exact path.
 """
 
 from __future__ import annotations
@@ -53,11 +68,19 @@ from .numerics import (
     sample_ball,
     vector_norm,
 )
-from .risk import Dataset, risk_grads, risk_values, risk_values_grads
+from .risk import Dataset, exact_rows, float_means, risk_grads, risk_values, risk_values_grads
 
 # Absolute slack applied to both SLQC inequalities; empirical risks are
 # finite sums with bounded rounding.
 SLQC_TOL = 1e-9
+
+_U = 2.0 ** -53
+# Absolute slack in the float filter's norm and inner-product bounds: it
+# covers squares and products that underflow, sqrt(d 2^-1074) at most.
+_TINY = 2.0 ** -500
+# Below this the float filter's quantities and bounds leave their exact
+# counterparts no room to overflow.
+_CALM = 2.0 ** 1000
 
 __all__ = [
     "SLQC_TOL",
@@ -129,15 +152,12 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset):
-    """Classify each row of ``points`` (one margin pass over theta0, one over
-    the points). Per row: the index of its ``Verdict``, the value gap,
+def _rule(params: SlqcParams, points: np.ndarray, gaps: np.ndarray, grads: np.ndarray):
+    """The verdict rule on the value gaps and gradients at the rows of
+    ``points``. Per row: the index of its ``Verdict``, the value gap,
     <-g, theta0 - theta>, rho ||g|| (0 where g = 0), and whether it lies in
     the epsilon/kappa ball, where only the value gap can hold (the cone
     condition would need a zero gradient)."""
-    base = risk_values(alpha, params.theta0, data)[0]
-    values, grads = risk_values_grads(alpha, points, data)
-    gaps = values - base
     with np.errstate(all="ignore"):  # an overflow is an inf, as in float arithmetic
         to_center = params.theta0 - points
         inner = np.vecdot(-grads, to_center)
@@ -146,6 +166,71 @@ def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Datase
         inside = _norms(to_center) <= params.rho
         cone = (grad_norms > 0.0) & ~inside & (inner - rho_grad >= -SLQC_TOL)
     kind = np.select([gaps <= params.epsilon + SLQC_TOL, cone], [0, 1], default=2)
+    return kind, gaps, inner, rho_grad, inside
+
+
+def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset):
+    """``_rule`` on exact sums: one margin pass over theta0, one over the points."""
+    base = risk_values(alpha, params.theta0, data)[0]
+    values, grads = risk_values_grads(alpha, points, data)
+    return _rule(params, points, values - base, grads)
+
+
+def _gap_error(gaps: np.ndarray, value_bounds: np.ndarray) -> np.ndarray:
+    """Bound on |float gap - exact gap| for gaps fl(value - base) of float
+    values within ``value_bounds`` of the exact ones."""
+    return 2.0 * (value_bounds + 2.0 * _U * np.abs(gaps))
+
+
+def _norm_error(norms: np.ndarray, grad_bounds: np.ndarray, d: int) -> np.ndarray:
+    """Bound on |float norm - exact norm| (``_norms`` or ``row_norms``) for
+    gradients whose coordinates lie within ``grad_bounds`` of the exact
+    ones: sqrt(d) times that, plus each norm's rounding, (d/2 + 1) u."""
+    return 2.0 * (math.sqrt(d) * grad_bounds + 2.0 * (d + 2) * _U * norms) + _TINY
+
+
+def _sweep_verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset):
+    """``_verdicts`` through the float filter: the kinds of every row, and
+    the numbers of every row that may be Neither, hold the largest value
+    gap or hold the smallest cone margin, are those of ``_verdicts``; the
+    other rows keep float numbers, which the sweep's report never reads
+    (every one lies strictly inside the reported extremes)."""
+    base = risk_values(alpha, params.theta0, data)[0]
+    means, bounds = float_means(points, data, (alpha,), alpha)
+    with np.errstate(all="ignore"):
+        finite = math.isfinite(base) and np.all(np.isfinite(means + bounds))
+    if not finite:
+        return _verdicts(alpha, params, points, data)
+    grads, grad_bounds = means[:, 1:], bounds[:, 1]  # a point's gradient rows share one bound
+    _, gaps, inner, rho_grad, inside = _rule(params, points, means[:, 0] - base, grads)
+    with np.errstate(all="ignore"):
+        e_gap = _gap_error(gaps, bounds[:, 0])
+        norms = _norms(grads)
+        e_norm = _norm_error(norms, grad_bounds, data.dim)
+        offsets = np.abs(params.theta0 - points)
+        spread = np.vecdot(np.abs(grads), offsets)  # sum |g_j (theta0 - theta)_j|
+        e_inner = 2.0 * (grad_bounds * np.sum(offsets, axis=1) + 2.0 * data.dim * _U * spread) + _TINY
+        e_rho = 2.0 * (params.rho * e_norm + 2.0 * _U * rho_grad)
+        margins = inner - rho_grad
+        e_margin = 2.0 * (e_inner + e_rho + 2.0 * _U * np.abs(margins))
+        calm = spread + e_inner + norms + e_norm + rho_grad + e_rho < _CALM
+        gap_lo, gap_hi = gaps - e_gap, gaps + e_gap
+        margin_lo = margins - e_margin
+        passes = gap_hi <= params.epsilon + SLQC_TOL
+        fails = gap_lo > params.epsilon + SLQC_TOL
+        cone = fails & calm & ~inside & (norms - e_norm > 0.0) & (margin_lo >= -SLQC_TOL)
+        # The smallest cone margin is at most every settled failing point's upper end.
+        ceiling = np.min((margins + e_margin)[fails & calm], initial=math.inf)
+        may_be_neither = ~(passes | cone)
+        may_top_gap = gap_hi >= np.max(gap_lo)
+        may_least_margin = ~passes & ~(calm & (margin_lo > ceiling))
+    rows, found = exact_rows(lambda pts: risk_values_grads(alpha, pts, data), points,
+                             may_be_neither | may_top_gap | may_least_margin)
+    kind = np.where(passes, 0, 1)
+    if rows.size:
+        values, exact_grads = found
+        for whole, part in zip((kind, gaps, inner, rho_grad), _rule(params, points[rows], values - base, exact_grads)):
+            whole[rows] = part
     return kind, gaps, inner, rho_grad, inside
 
 
@@ -195,7 +280,7 @@ def slqc_sweep(alpha: float, params: SlqcParams, data: Dataset, r: float, n_poin
     alpha = check_alpha(alpha)
     check_in_ball(params.theta0, r, "theta0")
     points = _ball_points(rng, data.dim, r, n_points, "n_points")
-    verdicts = kind, gaps, inner, rho_grad, _ = _verdicts(alpha, params, points, data)
+    verdicts = kind, gaps, inner, rho_grad, _ = _sweep_verdicts(alpha, params, points, data)
     worst_cone = float(np.min((inner - rho_grad)[kind > 0], initial=math.inf))
     return {
         "kind": "sampled SLQC sweep (necessary evidence, not a proof)",
@@ -236,6 +321,12 @@ def estimate_grad_infimum(
     sampled point qualifies. Sampling can only over-estimate an infimum,
     so downstream windows computed from this value are optimistic;
     consumers should shrink it by a safety factor when that matters.
+
+    Both passes run the float filter and return the bits of exact sums:
+    float values decide which points qualify, and only points whose gap
+    may lie on either side of epsilon0 get exact values; float gradients of
+    the qualifying points bound their norms, and only points whose norm
+    may be the smallest get exact gradients and ``row_norms``.
     """
     alpha0 = check_alpha(alpha0)
     epsilon0 = float(epsilon0)
@@ -244,11 +335,33 @@ def estimate_grad_infimum(
     points = _ball_points(rng, data.dim, r, budget, "budget")
     theta0 = as_vector(theta0, "theta0")
     base = risk_values(alpha0, theta0, data)[0]
-    qualifying = risk_values(alpha0, points, data) - base > epsilon0
+    means, bounds = float_means(points, data, (alpha0,))
+    with np.errstate(all="ignore"):
+        gaps = means[:, 0] - base
+        e_gap = _gap_error(gaps, bounds[:, 0])
+        finite = math.isfinite(base) and np.all(np.isfinite(means + bounds))
+    if not finite:
+        qualifying = risk_values(alpha0, points, data) - base > epsilon0
+    else:
+        qualifying = gaps - e_gap > epsilon0
+        near = ~qualifying & ~(gaps + e_gap <= epsilon0)
+        rows, values = exact_rows(lambda pts: risk_values(alpha0, pts, data), points, near)
+        if rows.size:
+            qualifying[rows] = values - base > epsilon0
     if not np.any(qualifying):
         return math.inf
-    norms = row_norms(risk_grads(alpha0, points[qualifying], data))
-    return float(np.min(norms))
+    points = points[qualifying]
+    means, bounds = float_means(points, data, (), alpha0)
+    with np.errstate(all="ignore"):
+        norms = row_norms(means)
+        e_norm = _norm_error(norms, bounds[:, 0], data.dim)
+        finite = np.all(np.isfinite(means + bounds))
+        ceiling = np.min(norms + e_norm)
+        least = ~(norms - e_norm > ceiling) | ~(ceiling < _CALM)
+    if not finite:
+        return float(np.min(row_norms(risk_grads(alpha0, points, data))))
+    _, grads = exact_rows(lambda pts: risk_grads(alpha0, pts, data), points, least)
+    return float(np.min(row_norms(grads)))
 
 
 # ---------------------------------------------------------------------------

@@ -734,6 +734,24 @@ def filter_cases(draw):
     return data, pts, alphas
 
 
+@st.composite
+def grad_filter_cases(draw):
+    """A dataset of 1-5 dimensions and 1 to a few thousand samples in the
+    unit ball, up to 6 points, and one gradient order, below 1 among them.
+    Below order 1 the weights grow like exp(margin (1/alpha - 1)), so the
+    points keep norms up to 10 there (up to 600 at or above order 1)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    xs = rng.normal(size=(n, d))
+    xs *= (rng.uniform(0.0, 1.0, n) / np.maximum(np.linalg.norm(xs, axis=1), 1e-300))[:, None]
+    data = Dataset(xs, rng.choice([-1, 1], n))
+    alpha = draw(st.one_of(st.sampled_from([0.3, 0.5, 0.9, 1.0, 1.0 + 1e-7, 2.0, INFINITY]), st.floats(0.25, 50.0)))
+    radius = draw(st.sampled_from([1.0, 10.0] if alpha < 1.0 else [1.0, 10.0, 600.0]))
+    pts = rng.uniform(-radius, radius, (draw(st.integers(1, 6)), d))
+    return data, pts, alpha
+
+
 def exact_sups(alphas, grid, data, reference=INFINITY):
     """The oracle: the max of |risk(alpha) - risk(reference)| over ``landscape_scans``."""
     _, risks = landscape_scans([*alphas, reference], grid, data)
@@ -762,6 +780,48 @@ class TestSaturationFilter:
         exact = risk._means(pts, data, alphas)
         assert np.all(approx >= 0)
         assert np.all(np.abs(approx - exact) <= risk._approx_mean_error(approx, data.n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(grad_filter_cases())
+    def test_float_gradient_mean_lies_within_its_bound(self, case):
+        # Gradient terms have both signs; their bound comes from the weights' sum.
+        data, pts, alpha = case
+        approx, bounds = risk.float_means(pts, data, (alpha,), alpha)
+        exact = risk._means(pts, data, (alpha,), alpha)
+        assert np.all(np.isfinite(approx + bounds))
+        assert np.all(np.abs(approx - exact) <= bounds)
+        assert np.all(bounds[:, 1:] == bounds[:, 1:2])  # one bound for a point's gradient rows
+
+    def test_float_means_leave_the_rows_bits(self, fig2_small):
+        # The float pass sums the same terms as the exact one: only the sums differ.
+        pts = np.array([[0.5, -1.0], [2.0, 3.0], [-4.0, 1.0]])
+        approx, _ = risk.float_means(pts, fig2_small, (0.5, 2.0), 2.0)
+        assert np.array_equal(approx, risk._means(pts, fig2_small, (0.5, 2.0), 2.0, exact=False))
+
+    def test_negative_loss_mean_has_no_bound(self, fig2_small, monkeypatch):
+        original = risk.loss_from_logp
+        monkeypatch.setattr(risk, "loss_from_logp", lambda alpha, logp, out=None: np.negative(
+            original(alpha, logp, out=out), out=out))
+        means, bounds = risk.float_means([[1.0, 1.0], [0.0, 0.0]], fig2_small, (1.0,), 1.0)
+        assert np.all(means[:, 0] < 0) and np.all(bounds[:, 0] == np.inf)
+        assert np.all(np.isfinite(bounds[:, 1:]))
+
+    def test_exact_rows_never_call_one_point_of_several(self):
+        calls = []
+
+        def evaluate(pts):
+            calls.append(pts.tolist())
+            return pts.sum(axis=1)
+
+        points = np.arange(8.0).reshape(4, 2)
+        rows, found = risk.exact_rows(evaluate, points, [False, False, True, False])
+        assert rows.tolist() == [0, 2] and calls == [[[0.0, 1.0], [4.0, 5.0]]] and found.tolist() == [1.0, 9.0]
+        rows, found = risk.exact_rows(evaluate, points, [True, False, True, True])
+        assert rows.tolist() == [0, 2, 3] and found.tolist() == [1.0, 9.0, 13.0]
+        rows, found = risk.exact_rows(evaluate, points, np.zeros(4, dtype=bool))
+        assert rows.tolist() == [] and found is None and len(calls) == 2
+        rows, found = risk.exact_rows(evaluate, points[:1], [True])
+        assert rows.tolist() == [0] and calls[-1] == [[0.0, 1.0]]
 
     def test_bound(self):
         u = 2.0 ** -53
@@ -815,7 +875,7 @@ class TestSaturationFilter:
         error = 2999 * u / (1.0 - 2999 * u) + 3.0 * u
         means, approximations = risk._means, []
 
-        def adversarial(thetas, data, alphas=(), grad_alpha=None, exact=True):
+        def adversarial(thetas, data, alphas=(), grad_alpha=None, exact=True, weights=None):
             out = means(thetas, data, alphas, grad_alpha)
             if not exact:
                 out *= 1.0 + error * rng.choice([-1.0, 1.0], out.shape)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from alphaloss import risk, slqc
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import INFINITY, lipschitz_in_inv_alpha, lipschitz_in_theta, grad_lipschitz_in_inv_alpha
-from alphaloss.numerics import RngState, sample_ball, sigmoid, vector_norm
+from alphaloss.numerics import RngState, row_norms, sample_ball, sigmoid, vector_norm
 from alphaloss.risk import Dataset, empirical_risk, empirical_risk_grad
 from alphaloss.slqc import (
     SLQC_TOL,
@@ -229,20 +229,28 @@ class TestSweepOracle:
             for key in ("value_gap", "inner", "rho_grad_norm"):
                 assert_same_up_to_rounding(got[key], entry[key])
 
-    def test_sweep_takes_one_margin_pass_over_its_points(self, fig2_small, monkeypatch):
-        calls = []
-        original = risk._logp
+    def test_sweep_takes_one_float_pass_and_one_small_exact_pass(self, fig2_small, monkeypatch):
+        passes = []
+        means, logp = risk._means, risk._logp
 
-        def counting(pts, data, **buffers):
-            calls.append(len(pts))
-            return original(pts, data, **buffers)
+        def counting_means(thetas, data, alphas=(), grad_alpha=None, exact=True, weights=None):
+            passes.append((exact, []))
+            return means(thetas, data, alphas, grad_alpha, exact, weights)
 
-        monkeypatch.setattr(risk, "_logp", counting)
+        def counting_logp(pts, data, **buffers):
+            passes[-1][1].append(len(pts))
+            return logp(pts, data, **buffers)
+
+        monkeypatch.setattr(risk, "_means", counting_means)
+        monkeypatch.setattr(risk, "_logp", counting_logp)
         slqc_sweep(1.0, self.params(1.0), fig2_small, self.R, self.N_POINTS, RngState(self.SEED))
-        # theta0's one call, then the points in blocks that cover each point
-        # once and never hold one point alone
-        assert calls[0] == 1
-        assert sum(calls[1:]) == self.N_POINTS and min(calls[1:]) >= 2
+        (base_exact, base_blocks), (float_exact, float_blocks), (last_exact, last_blocks) = passes
+        # theta0's exact one-point pass; the float pass, in blocks that cover
+        # each point once and never hold one point alone; then one exact
+        # pass of a few points, never one alone
+        assert base_exact and base_blocks == [1]
+        assert not float_exact and sum(float_blocks) == self.N_POINTS and min(float_blocks) >= 2
+        assert last_exact and 2 <= sum(last_blocks) <= 16 and min(last_blocks) >= 2
 
     def test_the_kappas_exercise_every_compared_field(self, fig2_small):
         def oracle(kappa_scale):
@@ -278,6 +286,247 @@ def classify_oracle(theta, params, gap, grad):
 
 def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def whole_batch_verdicts(alpha, params, points, data):
+    """The oracle: ``slqc._verdicts`` as it stood before the float filter,
+    exact sums for every point."""
+    base = risk.risk_values(alpha, params.theta0, data)[0]
+    values, grads = risk.risk_values_grads(alpha, points, data)
+    gaps = values - base
+    with np.errstate(all="ignore"):
+        to_center = params.theta0 - points
+        inner = np.vecdot(-grads, to_center)
+        grad_norms = slqc._norms(grads)
+        rho_grad = np.multiply(params.rho, grad_norms, out=np.zeros_like(grad_norms), where=grad_norms > 0.0)
+        inside = slqc._norms(to_center) <= params.rho
+        cone = (grad_norms > 0.0) & ~inside & (inner - rho_grad >= -SLQC_TOL)
+    kind = np.select([gaps <= params.epsilon + SLQC_TOL, cone], [0, 1], default=2)
+    return kind, gaps, inner, rho_grad, inside
+
+
+def whole_batch_grad_infimum(alpha0, epsilon0, r, theta0, data, budget, rng):
+    """The oracle: ``estimate_grad_infimum`` as it stood before the float
+    filter, exact sums for every point."""
+    points = slqc._ball_points(rng, data.dim, r, budget, "budget")
+    base = risk.risk_values(alpha0, np.asarray(theta0, dtype=float), data)[0]
+    qualifying = risk.risk_values(alpha0, points, data) - base > epsilon0
+    if not np.any(qualifying):
+        return math.inf
+    return float(np.min(row_norms(risk.risk_grads(alpha0, points[qualifying], data))))
+
+
+def outcome(fn, *args):
+    """The repr of ``fn(*args)``, which shows every float's bits, or the
+    message of the NumericError it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return repr(fn(*args))
+    except NumericError as exc:
+        return f"NumericError: {exc}"
+
+
+def whole_batch_sweep(*args):
+    """``slqc_sweep``'s report from the whole-batch verdicts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slqc, "_sweep_verdicts", whole_batch_verdicts)
+        return outcome(slqc_sweep, *args)
+
+
+def record_exact_points(patch) -> list:
+    """Record the points of every batch that ``slqc`` sends to an exact pass."""
+    calls = []
+    for name in ("risk_values", "risk_grads", "risk_values_grads"):
+        def counting(alpha, thetas, data, original=getattr(slqc, name)):
+            if np.ndim(thetas) == 2:
+                calls.append(np.array(thetas))
+            return original(alpha, thetas, data)
+
+        patch.setattr(slqc, name, counting)
+    return calls
+
+
+# (order, radius): at 0.0016 the weights reach about 1e245 on the radius-0.5
+# ball, whose gradients' squares overflow, and overflow on the radius-1 ball,
+# where the float sums are not finite and the exact path decides (it may
+# raise NumericError)
+FILTER_ORDERS = [(0.5, 3.5), (1.0, 5.0), (2.0, 5.0), (INFINITY, 5.0), (0.0016, 0.5), (0.0016, 1.0)]
+
+
+class TestFilteredCertificate:
+    """The float-filtered sweep and gradient-infimum estimate against the
+    whole-batch exact oracles, bit for bit (errors included)."""
+
+    @staticmethod
+    def sampled_gap(alpha, theta0, data, r, count, seed, pick):
+        """An exact value gap of one of the points a sweep or estimate with
+        this seed draws (None when no gap exceeds 2 SLQC_TOL)."""
+        points = slqc._ball_points(RngState(seed), data.dim, r, count, "count")
+        with np.errstate(all="ignore"):
+            gaps = risk.risk_values(alpha, points, data) - risk.risk_values(alpha, theta0, data)[0]
+        gaps = gaps[np.isfinite(gaps) & (gaps > 2.0 * SLQC_TOL)]
+        return float(gaps[pick % gaps.size]) if gaps.size else None
+
+    @staticmethod
+    def threshold_rhos(alpha, epsilon, theta0, data, points):
+        """Per point, the rho that puts its exact cone margin on -SLQC_TOL
+        (up to rounding), and whether the point can take it: it fails the
+        value gap epsilon and lies outside the ball of that rho."""
+        with np.errstate(all="ignore"):
+            base = risk.risk_values(alpha, theta0, data)[0]
+            values, grads = risk.risk_values_grads(alpha, points, data)
+            offsets = theta0 - points
+            rhos = (np.vecdot(-grads, offsets) + SLQC_TOL) / slqc._norms(grads)
+            fit = (values - base > 2.0 * epsilon) & (rhos > 0.0) & (slqc._norms(offsets) > rhos)
+        return rhos, fit & np.isfinite(rhos)
+
+    def kappa_on_a_margin(self, alpha, epsilon, theta0, data, r, count, seed, pick):
+        """A kappa that puts the cone margin of one of the points a sweep
+        with this seed draws on -SLQC_TOL (None when no point can)."""
+        points = slqc._ball_points(RngState(seed), data.dim, r, count, "count")
+        rhos, fit = self.threshold_rhos(alpha, epsilon, theta0, data, points)
+        rhos = rhos[fit]
+        return float(epsilon / rhos[pick % rhos.size]) if rhos.size else None
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(FILTER_ORDERS), st.sampled_from([1, 2, 3, 40, 300]), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-3, 0.02, 1.0]), st.sampled_from(["on a gap", 0.05, 0.4]), st.integers(0, 299),
+           st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)))
+    def test_sweep_has_the_whole_batch_bits(self, fig2_small, order, n_points, seed, kappa_scale, epsilon, pick,
+                                            center):
+        alpha, r = order
+        theta0 = np.array(center) * r
+        if epsilon == "on a gap":  # epsilon + SLQC_TOL lands on (or next to) an exact gap: the undecided path
+            gap = self.sampled_gap(alpha, theta0, fig2_small, r, n_points, seed, pick)
+            epsilon = 0.05 if gap is None else gap - SLQC_TOL
+        params = SlqcParams(epsilon, lipschitz_in_theta(1.0, r) * kappa_scale, theta0)
+        args = (alpha, params, fig2_small, r, n_points)
+        assert outcome(slqc_sweep, *args, RngState(seed)) == whole_batch_sweep(*args, RngState(seed))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(FILTER_ORDERS), st.sampled_from([1, 2, 3, 40, 300]), st.integers(0, 2**32 - 1),
+           st.sampled_from(["on a gap", 0.05, 0.4]), st.integers(0, 299),
+           st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)))
+    def test_grad_infimum_has_the_whole_batch_bits(self, fig2_small, order, budget, seed, epsilon0, pick, center):
+        alpha, r = order
+        theta0 = np.array(center) * r
+        if epsilon0 == "on a gap":  # a point whose gap equals epsilon0 does not qualify, one ulp above does
+            gap = self.sampled_gap(alpha, theta0, fig2_small, r, budget, seed, pick)
+            epsilon0 = 0.05 if gap is None else gap
+        args = (alpha, epsilon0, r, theta0, fig2_small, budget)
+        assert outcome(estimate_grad_infimum, *args, RngState(seed)) == outcome(
+            whole_batch_grad_infimum, *args, RngState(seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(FILTER_ORDERS[:5]), st.sampled_from([2, 3, 300]), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-3, 0.02, 1.0, "on a margin"]), st.integers(0, 299), st.sampled_from([1.0, 1e6, 1e10]))
+    def test_float_errors_as_large_as_their_bounds_keep_the_bits(self, fig2_small, order, count, seed, kappa_scale,
+                                                                pick, widen):
+        # Every float mean moved to within 0.1% of its bound's edge, on
+        # either side of the exact mean, with epsilon on a sampled gap or
+        # kappa putting a sampled cone margin on -SLQC_TOL. A wider bound
+        # is still a bound: widened up to 1e10 times (about 1e-3 of each
+        # value), it leaves many points unsettled, and the intervals must
+        # still keep every point the report reads.
+        alpha, r = order
+        theta0 = np.array([0.3, -0.2]) * r
+        gap = self.sampled_gap(alpha, theta0, fig2_small, r, count, seed, pick) or 0.05
+        epsilon, kappa = gap - SLQC_TOL, lipschitz_in_theta(1.0, r)
+        if kappa_scale == "on a margin":
+            epsilon = 1e-3
+            kappa = self.kappa_on_a_margin(alpha, epsilon, theta0, fig2_small, r, count, seed, pick) or kappa
+        else:
+            kappa *= kappa_scale
+        params = SlqcParams(epsilon, kappa, theta0)
+        signs = np.random.default_rng(seed)
+
+        def adversarial(thetas, data, alphas=(), grad_alpha=None):
+            _, bounds = risk.float_means(thetas, data, alphas, grad_alpha)
+            bounds = bounds * widen
+            exact = risk._means(thetas, data, alphas, grad_alpha)
+            return exact + 0.999 * bounds * signs.choice([-1.0, 1.0], bounds.shape), bounds
+
+        sweep, estimate = (alpha, params, fig2_small, r, count), (alpha, gap, r, theta0, fig2_small, count)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(slqc, "float_means", adversarial)
+            got = outcome(slqc_sweep, *sweep, RngState(seed)), outcome(estimate_grad_infimum, *estimate, RngState(seed))
+        assert got == (whole_batch_sweep(*sweep, RngState(seed)),
+                       outcome(whole_batch_grad_infimum, *estimate, RngState(seed)))
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_float_margins_pushed_over_the_threshold_go_exact(self, fig2_small, seed):
+        # kappa puts a Neither point's exact cone margin within rounding
+        # below -SLQC_TOL, taking the point farthest from theta0 for its
+        # rho among those that can; then every float gradient coordinate is
+        # moved by 0.999 of its bound in the direction that raises its
+        # point's margin. The float margin crosses the threshold, and only
+        # the carried bound keeps the point out of the gradient cone.
+        alpha, r, epsilon, theta0 = 1.0, 5.0, 1e-3, np.array([1.5, -1.0])
+        points = slqc._ball_points(RngState(seed), 2, r, 300, "n_points")
+        rhos, fit = self.threshold_rhos(alpha, epsilon, theta0, fig2_small, points)
+        distances = slqc._norms(theta0 - points)
+        for i in sorted(np.flatnonzero(fit), key=lambda i: rhos[i] / distances[i]):
+            params = SlqcParams(epsilon, epsilon / rhos[i], theta0)
+            if whole_batch_verdicts(alpha, params, points, fig2_small)[0][i] == 2:
+                break
+        else:
+            pytest.fail("no sampled point sits just below the cone threshold")
+
+        def raised(thetas, data, alphas=(), grad_alpha=None):
+            _, bounds = risk.float_means(thetas, data, alphas, grad_alpha)
+            exact = risk._means(thetas, data, alphas, grad_alpha)
+            g = exact[:, 1:]
+            uphill = np.sign(-(params.theta0 - thetas) - params.rho * g / slqc._norms(g)[:, None])
+            exact[:, 1:] += 0.999 * bounds[:, 1:] * uphill
+            return exact, bounds
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(slqc, "float_means", raised)
+            report = outcome(slqc_sweep, alpha, params, fig2_small, r, 300, RngState(seed))
+        assert report == whole_batch_sweep(alpha, params, fig2_small, r, 300, RngState(seed))
+
+    def test_every_neither_diagnostic_comes_from_the_exact_pass(self, fig2_small):
+        oracle = TestSweepOracle()
+        args = (1.0, oracle.params(1e-3), fig2_small, oracle.R, oracle.N_POINTS)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_exact_points(patch)
+            report = slqc_sweep(*args, RngState(oracle.SEED))
+        assert report["counts"]["neither"] > 10 and len(report["neither_diagnostics"]) == 10
+        assert len(calls) == 1
+        exact = {tuple(p) for p in calls[0].tolist()}
+        assert all(tuple(entry["point"]) in exact for entry in report["neither_diagnostics"])
+        assert repr(report) == whole_batch_sweep(*args, RngState(oracle.SEED))
+
+    def test_a_threshold_just_below_a_gap_is_settled_exactly(self, fig2_small):
+        # epsilon0 one ulp below the exact gap of a point whose gradient norm
+        # is below that of every point with a larger gap: the point just
+        # qualifies and holds the estimate, and only its exact value shows
+        # that it qualifies
+        theta0, budget, seed = np.array([1.2, 0.9]), 300, 4
+        points = slqc._ball_points(RngState(seed), 2, 5.0, budget, "budget")
+        gaps = risk.risk_values(1.0, points, fig2_small) - risk.risk_values(1.0, theta0, fig2_small)[0]
+        norms = row_norms(risk.risk_grads(1.0, points, fig2_small))
+        records = [i for i in np.argsort(-gaps) if norms[i] < np.min(norms[gaps > gaps[i]], initial=math.inf)]
+        record = [i for i in records if gaps[i] > 0.0][-1]
+        epsilon0 = float(np.nextafter(gaps[record], -math.inf))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_exact_points(patch)
+            estimate = estimate_grad_infimum(1.0, epsilon0, 5.0, theta0, fig2_small, budget, RngState(seed))
+        assert estimate == norms[record] == whole_batch_grad_infimum(1.0, epsilon0, 5.0, theta0, fig2_small, budget,
+                                                                    RngState(seed))
+        assert [len(c) for c in calls] == [2, 2]
+
+    def test_non_finite_float_means_take_the_exact_path(self, fig2_small):
+        # Order 0.0016 on the radius-1 ball: some weights overflow, so both
+        # passes go through today's exact calls over every point.
+        params = SlqcParams(0.05, 1.0, np.array([0.1, -0.1]))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_exact_points(patch)
+            with np.errstate(all="ignore"):
+                report = slqc_sweep(0.0016, params, fig2_small, 1.0, 40, RngState(2))
+        assert [len(c) for c in calls] == [40]
+        assert report["worst_value_gap"] == math.inf
+        assert repr(report) == whole_batch_sweep(0.0016, params, fig2_small, 1.0, 40, RngState(2))
 
 
 class TestArrayVerdicts:
