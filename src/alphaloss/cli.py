@@ -44,7 +44,7 @@ from .data import (
 )
 from .errors import DomainError, NumericError, ParseError, UsageError
 from .loss import curvature_floor, format_alpha, lipschitz_in_inv_alpha, lipschitz_in_theta, parse_alpha
-from .numerics import RngState, check_positive_finite, csv_text, min_eigen_sym, sample_ball, vector_norm
+from .numerics import RngState, check_positive_finite, csv_text, min_eigen_sym, read_text, sample_ball, vector_norm
 from .risk import Dataset, GridSpec, landscape_scans, saturation_sups, value_and_grad
 
 OUT_ENV_VAR = "ALPHALOSS_OUT"
@@ -80,8 +80,7 @@ def _load_json_object(path, what: str) -> dict:
     """The JSON object in ``path``; malformed JSON or another JSON type is a
     parse error."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+        obj = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON {what}: {exc}") from None
     if not isinstance(obj, dict):

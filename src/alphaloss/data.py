@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaLossError, DomainError, NumericError, ParseError, UsageError
-from .numerics import RngState, as_sym_matrix, as_vector, cholesky, csv_text, row_norms
+from .numerics import RngState, as_sym_matrix, as_vector, cholesky, csv_text, read_text, row_norms
 from .risk import Dataset
 
 __all__ = [
@@ -186,33 +186,31 @@ def read_csv(path) -> Dataset:
     ParseError with their line number, unit-ball violations DomainError."""
     xs = []
     ys = []
-    dim = None
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header.startswith("y,"):
-            raise ParseError(f"{path}: line 1: expected header starting with 'y,'")
-        dim = len(header.strip().split(",")) - 1
-        for lineno, line in enumerate(handle, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            fields = text.split(",")
-            if len(fields) != dim + 1:
-                raise ParseError(f"{path}: line {lineno}: expected {dim + 1} fields, got {len(fields)}")
-            try:
-                label = int(fields[0])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: label {fields[0]!r} is not an integer") from None
-            if label not in (-1, 1):
-                raise ParseError(f"{path}: line {lineno}: label must be -1 or 1, got {label}")
-            try:
-                row = [float(f) for f in fields[1:]]
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
-            if not all(math.isfinite(v) for v in row):
-                raise ParseError(f"{path}: line {lineno}: non-finite feature")
-            xs.append(row)
-            ys.append(label)
+    header, *lines = read_text(path).split("\n")
+    if not header.startswith("y,"):
+        raise ParseError(f"{path}: line 1: expected header starting with 'y,'")
+    dim = len(header.strip().split(",")) - 1
+    for lineno, line in enumerate(lines, start=2):
+        text = line.strip()
+        if not text:
+            continue
+        fields = text.split(",")
+        if len(fields) != dim + 1:
+            raise ParseError(f"{path}: line {lineno}: expected {dim + 1} fields, got {len(fields)}")
+        try:
+            label = int(fields[0])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: label {fields[0]!r} is not an integer") from None
+        if label not in (-1, 1):
+            raise ParseError(f"{path}: line {lineno}: label must be -1 or 1, got {label}")
+        try:
+            row = [float(f) for f in fields[1:]]
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric feature") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ParseError(f"{path}: line {lineno}: non-finite feature")
+        xs.append(row)
+        ys.append(label)
     if not xs:
         raise ParseError(f"{path}: no data rows")
     return Dataset(np.array(xs), np.array(ys))

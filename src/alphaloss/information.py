@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ParseError, UsageError
 from .loss import alpha_loss, check_alpha, is_log_order
+from .numerics import read_text
 
 PROB_SUM_TOL = 1e-12
 
@@ -206,18 +207,17 @@ def load_matrix_csv(path) -> np.ndarray:
     """Load a plain CSV matrix of probabilities (row = feature, column =
     label). Raises ParseError with the offending line number."""
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            fields = text.split(",")
-            if rows and len(fields) != len(rows[0]):
-                raise ParseError(f"{path}: line {lineno}: expected {len(rows[0])} fields, got {len(fields)}")
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric entry") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = text.split(",")
+        if rows and len(fields) != len(rows[0]):
+            raise ParseError(f"{path}: line {lineno}: expected {len(rows[0])} fields, got {len(fields)}")
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric entry") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.array(rows)

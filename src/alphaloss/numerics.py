@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, ParseError, UsageError
 
 SYM_TOL = 1e-12
 
@@ -38,6 +38,7 @@ __all__ = [
     "RngState",
     "sample_ball",
     "csv_text",
+    "read_text",
 ]
 
 
@@ -318,3 +319,12 @@ def csv_text(header, rows, comments=()) -> str:
     and anything else, such as an int or preformatted text, ``str(v)``."""
     lines = [*(f"# {c}" for c in comments), ",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]
     return "".join(line + "\n" for line in lines)
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; other bytes raise ParseError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

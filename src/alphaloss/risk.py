@@ -70,8 +70,8 @@ for (d + 5) u <= 0.01 is below (1.04 gamma + 3.1 u)(1 + t) W: kappa (1 + t)
 W bounds it with room for its own rounding. A product that underflows
 adds at most 2^-1075 to the mean of |x|, which the 2^-1070 pays for. So
 every gradient row of a point has the bound ``_approx_mean_error((1 + t)
-W, n)`` (``float_means``). ``exact_rows`` then runs the exact sums on the
-rows that the bounds cannot settle.
+W, n)`` (``float_means``). Rows the bounds cannot settle, such as a point
+without finite means and bounds (``unbounded_as_nan``), go to ``exact_rows``.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ __all__ = [
     "risk_values_grads",
     "exact_row_sums",
     "float_means",
+    "unbounded_as_nan",
+    "may_hold_max",
     "exact_rows",
     "landscape_scans",
     "saturation_sup",
@@ -380,13 +382,25 @@ def float_means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> tuple[np.n
     docstring). A mean or bound that is not finite settles nothing."""
     pts = _as_points(thetas, data)
     weights = np.zeros(len(pts))
-    means = _means(pts, data, alphas, grad_alpha, exact=False, weights=weights)
     k = len(alphas)
-    bounds = np.empty_like(means)
-    with np.errstate(all="ignore"):  # an overflow is an inf, which callers treat as no bound
+    with np.errstate(all="ignore"):  # an overflow is an inf, which settles nothing
+        means = _means(pts, data, alphas, grad_alpha, exact=False, weights=weights)
+        bounds = np.empty_like(means)
         bounds[:, :k] = np.where(means[:, :k] >= 0.0, _approx_mean_error(means[:, :k], data.n), np.inf)
         bounds[:, k:] = _approx_mean_error((1.0 + UNIT_BALL_TOL) * weights, data.n)[:, None]
     return means, bounds
+
+
+def unbounded_as_nan(means: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``float_means``' (means, bounds), with NaN bounds on every point (row) whose
+    means and bounds are not all finite: a NaN end settles no comparison."""
+    return means, np.where((np.isfinite(means) & np.isfinite(bounds)).all(axis=1, keepdims=True), bounds, np.nan)
+
+
+def may_hold_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which intervals [lo, hi] may hold their column's largest value: ``hi`` is not
+    below the column's largest ``lo``. A NaN end settles nothing: kept, left out of the max."""
+    return np.isnan(lo) | ~(hi < np.fmax.reduce(lo, axis=0, initial=-np.inf))  # fmax passes over NaN
 
 
 def exact_rows(evaluate, points: np.ndarray, keep: np.ndarray):
@@ -521,6 +535,18 @@ def _grid_nodes(grid: GridSpec, data: Dataset) -> np.ndarray:
     return nodes
 
 
+def _checked_risks(orders, thetas, data: Dataset) -> np.ndarray:
+    """``risk_values_multi`` of ``orders`` at ``thetas``, with the scan's finiteness and sign checks."""
+    with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
+        values = risk_values_multi(orders, thetas, data)
+    bad = [format_alpha(a) for a, ok in zip(orders, np.isfinite(values).all(axis=0)) if not ok]
+    if bad:
+        raise NumericError(f"risk is not finite at some grid node for order(s) {', '.join(bad)}")
+    if np.any(values < 0):
+        raise DomainError("risk values must be nonnegative")
+    return values
+
+
 def landscape_scans(alphas, grid: GridSpec, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The grid's nodes, row-major with masked nodes omitted, and the
     empirical risk at every node: (nodes, risks), one risk column per order
@@ -531,25 +557,16 @@ def landscape_scans(alphas, grid: GridSpec, data: Dataset) -> tuple[np.ndarray, 
     alphas = [check_alpha(a) for a in alphas]
     nodes = _grid_nodes(grid, data)
     orders = list(dict.fromkeys(alphas))
-    with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
-        values = risk_values_multi(orders, nodes, data)
-    bad = [format_alpha(a) for a, ok in zip(orders, np.isfinite(values).all(axis=0)) if not ok]
-    if bad:
-        raise NumericError(f"risk is not finite at some grid node for order(s) {', '.join(bad)}")
-    if np.any(values < 0):
-        raise DomainError("risk values must be nonnegative")
-    return nodes, values[:, [orders.index(a) for a in alphas]]
+    return nodes, _checked_risks(orders, nodes, data)[:, [orders.index(a) for a in alphas]]
 
 
 def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = math.inf) -> list[float]:
     """Largest grid-node gap |risk(alpha) - risk(reference)| for each order
     in ``alphas``, in input order: the bits of the max over
-    ``landscape_scans``, with its errors. A filter pass sums every order
-    in floats; a node stays when its gap plus its bound reaches the largest
-    gap minus its bound, and only those nodes get exact sums, in one
-    ``exact_rows`` call. An order equal to the reference has sup 0.0. A
-    mean or bound that is not finite (a negative loss mean has none) sends
-    the scan to ``landscape_scans``.
+    ``landscape_scans([*alphas, reference], ...)``, with its errors. A filter
+    pass sums every order in floats; only the nodes that may hold a largest
+    gap, or have no usable bound, get exact sums and the scan's checks, in
+    one ``exact_rows`` call. An order equal to the reference has sup 0.0.
 
     Every order must lie in [1, inf]; the gap obeys the Lipschitz-in-1/alpha
     bound L_r * |1/alpha - 1/reference| when the grid sits inside the
@@ -561,20 +578,16 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
     if low:
         raise DomainError(f"saturation scan requires orders >= 1, got {', '.join(map(repr, low))}")
     nodes = _grid_nodes(grid, data)
-    orders = [a for a in dict.fromkeys(alphas) if a != reference]
-    with np.errstate(all="ignore"):  # a non-finite mean goes to landscape_scans, which reports it
-        means, errors = float_means(nodes, data, [*orders, reference])
+    orders = list(dict.fromkeys([*alphas, reference]))  # the scan's sequence, in which its errors name orders
+    means, errors = unbounded_as_nan(*float_means(nodes, data, [*(a for a in orders if a != reference), reference]))
+    with np.errstate(all="ignore"):
         gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
-        ok = np.all(np.isfinite(means + errors))
-    if not ok:
-        _, risks = landscape_scans([*alphas, reference], grid, data)
-        return np.max(np.abs(risks[:, :-1] - risks[:, -1:]), axis=0).tolist()
-    keep = np.any(gaps + bounds >= np.max(gaps - bounds, axis=0), axis=1)
-    sups = dict.fromkeys(alphas, 0.0)
-    if orders:
-        with np.errstate(all="ignore"):
-            _, exact = exact_rows(lambda pts: risk_values_multi([*orders, reference], pts, data), nodes, keep)
-        sups.update(zip(orders, np.max(np.abs(exact[:, :-1] - exact[:, -1:]), axis=0).tolist()))
+        # With no order but the reference, a node without bounds still needs the scan's checks.
+        keep = np.isnan(errors[:, -1]) | np.any(may_hold_max(gaps - bounds, gaps + bounds), axis=1)
+    _, exact = exact_rows(lambda pts: _checked_risks(orders, pts, data), nodes, keep)
+    if exact is None:  # every order is the reference
+        return [0.0] * len(alphas)
+    sups = dict(zip(orders, np.max(np.abs(exact - exact[:, [orders.index(reference)]]), axis=0).tolist()))
     return [sups[a] for a in alphas]
 
 

@@ -21,10 +21,10 @@ evolution of (epsilon, epsilon/kappa) as alpha grows from a base order.
 A sampled sweep is necessarily one-sided evidence; the reports say so.
 ``_rule`` is the one verdict rule: a few masks over the arrays of a batch
 of points, whose dot products and norms keep ``np.dot``'s bits.
-``check_slqc_point`` applies it to exact values and gradients from one
-margin pass (``risk_values_grads``, in ``_verdicts``) and returns the entry
-that ``slqc_sweep`` reports for a point; the two agree up to rounding (the
-margin matmul rounds a one-row batch differently).
+``_verdicts``, the one verdict function, gives ``slqc_sweep`` its arrays
+and ``check_slqc_point`` the sweep's entry for one point, which always
+reaches the exact pass; the two agree up to rounding (the margin matmul
+rounds a one-row batch differently).
 
 The sweep and the gradient-infimum estimate need verdicts, counts and a
 few extremes, not every exact sum, so both run risk's certified float
@@ -38,8 +38,8 @@ x within e of it, and a threshold outside that interval settles the
 comparison. A point whose quantities stay below 2^1000 leaves its exact
 counterparts no room to overflow. Only the points that the intervals
 cannot settle, or that may hold a reported number, go through one exact
-pass (``exact_rows``); a float mean or bound that is not finite sends the
-whole call down the exact path.
+pass (``exact_rows``), among them every point whose float means or
+bounds are not all finite (``unbounded_as_nan``).
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ from .numerics import (
     sample_ball,
     vector_norm,
 )
-from .risk import Dataset, exact_rows, float_means, risk_grads, risk_values, risk_values_grads
+from .risk import (Dataset, exact_rows, float_means, may_hold_max, risk_grads, risk_values, risk_values_grads,
+                   unbounded_as_nan)
 
 # Absolute slack applied to both SLQC inequalities; empirical risks are
 # finite sums with bounded rounding.
@@ -169,13 +170,6 @@ def _rule(params: SlqcParams, points: np.ndarray, gaps: np.ndarray, grads: np.nd
     return kind, gaps, inner, rho_grad, inside
 
 
-def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset):
-    """``_rule`` on exact sums: one margin pass over theta0, one over the points."""
-    base = risk_values(alpha, params.theta0, data)[0]
-    values, grads = risk_values_grads(alpha, points, data)
-    return _rule(params, points, values - base, grads)
-
-
 def _gap_error(gaps: np.ndarray, value_bounds: np.ndarray) -> np.ndarray:
     """Bound on |float gap - exact gap| for gaps fl(value - base) of float
     values within ``value_bounds`` of the exact ones."""
@@ -189,21 +183,17 @@ def _norm_error(norms: np.ndarray, grad_bounds: np.ndarray, d: int) -> np.ndarra
     return 2.0 * (math.sqrt(d) * grad_bounds + 2.0 * (d + 2) * _U * norms) + _TINY
 
 
-def _sweep_verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset):
-    """``_verdicts`` through the float filter: the kinds of every row, and
-    the numbers of every row that may be Neither, hold the largest value
-    gap or hold the smallest cone margin, are those of ``_verdicts``; the
-    other rows keep float numbers, which the sweep's report never reads
-    (every one lies strictly inside the reported extremes)."""
+def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Dataset):
+    """``_rule`` at the rows of ``points`` through the float filter: the
+    kinds of every row, and the numbers of every row that may be Neither or
+    hold the largest value gap or smallest cone margin, are those of
+    ``_rule`` on exact sums (the largest gap always keeps a row, so a single
+    point goes exact); the report never reads the other rows' float numbers."""
     base = risk_values(alpha, params.theta0, data)[0]
-    means, bounds = float_means(points, data, (alpha,), alpha)
-    with np.errstate(all="ignore"):
-        finite = math.isfinite(base) and np.all(np.isfinite(means + bounds))
-    if not finite:
-        return _verdicts(alpha, params, points, data)
+    means, bounds = unbounded_as_nan(*float_means(points, data, (alpha,), alpha))
     grads, grad_bounds = means[:, 1:], bounds[:, 1]  # a point's gradient rows share one bound
-    _, gaps, inner, rho_grad, inside = _rule(params, points, means[:, 0] - base, grads)
     with np.errstate(all="ignore"):
+        _, gaps, inner, rho_grad, inside = _rule(params, points, means[:, 0] - base, grads)
         e_gap = _gap_error(gaps, bounds[:, 0])
         norms = _norms(grads)
         e_norm = _norm_error(norms, grad_bounds, data.dim)
@@ -219,18 +209,15 @@ def _sweep_verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: 
         passes = gap_hi <= params.epsilon + SLQC_TOL
         fails = gap_lo > params.epsilon + SLQC_TOL
         cone = fails & calm & ~inside & (norms - e_norm > 0.0) & (margin_lo >= -SLQC_TOL)
-        # The smallest cone margin is at most every settled failing point's upper end.
-        ceiling = np.min((margins + e_margin)[fails & calm], initial=math.inf)
         may_be_neither = ~(passes | cone)
-        may_top_gap = gap_hi >= np.max(gap_lo)
-        may_least_margin = ~passes & ~(calm & (margin_lo > ceiling))
+        may_top_gap = may_hold_max(gap_lo, gap_hi)
+        # The smallest cone margin is the largest negated one; only settled failing points bound it.
+        may_least_margin = ~passes & may_hold_max(np.where(fails & calm, -(margins + e_margin), np.nan), -margin_lo)
     rows, found = exact_rows(lambda pts: risk_values_grads(alpha, pts, data), points,
                              may_be_neither | may_top_gap | may_least_margin)
     kind = np.where(passes, 0, 1)
-    if rows.size:
-        values, exact_grads = found
-        for whole, part in zip((kind, gaps, inner, rho_grad), _rule(params, points[rows], values - base, exact_grads)):
-            whole[rows] = part
+    for whole, part in zip((kind, gaps, inner, rho_grad), _rule(params, points[rows], found[0] - base, found[1])):
+        whole[rows] = part
     return kind, gaps, inner, rho_grad, inside
 
 
@@ -280,7 +267,7 @@ def slqc_sweep(alpha: float, params: SlqcParams, data: Dataset, r: float, n_poin
     alpha = check_alpha(alpha)
     check_in_ball(params.theta0, r, "theta0")
     points = _ball_points(rng, data.dim, r, n_points, "n_points")
-    verdicts = kind, gaps, inner, rho_grad, _ = _sweep_verdicts(alpha, params, points, data)
+    verdicts = kind, gaps, inner, rho_grad, _ = _verdicts(alpha, params, points, data)
     worst_cone = float(np.min((inner - rho_grad)[kind > 0], initial=math.inf))
     return {
         "kind": "sampled SLQC sweep (necessary evidence, not a proof)",
@@ -323,10 +310,9 @@ def estimate_grad_infimum(
     consumers should shrink it by a safety factor when that matters.
 
     Both passes run the float filter and return the bits of exact sums:
-    float values decide which points qualify, and only points whose gap
-    may lie on either side of epsilon0 get exact values; float gradients of
-    the qualifying points bound their norms, and only points whose norm
-    may be the smallest get exact gradients and ``row_norms``.
+    only points whose gap may lie on either side of epsilon0 get exact
+    values, and only qualifying points that may hold the smallest norm get
+    exact gradients.
     """
     alpha0 = check_alpha(alpha0)
     epsilon0 = float(epsilon0)
@@ -335,31 +321,24 @@ def estimate_grad_infimum(
     points = _ball_points(rng, data.dim, r, budget, "budget")
     theta0 = as_vector(theta0, "theta0")
     base = risk_values(alpha0, theta0, data)[0]
-    means, bounds = float_means(points, data, (alpha0,))
+    means, bounds = unbounded_as_nan(*float_means(points, data, (alpha0,)))
     with np.errstate(all="ignore"):
         gaps = means[:, 0] - base
         e_gap = _gap_error(gaps, bounds[:, 0])
-        finite = math.isfinite(base) and np.all(np.isfinite(means + bounds))
-    if not finite:
-        qualifying = risk_values(alpha0, points, data) - base > epsilon0
-    else:
         qualifying = gaps - e_gap > epsilon0
         near = ~qualifying & ~(gaps + e_gap <= epsilon0)
-        rows, values = exact_rows(lambda pts: risk_values(alpha0, pts, data), points, near)
-        if rows.size:
-            qualifying[rows] = values - base > epsilon0
+    rows, values = exact_rows(lambda pts: risk_values(alpha0, pts, data), points, near)
+    if rows.size:
+        qualifying[rows] = values - base > epsilon0
     if not np.any(qualifying):
         return math.inf
     points = points[qualifying]
-    means, bounds = float_means(points, data, (), alpha0)
+    means, bounds = unbounded_as_nan(*float_means(points, data, (), alpha0))
     with np.errstate(all="ignore"):
         norms = row_norms(means)
         e_norm = _norm_error(norms, bounds[:, 0], data.dim)
-        finite = np.all(np.isfinite(means + bounds))
-        ceiling = np.min(norms + e_norm)
-        least = ~(norms - e_norm > ceiling) | ~(ceiling < _CALM)
-    if not finite:
-        return float(np.min(row_norms(risk_grads(alpha0, points, data))))
+        # The smallest norm is the largest of the negated intervals.
+        least = may_hold_max(-(norms + e_norm), e_norm - norms) | ~(norms + e_norm < _CALM)
     _, grads = exact_rows(lambda pts: risk_grads(alpha0, pts, data), points, least)
     return float(np.min(row_norms(grads)))
 

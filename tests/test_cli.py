@@ -608,6 +608,23 @@ class TestConfigAndHelp:
         cfg.write_text("{not json")
         assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path)) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["landscape", "--grid-count", "3", "--data"],
+        ["gen-data", "--config"],
+        ["gen-data", "--spec-json"],
+        ["tilted", "--alpha", "1", "--joint"],
+        ["tilted", "--alpha", "1", "--joint", "{joint}", "--posterior"],
+    ])
+    def test_input_file_that_is_not_utf8_is_parse_error(self, tmp_path, capsys, argv):
+        bad, joint, out = tmp_path / "bad.txt", tmp_path / "joint.csv", tmp_path / "out"
+        bad.write_bytes(b"y,x1\n1,\xff\n")
+        joint.write_text("0.4,0.1\n0.1,0.4\n")
+        argv = [a.format(joint=joint) for a in argv]
+        assert run(*argv, str(bad), "--out", str(out)) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"parse error: {bad}: not UTF-8 text")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", [5], None])
     def test_config_value_that_is_not_a_number_is_usage_error(self, tmp_path, value):
         cfg = tmp_path / "cfg.json"

@@ -940,8 +940,25 @@ class TestSaturationFilter:
                 saturation_sups([2.0, 1.0], grid, data)
         assert str(sup.value) == str(scan.value)
 
+    @pytest.mark.parametrize("alphas, reference", [([1.0, 1.0000001], 1.0), ([1.0, 1.0], 1.0)])
+    def test_scan_errors_name_the_orders_in_the_scan_sequence(self, alphas, reference):
+        # The scan names the orders in dict.fromkeys([*alphas, reference])
+        # order, here "1.0, 1.0000001" (not the reference last); with no
+        # order but the reference, the nodes still reach the scan's check.
+        data = Dataset(np.array([[0.6, 0.8]]), np.array([1]))
+        grid = GridSpec(((-1.7e308, -1.6e308, 2), (-1.7e308, -1.6e308, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as scan:
+                landscape_scans([*alphas, reference], grid, data)
+            with pytest.raises(NumericError) as sup:
+                saturation_sups(alphas, grid, data, reference=reference)
+        assert str(sup.value) == str(scan.value)
+        assert len(set(alphas)) == 1 or str(scan.value).endswith("order(s) 1.0, 1.0000001")
+
     def test_negative_mean_falls_back_to_the_scan_error(self, fig2_small, monkeypatch):
-        # Negated loss rows: every mean is negative, so the filter cannot bound its terms.
+        # Negated loss rows: every mean is negative, so the filter cannot
+        # bound its terms, and every node goes to the exact pass.
         original = risk.loss_from_logp
         monkeypatch.setattr(risk, "loss_from_logp", lambda alpha, logp, out=None: np.negative(
             original(alpha, logp, out=out), out=out))
@@ -955,7 +972,7 @@ class TestSaturationFilter:
 
     def test_bound_past_the_float_range_falls_back_to_the_scan(self, monkeypatch):
         # The order-1 loss at the margin -1.8e308 is the largest float: its
-        # mean is finite, its bound is not, and the full scan gives the sup.
+        # mean is finite, its bound is not, and the exact pass gives the sup.
         data = Dataset(np.array([[1.0]]), np.array([1]))
         grid = GridSpec(((-1.7976931348623157e308, -1.7e308, 2),))
         calls = record_exact_calls(monkeypatch)

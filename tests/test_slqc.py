@@ -10,6 +10,7 @@ from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import INFINITY, lipschitz_in_inv_alpha, lipschitz_in_theta, grad_lipschitz_in_inv_alpha
 from alphaloss.numerics import RngState, row_norms, sample_ball, sigmoid, vector_norm
 from alphaloss.risk import Dataset, empirical_risk, empirical_risk_grad
+from test_risk import exact_sups
 from alphaloss.slqc import (
     SLQC_TOL,
     EvolutionRow,
@@ -228,6 +229,7 @@ class TestSweepOracle:
             assert (got["point"], got["verdict"], got.get("note")) == (entry["point"], "neither", entry.get("note"))
             for key in ("value_gap", "inner", "rho_grad_norm"):
                 assert_same_up_to_rounding(got[key], entry[key])
+            assert repr(got) == repr(one_point_entry(1.0, params, entry["point"], fig2_small))
 
     def test_sweep_takes_one_float_pass_and_one_small_exact_pass(self, fig2_small, monkeypatch):
         passes = []
@@ -289,8 +291,8 @@ def bits(values):
 
 
 def whole_batch_verdicts(alpha, params, points, data):
-    """The oracle: ``slqc._verdicts`` as it stood before the float filter,
-    exact sums for every point."""
+    """The oracle: the verdict arrays as they stood before the float
+    filter, exact sums for every point."""
     base = risk.risk_values(alpha, params.theta0, data)[0]
     values, grads = risk.risk_values_grads(alpha, points, data)
     gaps = values - base
@@ -329,7 +331,7 @@ def outcome(fn, *args):
 def whole_batch_sweep(*args):
     """``slqc_sweep``'s report from the whole-batch verdicts."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(slqc, "_sweep_verdicts", whole_batch_verdicts)
+        patch.setattr(slqc, "_verdicts", whole_batch_verdicts)
         return outcome(slqc_sweep, *args)
 
 
@@ -453,6 +455,40 @@ class TestFilteredCertificate:
         assert got == (whole_batch_sweep(*sweep, RngState(seed)),
                        outcome(whole_batch_grad_infimum, *estimate, RngState(seed)))
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(FILTER_ORDERS[:5]), st.sampled_from([1, 2, 3, 40]), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.sampled_from([1e-3, 0.02, 1.0]),
+           st.sampled_from([0.05, 0.4, INFINITY]),
+           st.lists(st.sampled_from([1.0, 2.0, INFINITY]), min_size=1, max_size=3), st.sampled_from([2.0, INFINITY]))
+    def test_rows_without_a_usable_bound_keep_the_bits(self, fig2_small, order, count, seed, share, kappa_scale,
+                                                       epsilon, alphas, reference):
+        # A stand-in for float_means spoils a random share of its rows: one
+        # mean or one bound of each becomes NaN, inf or -inf. Such a row
+        # settles nothing and must reach the exact pass, and no NaN may
+        # reach a max: the sweep, the estimate and the saturation sups keep
+        # the whole-batch bits, errors included.
+        alpha, r = order
+        theta0 = np.array([0.3, -0.2]) * r
+        spoil, float_means = np.random.default_rng(seed), risk.float_means
+
+        def spoiled(thetas, data, alphas=(), grad_alpha=None):
+            means, bounds = float_means(thetas, data, alphas, grad_alpha)
+            for i in np.flatnonzero(spoil.random(len(means)) < share):
+                target = means if spoil.random() < 0.5 else bounds
+                target[i, spoil.integers(target.shape[1])] = spoil.choice([np.nan, np.inf, -np.inf])
+            return means, bounds
+
+        sweep = (alpha, SlqcParams(epsilon, lipschitz_in_theta(1.0, r) * kappa_scale, theta0), fig2_small, r, count)
+        estimate = (alpha, 0.05, r, theta0, fig2_small, count)
+        scan = (alphas, risk.GridSpec(((-r, r, count + 1),) * 2), fig2_small, reference)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(slqc, "float_means", spoiled)
+            patch.setattr(risk, "float_means", spoiled)
+            got = (outcome(slqc_sweep, *sweep, RngState(seed)),
+                   outcome(estimate_grad_infimum, *estimate, RngState(seed)), outcome(risk.saturation_sups, *scan))
+        assert got == (whole_batch_sweep(*sweep, RngState(seed)),
+                       outcome(whole_batch_grad_infimum, *estimate, RngState(seed)), outcome(exact_sups, *scan))
+
     @pytest.mark.parametrize("seed", [3, 8, 21])
     def test_float_margins_pushed_over_the_threshold_go_exact(self, fig2_small, seed):
         # kappa puts a Neither point's exact cone margin within rounding
@@ -517,20 +553,33 @@ class TestFilteredCertificate:
         assert [len(c) for c in calls] == [2, 2]
 
     def test_non_finite_float_means_take_the_exact_path(self, fig2_small):
-        # Order 0.0016 on the radius-1 ball: some weights overflow, so both
-        # passes go through today's exact calls over every point.
+        # Order 0.0016 on the radius-1 ball: some weights overflow. Every
+        # point whose float sums are not finite goes to the one exact call,
+        # with the few others that may hold a reported number.
         params = SlqcParams(0.05, 1.0, np.array([0.1, -0.1]))
+        points = slqc._ball_points(RngState(2), 2, 1.0, 40, "n_points")
+        means, bounds = risk.float_means(points, fig2_small, (0.0016,), 0.0016)
+        unsettled = {tuple(p) for p in points[np.isnan(risk.unbounded_as_nan(means, bounds)[1][:, 0])].tolist()}
         with pytest.MonkeyPatch.context() as patch:
             calls = record_exact_points(patch)
             with np.errstate(all="ignore"):
                 report = slqc_sweep(0.0016, params, fig2_small, 1.0, 40, RngState(2))
-        assert [len(c) for c in calls] == [40]
+        assert len(calls) == 1 and 2 <= len(calls[0]) < 40
+        assert unsettled and unsettled <= {tuple(p) for p in calls[0].tolist()}
         assert report["worst_value_gap"] == math.inf
         assert repr(report) == whole_batch_sweep(0.0016, params, fig2_small, 1.0, 40, RngState(2))
 
 
+def one_point_entry(alpha, params, theta, data):
+    """The report entry of ``slqc._rule`` on a one-point exact call."""
+    point = np.array([theta], dtype=float)
+    base = risk.risk_values(alpha, params.theta0, data)[0]
+    values, grads = risk.risk_values_grads(alpha, point, data)
+    return slqc._entry(point, slqc._rule(params, point, values - base, grads), 0)
+
+
 class TestArrayVerdicts:
-    """``slqc._verdicts`` against the per-point rule, bit for bit, on the same
+    """``slqc._rule`` against the per-point rule, bit for bit, on the same
     ``risk_values_grads`` output; the order 0.0016 on a radius-0.5 ball
     gives gradients near 1e175, whose squares overflow."""
 
@@ -546,15 +595,18 @@ class TestArrayVerdicts:
         alpha, scale = order
         points = np.array(coords) * scale
         params = SlqcParams(epsilon, kappa, np.array(center) * scale)
-        kind, gaps, inner, rho_grad, inside = slqc._verdicts(alpha, params, points, fig2_small)
         base = risk.risk_values(alpha, params.theta0, fig2_small)[0]
         values, grads = risk.risk_values_grads(alpha, points, fig2_small)
+        kind, gaps, inner, rho_grad, inside = slqc._rule(params, points, values - base, grads)
         with np.errstate(all="ignore"):
             want = [classify_oracle(p, params, float(v - base), g) for p, v, g in zip(points, values, grads)]
         assert [slqc._KINDS[k] for k in kind] == [w[0] for w in want]
         for got, column in zip((gaps, inner, rho_grad), list(zip(*want))[1:4]):
             assert bits(got) == bits(column)
         assert [bool(k and i) for k, i in zip(kind, inside)] == [bool(w[4]) for w in want]
+        # check_slqc_point: the filter sends a single point to a one-point exact call
+        got = check_slqc_point(alpha, points[0], params, fig2_small, 2.0 * scale)
+        assert repr(got) == repr(one_point_entry(alpha, params, points[0], fig2_small))
 
 
 class TestStrongConvexityModulus:
