@@ -16,7 +16,8 @@ through ``_json_text``, which turns a NaN into a numeric error.
 
 Exit codes: 0 success, 2 usage/domain error, 3 numeric failure (an
 arithmetic overflow or division by zero, or a NaN in an output,
-included), 4 I/O.
+included), 4 I/O. A successful run prints each warning as one
+``warning:`` line after its files; a failing run, only its error line.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -533,7 +535,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         o = _resolve(ns)
-        with np.errstate(all="ignore"):  # the finiteness checks, not numpy warnings, report non-finite values
+        # The finiteness checks, not numpy warnings, report non-finite values; warnings print below.
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
             files = ns.func(o)
         out = Path(os.environ.get(OUT_ENV_VAR, ".") if o.out is None else o.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -543,6 +546,8 @@ def main(argv=None) -> int:
                 handle.write(text)
             os.replace(tmp, path)
             print(path)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         return 0
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

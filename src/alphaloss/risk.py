@@ -70,8 +70,8 @@ for (d + 5) u <= 0.01 is below (1.04 gamma + 3.1 u)(1 + t) W: kappa (1 + t)
 W bounds it with room for its own rounding. A product that underflows
 adds at most 2^-1075 to the mean of |x|, which the 2^-1070 pays for. So
 every gradient row of a point has the bound ``_approx_mean_error((1 + t)
-W, n)`` (``float_means``). Rows the bounds cannot settle, such as a point
-without finite means and bounds (``unbounded_as_nan``), go to ``exact_rows``.
+W, n)`` (``float_means``), which gives NaN bounds to every row of a point
+without finite means and bounds; rows not settled go to ``exact_rows``.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ __all__ = [
     "risk_values_grads",
     "exact_row_sums",
     "float_means",
-    "unbounded_as_nan",
     "may_hold_max",
     "exact_rows",
     "landscape_scans",
@@ -375,26 +374,22 @@ def _approx_mean_error(means: np.ndarray, n: int) -> np.ndarray:
 def float_means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> tuple[np.ndarray, np.ndarray]:
     """The ``_means`` rows summed pairwise in floats, and a proven bound on
     each one's distance from the exact mean: (means, bounds), both (points,
-    rows). A loss row's bound is ``_approx_mean_error`` of its mean (inf
-    where the mean is negative, which nonnegative terms cannot give); a
+    rows). A loss row's bound is ``_approx_mean_error`` of its mean; a
     point's gradient rows share ``_approx_mean_error`` of (1 +
     UNIT_BALL_TOL) times its mean gradient weight (see the module
-    docstring). A mean or bound that is not finite settles nothing."""
+    docstring). Every row of a point whose means and bounds are not all
+    finite, or whose loss mean is negative (nonnegative terms cannot give
+    that), gets a NaN bound, which settles no comparison."""
     pts = _as_points(thetas, data)
     weights = np.zeros(len(pts))
     k = len(alphas)
     with np.errstate(all="ignore"):  # an overflow is an inf, which settles nothing
         means = _means(pts, data, alphas, grad_alpha, exact=False, weights=weights)
         bounds = np.empty_like(means)
-        bounds[:, :k] = np.where(means[:, :k] >= 0.0, _approx_mean_error(means[:, :k], data.n), np.inf)
+        bounds[:, :k] = np.where(means[:, :k] >= 0.0, _approx_mean_error(means[:, :k], data.n), np.nan)
         bounds[:, k:] = _approx_mean_error((1.0 + UNIT_BALL_TOL) * weights, data.n)[:, None]
+    bounds[~(np.isfinite(means) & np.isfinite(bounds)).all(axis=1)] = np.nan
     return means, bounds
-
-
-def unbounded_as_nan(means: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``float_means``' (means, bounds), with NaN bounds on every point (row) whose
-    means and bounds are not all finite: a NaN end settles no comparison."""
-    return means, np.where((np.isfinite(means) & np.isfinite(bounds)).all(axis=1, keepdims=True), bounds, np.nan)
 
 
 def may_hold_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -579,7 +574,7 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
         raise DomainError(f"saturation scan requires orders >= 1, got {', '.join(map(repr, low))}")
     nodes = _grid_nodes(grid, data)
     orders = list(dict.fromkeys([*alphas, reference]))  # the scan's sequence, in which its errors name orders
-    means, errors = unbounded_as_nan(*float_means(nodes, data, [*(a for a in orders if a != reference), reference]))
+    means, errors = float_means(nodes, data, [*(a for a in orders if a != reference), reference])
     with np.errstate(all="ignore"):
         gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
         # With no order but the reference, a node without bounds still needs the scan's checks.

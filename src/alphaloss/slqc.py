@@ -38,8 +38,8 @@ x within e of it, and a threshold outside that interval settles the
 comparison. A point whose quantities stay below 2^1000 leaves its exact
 counterparts no room to overflow. Only the points that the intervals
 cannot settle, or that may hold a reported number, go through one exact
-pass (``exact_rows``), among them every point whose float means or
-bounds are not all finite (``unbounded_as_nan``).
+pass (``exact_rows``), among them every point to which ``float_means``
+gives NaN bounds. The gradient-infimum estimate takes one float pass.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ from .numerics import (
     sample_ball,
     vector_norm,
 )
-from .risk import (Dataset, exact_rows, float_means, may_hold_max, risk_grads, risk_values, risk_values_grads,
-                   unbounded_as_nan)
+from .risk import Dataset, exact_rows, float_means, may_hold_max, risk_grads, risk_values, risk_values_grads
 
 # Absolute slack applied to both SLQC inequalities; empirical risks are
 # finite sums with bounded rounding.
@@ -190,7 +189,7 @@ def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Datase
     ``_rule`` on exact sums (the largest gap always keeps a row, so a single
     point goes exact); the report never reads the other rows' float numbers."""
     base = risk_values(alpha, params.theta0, data)[0]
-    means, bounds = unbounded_as_nan(*float_means(points, data, (alpha,), alpha))
+    means, bounds = float_means(points, data, (alpha,), alpha)
     grads, grad_bounds = means[:, 1:], bounds[:, 1]  # a point's gradient rows share one bound
     with np.errstate(all="ignore"):
         _, gaps, inner, rho_grad, inside = _rule(params, points, means[:, 0] - base, grads)
@@ -309,10 +308,10 @@ def estimate_grad_infimum(
     so downstream windows computed from this value are optimistic;
     consumers should shrink it by a safety factor when that matters.
 
-    Both passes run the float filter and return the bits of exact sums:
-    only points whose gap may lie on either side of epsilon0 get exact
-    values, and only qualifying points that may hold the smallest norm get
-    exact gradients.
+    One float pass, two exact calls, and the bits of exact sums: only
+    points whose gap may lie on either side of epsilon0 get exact values,
+    and only qualifying points that may hold the smallest norm get exact
+    gradients, in a call drawn from the qualifying points alone.
     """
     alpha0 = check_alpha(alpha0)
     epsilon0 = float(epsilon0)
@@ -321,7 +320,7 @@ def estimate_grad_infimum(
     points = _ball_points(rng, data.dim, r, budget, "budget")
     theta0 = as_vector(theta0, "theta0")
     base = risk_values(alpha0, theta0, data)[0]
-    means, bounds = unbounded_as_nan(*float_means(points, data, (alpha0,)))
+    means, bounds = float_means(points, data, (alpha0,), alpha0)
     with np.errstate(all="ignore"):
         gaps = means[:, 0] - base
         e_gap = _gap_error(gaps, bounds[:, 0])
@@ -332,14 +331,12 @@ def estimate_grad_infimum(
         qualifying[rows] = values - base > epsilon0
     if not np.any(qualifying):
         return math.inf
-    points = points[qualifying]
-    means, bounds = unbounded_as_nan(*float_means(points, data, (), alpha0))
     with np.errstate(all="ignore"):
-        norms = row_norms(means)
-        e_norm = _norm_error(norms, bounds[:, 0], data.dim)
+        norms = row_norms(means[qualifying, 1:])
+        e_norm = _norm_error(norms, bounds[qualifying, 1], data.dim)
         # The smallest norm is the largest of the negated intervals.
         least = may_hold_max(-(norms + e_norm), e_norm - norms) | ~(norms + e_norm < _CALM)
-    _, grads = exact_rows(lambda pts: risk_grads(alpha0, pts, data), points, least)
+    _, grads = exact_rows(lambda pts: risk_grads(alpha0, pts, data), points[qualifying], least)
     return float(np.min(row_norms(grads)))
 
 

@@ -359,6 +359,29 @@ class TestCertify:
         assert rows[0]["epsilon"] == 0.2
         assert rows[-1]["in_window"] is False  # the out-of-window probe row
 
+    def _finite_window(self, out, *extra):
+        """A certify run whose gradient-infimum estimate is finite; its report."""
+        assert run("certify", "--preset", "fig2", "--n", "300", "--seed", "42", "--epsilon0", "0.2", "--sweep", "50",
+                   "--i-budget", "300", "--ngd-epsilon", "0.2", "--out", str(out), *extra) == 0
+        return json.loads((out / "certificate.json").read_text())
+
+    def test_safety_shrinks_the_estimate_that_the_window_uses(self, tmp_path):
+        report = self._finite_window(tmp_path, "--safety", "0.5")
+        inputs, upper = report["inputs"], report["grad_infimum_upper"]
+        assert inputs["safety"] == 0.5 and isinstance(upper, float)
+        assert report["grad_infimum_used"] == upper * 0.5
+        assert report["evolution_window"] == slqc.evolution_window(
+            1.0, inputs["epsilon0"], inputs["kappa0"], inputs["r"], upper * 0.5)
+
+    def test_safety_above_one_is_usage_error_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        assert self._run(out, "--safety", "1.5") == 2
+        assert not out.exists()
+
+    def test_evolution_points_set_the_in_window_rows(self, tmp_path):
+        rows = self._finite_window(tmp_path, "--evolution-points", "3")["evolution"]
+        assert [row["in_window"] for row in rows] == [True, True, True, False]
+
     def test_rerun_byte_identical(self, tmp_path):
         assert self._run(tmp_path) == 0
         once = (tmp_path / "certificate.json").read_bytes()
@@ -432,6 +455,11 @@ class TestNgd:
         assert summary["eta"] == pytest.approx(0.2 / kappa, rel=1e-15)
         assert summary["achieved_gap"] <= 0.2
         assert not (tmp_path / "ngd_trace.csv").exists()
+
+    def test_kappa_sets_the_default_step(self, tmp_path):
+        assert self._run(tmp_path, "--kappa", "2") == 0
+        summary = json.loads((tmp_path / "ngd_summary.json").read_text())
+        assert summary["inputs"]["kappa"] == 2.0 and summary["eta"] == 0.2 / 2.0
 
     def test_zero_eta_is_usage_error(self, tmp_path):
         assert self._run(tmp_path, "--eta", "0") == 2
@@ -590,6 +618,18 @@ class TestTilted:
 
     def test_missing_joint_flag_is_usage_error(self, tmp_path):
         assert run("tilted", "--alpha", "1", "--out", str(tmp_path)) == 2
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_zero_mass_row_warns_in_one_line(self, tmp_path, monkeypatch, capsys):
+        # A successful run prints the warning its command raised as one
+        # "warning:" line, not Python's two-line warning with a source line.
+        monkeypatch.chdir(tmp_path)
+        Path("joint.csv").write_text("0,0\n0.5,0.5\n")
+        assert run("tilted", "--joint", "joint.csv", "--alpha", "2", "--out", "out") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: joint rows [0] have zero marginal mass")
+        digest = hashlib.sha256(Path("out/tilted.json").read_bytes()).hexdigest()
+        assert digest == "067a80374795838fa2bc22420ad9f34e8e9b9977b1d5f1b0e65ff71ebd7f3581"
 
 
 class TestConfigAndHelp:

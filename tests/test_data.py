@@ -93,6 +93,54 @@ class TestSampling:
             sample_gmm(preset("fig2"), 0, RngState(1))
 
 
+def per_row_sample_gmm(spec, n, rng):
+    """The oracle: ``sample_gmm`` as it stood before the batched colouring,
+    one matvec and one mean addition per sample."""
+    d = spec.dim
+    chol = {-1: cholesky(spec.cov_neg), 1: cholesky(spec.cov_pos)}
+    mean = {-1: spec.mean_neg, 1: spec.mean_pos}
+    xs = np.empty((n, d))
+    ys = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        label = -1 if rng.uniform() < spec.prior_neg else 1
+        z = []
+        for _ in range((d + 1) // 2):
+            z.extend(rng.gaussian_pair())
+        xs[i] = mean[label] + chol[label] @ np.array(z[:d])
+        ys[i] = label
+    return xs, ys
+
+
+def mixture_spec(d, seed):
+    """A d-dimensional mixture with distinct random means and covariances."""
+    gen = np.random.default_rng(seed)
+    a, b = gen.normal(size=(d, d)), gen.normal(size=(d, d))
+    return GmmSpec(0.3 + 0.4 * gen.random(), gen.normal(size=d), 3.0 * gen.normal(size=d),
+                   a @ a.T + 0.1 * np.eye(d), b @ b.T + 0.5 * np.eye(d))
+
+
+class TestBatchedColouring:
+    """The per-class stacked colouring against the per-row oracle, bit for bit, and
+    the stream left in the same state (an odd d discards a deviate)."""
+
+    DIMS = (1, 2, 3, 4, 5, 8)
+    SPECS = [*(preset(name) for name in ("fig1", "fig2", "fig3")), *(mixture_spec(d, d) for d in DIMS)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["fig1", "fig2", "fig3", *(f"{d}d" for d in DIMS)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("seed, spawn", [(42, None), (7, None), (123, 0), (42, 5)])
+    def test_bit_equal_to_the_per_row_oracle(self, spec, n, seed, spawn):
+        def stream():
+            rng = RngState(seed)
+            return rng if spawn is None else rng.spawn(spawn)
+
+        got_rng, want_rng = stream(), stream()
+        got = sample_gmm(spec, n, got_rng)
+        want_xs, want_ys = per_row_sample_gmm(spec, n, want_rng)
+        assert np.array_equal(got.xs, want_xs) and np.array_equal(got.ys, want_ys)
+        assert got_rng.next_u64() == want_rng.next_u64()
+
+
 class TestNormalization:
     def test_identity_when_inside_ball(self):
         raw = RawDataset(np.array([[0.1, 0.2], [0.0, -0.5]]), np.array([1, -1]))

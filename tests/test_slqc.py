@@ -462,28 +462,33 @@ class TestFilteredCertificate:
            st.lists(st.sampled_from([1.0, 2.0, INFINITY]), min_size=1, max_size=3), st.sampled_from([2.0, INFINITY]))
     def test_rows_without_a_usable_bound_keep_the_bits(self, fig2_small, order, count, seed, share, kappa_scale,
                                                        epsilon, alphas, reference):
-        # A stand-in for float_means spoils a random share of its rows: one
-        # mean or one bound of each becomes NaN, inf or -inf. Such a row
-        # settles nothing and must reach the exact pass, and no NaN may
+        # A stand-in for the float pass inside float_means spoils a random
+        # share of its points: one mean of each, or its mean gradient
+        # weight (which bounds its gradient rows), becomes NaN, inf or
+        # -inf. float_means' own rule must give such a point NaN bounds, so
+        # it settles nothing and reaches the exact pass, and no NaN may
         # reach a max: the sweep, the estimate and the saturation sups keep
         # the whole-batch bits, errors included.
         alpha, r = order
         theta0 = np.array([0.3, -0.2]) * r
-        spoil, float_means = np.random.default_rng(seed), risk.float_means
+        spoil, means_of = np.random.default_rng(seed), risk._means
 
-        def spoiled(thetas, data, alphas=(), grad_alpha=None):
-            means, bounds = float_means(thetas, data, alphas, grad_alpha)
-            for i in np.flatnonzero(spoil.random(len(means)) < share):
-                target = means if spoil.random() < 0.5 else bounds
-                target[i, spoil.integers(target.shape[1])] = spoil.choice([np.nan, np.inf, -np.inf])
-            return means, bounds
+        def spoiled(thetas, data, alphas=(), grad_alpha=None, exact=True, weights=None):
+            means = means_of(thetas, data, alphas, grad_alpha, exact, weights)
+            if not exact:
+                for i in np.flatnonzero(spoil.random(len(means)) < share):
+                    value = spoil.choice([np.nan, np.inf, -np.inf])
+                    if grad_alpha is not None and spoil.random() < 0.5:
+                        weights[i] = value
+                    else:
+                        means[i, spoil.integers(means.shape[1])] = value
+            return means
 
         sweep = (alpha, SlqcParams(epsilon, lipschitz_in_theta(1.0, r) * kappa_scale, theta0), fig2_small, r, count)
         estimate = (alpha, 0.05, r, theta0, fig2_small, count)
         scan = (alphas, risk.GridSpec(((-r, r, count + 1),) * 2), fig2_small, reference)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(slqc, "float_means", spoiled)
-            patch.setattr(risk, "float_means", spoiled)
+            patch.setattr(risk, "_means", spoiled)
             got = (outcome(slqc_sweep, *sweep, RngState(seed)),
                    outcome(estimate_grad_infimum, *estimate, RngState(seed)), outcome(risk.saturation_sups, *scan))
         assert got == (whole_batch_sweep(*sweep, RngState(seed)),
@@ -552,14 +557,30 @@ class TestFilteredCertificate:
                                                                     RngState(seed))
         assert [len(c) for c in calls] == [2, 2]
 
+    def test_estimate_takes_one_float_pass(self, fig2_small, monkeypatch):
+        # One float pass gives every budget point its value and gradient;
+        # the exact calls that follow sum only a few points.
+        calls, float_means = [], slqc.float_means
+
+        def counting(thetas, data, alphas=(), grad_alpha=None):
+            calls.append((len(thetas), tuple(alphas), grad_alpha))
+            return float_means(thetas, data, alphas, grad_alpha)
+
+        monkeypatch.setattr(slqc, "float_means", counting)
+        with pytest.MonkeyPatch.context() as patch:
+            exact = record_exact_points(patch)
+            estimate = estimate_grad_infimum(1.0, 0.05, 5.0, np.array([1.2, 0.9]), fig2_small, 300, RngState(4))
+        assert math.isfinite(estimate) and calls == [(300, (1.0,), 1.0)]
+        assert 1 <= len(exact) <= 2 and all(2 <= len(points) <= 16 for points in exact)
+
     def test_non_finite_float_means_take_the_exact_path(self, fig2_small):
         # Order 0.0016 on the radius-1 ball: some weights overflow. Every
         # point whose float sums are not finite goes to the one exact call,
         # with the few others that may hold a reported number.
         params = SlqcParams(0.05, 1.0, np.array([0.1, -0.1]))
         points = slqc._ball_points(RngState(2), 2, 1.0, 40, "n_points")
-        means, bounds = risk.float_means(points, fig2_small, (0.0016,), 0.0016)
-        unsettled = {tuple(p) for p in points[np.isnan(risk.unbounded_as_nan(means, bounds)[1][:, 0])].tolist()}
+        _, bounds = risk.float_means(points, fig2_small, (0.0016,), 0.0016)
+        unsettled = {tuple(p) for p in points[np.isnan(bounds[:, 0])].tolist()}
         with pytest.MonkeyPatch.context() as patch:
             calls = record_exact_points(patch)
             with np.errstate(all="ignore"):
