@@ -16,6 +16,10 @@ Lipschitz constant in theta, and the Lipschitz constants of the risk and
 its gradient with respect to 1/alpha.
 
 Each per-sample quantity has one formula, a map over log p (``*_from_logp``).
+The loss and the gradient weight pick their branch once per order
+(``loss_map``, ``neg_grad_weight_map``), so a caller that evaluates one
+order many times, such as the ``value_and_grad`` oracle, resolves its maps
+once; ``loss_from_logp`` and ``grad_weight_from_logp`` apply them.
 
 Numerical policy: every power p^(1-1/alpha) is evaluated as
 exp((1-1/alpha) * log p) with log p obtained from log_sigmoid, so large
@@ -144,40 +148,65 @@ def alpha_loss(alpha: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def loss_map(alpha: float):
+    """The loss map of one order, with its branch (infinite order, log
+    order, other) chosen once: ``map(logp, out)`` writes the pointwise
+    losses of the log-probabilities ``logp`` into ``out`` (a float array of
+    logp's shape, which may be ``logp`` itself) and returns it. A caller
+    evaluating one order many times resolves its map once."""
+    alpha = check_alpha(alpha)
+    if math.isinf(alpha):
+        def one_minus_p(logp, out):
+            np.expm1(logp, out=out)
+            return np.negative(out, out=out)  # 1 - p, stable for p near 1
+        return one_minus_p
+    u = _loss_exponent(alpha)
+    if u is None:
+        return lambda logp, out: np.negative(logp, out=out)
+
+    def power(logp, out):  # -expm1(u log p) / u, the sign moved into the divisor
+        np.multiply(u, logp, out=out)
+        np.expm1(out, out=out)
+        return np.divide(out, -u, out=out)
+    return power
+
+
+def neg_grad_weight_map(alpha: float):
+    """The gradient-weight map of one order, chosen once: ``map(logp, out,
+    tmp)`` writes -w = p^(1-1/alpha) * expm1(log p), the negated weight
+    (see ``grad_weight_from_logp``), into ``out`` (which may be ``logp``
+    itself) and expm1(log p) into ``tmp``, and returns ``out``. IEEE
+    products are sign-symmetric, so -w has the bits of the negated w."""
+    u = _exponent(check_alpha(alpha))
+
+    def neg_weight(logp, out, tmp):
+        np.expm1(logp, out=tmp)  # before ``out``, which may alias logp
+        np.multiply(u, logp, out=out)
+        np.exp(out, out=out)
+        return np.multiply(out, tmp, out=out)
+    return neg_weight
+
+
 def loss_from_logp(alpha: float, logp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise losses from precomputed log-probabilities (so several
     orders can share one log_sigmoid pass over the same margins), into
     ``out`` (a float array of logp's shape, which may be ``logp`` itself;
-    made when it is None)."""
-    alpha = check_alpha(alpha)
+    made when it is None): ``loss_map(alpha)`` applied once."""
     logp = np.asarray(logp, dtype=float)
-    out = np.empty_like(logp) if out is None else out
-    if math.isinf(alpha):
-        np.expm1(logp, out=out)
-        return np.negative(out, out=out)  # 1 - p, stable for p near 1
-    u = _loss_exponent(alpha)
-    if u is None:
-        return np.negative(logp, out=out)
-    np.multiply(u, logp, out=out)
-    np.expm1(out, out=out)
-    np.negative(out, out=out)
-    return np.divide(out, u, out=out)
+    return loss_map(alpha)(logp, np.empty_like(logp) if out is None else out)
 
 
 def grad_weight_from_logp(alpha: float, logp: np.ndarray, out: np.ndarray | None = None,
                           tmp: np.ndarray | None = None) -> np.ndarray:
     """Nonnegative weights w with gradient factor -y * w, from log p:
-    w = p^(1-1/alpha) * (1-p), with 1-p evaluated as -expm1(log p). ``out``
-    (which may be ``logp`` itself) receives w and ``tmp`` the factor 1-p;
-    each is a float array of logp's shape, made when it is None."""
-    alpha = check_alpha(alpha)
-    u = _exponent(alpha)
+    w = p^(1-1/alpha) * (1-p), with 1-p evaluated as -expm1(log p): the
+    negation of ``neg_grad_weight_map``. ``out`` (which may be ``logp``
+    itself) receives w and ``tmp`` expm1(log p); each is a float array of
+    logp's shape, made when it is None."""
     logp = np.asarray(logp, dtype=float)
-    q = np.expm1(logp, out=np.empty_like(logp) if tmp is None else tmp)
-    np.negative(q, out=q)
-    out = np.multiply(u, logp, out=np.empty_like(logp) if out is None else out)
-    np.exp(out, out=out)
-    return np.multiply(out, q, out=out)
+    neg = neg_grad_weight_map(alpha)(logp, np.empty_like(logp) if out is None else out,
+                                     np.empty_like(logp) if tmp is None else tmp)
+    return np.negative(neg, out=neg)
 
 
 def hess_factor_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ class NgdResult:
 
 
 def _check_objective_output(t: int, theta, value: float, grad: np.ndarray):
-    if not math.isfinite(value) or not np.all(np.isfinite(grad)):
+    if not math.isfinite(value) or not np.isfinite(grad).all():
         raise NumericError(
             f"objective returned non-finite output at iteration {t}, theta={list(map(float, theta))!r}"
         )
@@ -128,10 +128,10 @@ def projected_gd_reference(objective, theta1, steps: int, step_size: float,
     """
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
-    if not (float(step_size) > 0.0):
-        raise DomainError(f"step_size must be positive, got {step_size!r}")
+    step_size = check_positive_finite(step_size, "step_size")
     theta = as_vector(theta1, "theta1").copy()
     if radius is not None:
+        radius = check_positive_finite(radius, "radius")
         theta = project_ball(theta, radius)
     best_theta = theta.copy()
     best_value = math.inf
@@ -146,7 +146,7 @@ def projected_gd_reference(objective, theta1, steps: int, step_size: float,
         nxt = theta - step_size * grad
         if radius is not None:
             nxt = project_ball(nxt, radius)
-        if np.array_equal(nxt, theta):
+        if (nxt == theta).all():
             break
         theta = nxt
     return best_theta, best_value

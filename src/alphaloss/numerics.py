@@ -47,7 +47,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise UsageError(f"{name} must be a 1-D array with at least one entry, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} has non-finite entries")
     return arr
 

@@ -14,14 +14,19 @@ bit for bit on the same numpy CPU dispatch and BLAS kernel.
 
 The sums come from error-free extraction (ExtractVector of Rump, Ogita and
 Oishi 2008, *Accurate floating-point summation part I*), in place on each
-block of terms (``_extract_sums``). Per row, sigma is a power of two well
-above the row's largest entry; (sigma + x) - sigma extracts each entry's
-high part exactly, the high parts add up exactly in any order, and the
-exact remainders feed the next, smaller sigma. After a few such folds one
-``math.fsum`` over the row's fold sums rounds the exact total once. Rows
-holding non-finite entries or entries above 2^900 go through ``math.fsum``
-directly (``_fsum_row``), which also stays the tests' oracle; a finite
-mean whose sum passes the float range is taken in a scaled frame there.
+block of terms (``_extract_sums``). One sigma, a power of two well above
+the block's largest entry, serves every row; (sigma + x) - sigma extracts
+each entry's high part exactly, the high parts add up exactly in any
+order, and the exact remainders feed the next, smaller sigma. After a few
+such folds one ``math.fsum`` over each row's fold sums rounds the exact
+total once; when two folds leave no remainder, the one float addition of
+the two fold sums does. A fold costs a fixed handful of numpy calls
+whatever the block's size, so a small block, such as the oracle's three
+rows of 1,000 terms, is bound by the number of calls, not by the
+elements. Rows holding non-finite entries or entries above 2^900 go
+through ``math.fsum`` directly (``_fsum_row``), which also stays the
+tests' oracle; a finite mean whose sum passes the float range is taken in
+a scaled frame there.
 
 Every value, gradient and Hessian starts from one margin pass to log p
 (``_logp``); values and gradients share one terms formula (``_terms``)
@@ -33,8 +38,9 @@ and the extraction run in place, so no block makes an array of its own,
 and the buffers go with the call. The margin matmul rounds a one-row
 batch differently, so a one-point call agrees with a batch only up to
 rounding. The ``value_and_grad`` oracle makes its one-point buffer set
-once, when it is built. Grid scans take every order they need from one
-margin pass over the grid.
+and picks its order's loss and gradient-weight maps (``loss.loss_map``,
+``loss.neg_grad_weight_map``) once, when it is built. Grid scans take
+every order they need from one margin pass over the grid.
 
 The saturation scan needs only the max of the gaps, and the SLQC sweep and
 gradient-infimum estimate only verdicts, counts and a few extremes, so
@@ -88,9 +94,11 @@ from .loss import (
     UNIT_BALL_TOL,
     check_alpha,
     format_alpha,
-    grad_weight_from_logp,
+    grad_weight_from_logp,  # noqa: F401  unused here, but bench/tracer.py rebinds the name in this module
     hess_factor_from_logp,
     loss_from_logp,
+    loss_map,
+    neg_grad_weight_map,
 )
 from .numerics import check_positive_finite, log_sigmoid_vec, row_norms
 
@@ -247,49 +255,62 @@ def _extract_sums(block: np.ndarray, divisor: int = 1, scratch: np.ndarray | Non
     a caller summing many blocks passes to each (a fresh one is made when
     it is None).
 
-    Per row, with every |x| < 2^e and c = ceil(log2(W + 2)) for the W
-    columns added into one fold sum (all n, up to _FOLD_COLUMNS), let
-    sigma = 2^(e + c). Each fold takes q = (sigma + x) - sigma and leaves
-    x - q in the block. Both steps are exact: sigma + x lies in
-    [sigma/2, 2 sigma], so the subtraction is exact (Sterbenz), and x - q is
-    the rounding error of that addition, which is a float. Every q is a
-    multiple of u = 2^-53 sigma and at most |x| + u, so a partial sum of W
-    of them is a multiple of u of size at most W 2^e + W u <= sigma
-    (2^c >= W + 2, and W u <= 2^(e+1) as W 2^c <= 2^54): a float, so the
-    fold sum is exact in any order. The remainders are at most u, so the
-    next fold uses sigma * 2^(c + 1 - 53). Folds stop when every
-    remainder is zero or after _MAX_FOLDS. One ``math.fsum`` over a row's
-    fold sums, plus the nonzero entries of any remainder left, then rounds
-    the row's exact sum once: ``math.fsum``'s bits. Rows with a non-finite
-    entry or one above _EXTRACT_MAX go to ``_fsum_row``.
+    One sigma serves the whole block. With every |x| < 2^e in the block
+    and c = ceil(log2(W + 2)) for the W columns added into one fold sum
+    (all n, up to _FOLD_COLUMNS), let sigma = 2^(e + c). Each fold takes
+    q = (sigma + x) - sigma and leaves x - q in the block. Both steps are
+    exact: sigma + x lies in [sigma/2, 2 sigma], so the subtraction is exact
+    (Sterbenz), and x - q is the rounding error of that addition, which is
+    a float. Every q is a multiple of u = 2^-53 sigma and at most |x| + u,
+    so a partial sum of W of them is a multiple of u of size at most W 2^e
+    + W u <= sigma (2^c >= W + 2, and W u <= 2^(e+1) as W 2^c <= 2^54): a
+    float, so the fold sum is exact in any order. A row far below the
+    block's largest entry has every |x| below 2^e too, so the argument
+    holds for it; its first folds may just take nothing. The remainders are
+    at most u, so the next fold uses sigma * 2^(c + 1 - 53). Folds stop
+    when every remainder is zero (tested from the second fold on) or after
+    _MAX_FOLDS. One ``math.fsum`` over a row's fold sums, plus the nonzero
+    entries of any remainder left, then rounds the row's exact sum once:
+    ``math.fsum``'s bits. When the folds stop on a zero remainder after
+    exactly two, a row's exact sum is f0 + f1, two floats, and one IEEE
+    addition rounds it once, as ``math.fsum`` does; so those rows are
+    summed in floats. Rows with a non-finite entry or one above
+    _EXTRACT_MAX go to ``_fsum_row``.
     """
     rows, n = block.shape
-    if n == 0:
+    if n == 0 or rows == 0:
         return np.zeros(rows)
-    top = np.maximum(block.max(axis=1), -block.min(axis=1))  # nan stays nan
-    hard = np.flatnonzero(~(top <= _EXTRACT_MAX))
-    if hard.size:  # summed by _fsum_row; zeroed, they keep sigma and the folds finite
-        fallback = [_fsum_row(block[i], divisor) for i in hard]
-        block[hard] = top[hard] = 0.0
-    c = (min(n, _FOLD_COLUMNS) + 1).bit_length()
-    sigma = np.ldexp(1.0, np.frexp(top)[1] + c)[:, None]
-    starts = np.arange(0, n, _FOLD_COLUMNS)
     scratch = np.empty_like(block) if scratch is None else scratch[:block.size].reshape(block.shape)
-    folds = []
-    for _ in range(_MAX_FOLDS):
+    top = np.abs(block, out=scratch).max()  # nan stays nan
+    hard = None
+    if not top <= _EXTRACT_MAX:  # summed by _fsum_row; zeroed, they keep sigma and the folds finite
+        tops = scratch.max(axis=1)
+        hard = np.flatnonzero(~(tops <= _EXTRACT_MAX))
+        fallback = [_fsum_row(block[i], divisor) for i in hard]
+        block[hard] = tops[hard] = 0.0
+        top = tops.max()
+    c = (min(n, _FOLD_COLUMNS) + 1).bit_length()
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + c)
+    starts = np.arange(0, n, _FOLD_COLUMNS) if n > _FOLD_COLUMNS else None  # fold sums of many column groups
+    folds, cleared = [], False
+    for i in range(_MAX_FOLDS):
         np.add(block, sigma, out=scratch)
         scratch -= sigma
         block -= scratch
-        folds.append(np.add.reduceat(scratch, starts, axis=1))
-        if not block.any():
+        folds.append(np.add.reduce(scratch, axis=1) if starts is None else np.add.reduceat(scratch, starts, axis=1))
+        if i and not block.any():
+            cleared = True
             break
         sigma *= 2.0 ** (c + 1 - 53)
-    terms = np.concatenate(folds, axis=1).tolist()
-    if len(folds) == _MAX_FOLDS:  # the remainder's nonzero entries join their rows' fsums
-        for i in np.flatnonzero(block.any(axis=1)):
-            terms[i] += block[i][block[i] != 0].tolist()
-    out = np.array([math.fsum(row) for row in terms]) / divisor
-    if hard.size:
+    if cleared and len(folds) == 2 and starts is None:  # each exact sum is f0 + f1
+        out = (folds[0] + folds[1]) / divisor
+    else:
+        terms = np.column_stack(folds).tolist()
+        if not cleared:  # the remainder's nonzero entries join their rows' fsums
+            for i in np.flatnonzero(block.any(axis=1)):
+                terms[i] += block[i][block[i] != 0].tolist()
+        out = np.array([math.fsum(row) for row in terms]) / divisor
+    if hard is not None:
         out[hard] = fallback
     return out
 
@@ -321,17 +342,26 @@ def _terms(logp: np.ndarray, data: Dataset, alphas, grad_alpha=None, out: np.nda
     """Per row of ``logp``, one loss row per order in ``alphas``, then one
     gradient row per coordinate at ``grad_alpha`` if set: (points * rows, n).
     The rows go to ``out``, a (points, rows, n) float array, and ``tmp``, of
-    logp's shape, takes the gradient map's 1 - p; both are made when they
-    are None. With ``grad_alpha`` set, ``logp`` is overwritten."""
+    logp's shape, takes the gradient map's expm1(log p); both are made when
+    they are None. With ``grad_alpha`` set, ``logp`` is overwritten by the
+    negated gradient weights -w, and each gradient row is -w times a
+    feature column."""
     rows = len(alphas) + (0 if grad_alpha is None else data.dim)
     out = np.empty((len(logp), rows, data.n)) if out is None else out
     for j, alpha in enumerate(alphas):
         loss_from_logp(alpha, logp, out=out[:, j])
     if grad_alpha is not None:
-        weights = grad_weight_from_logp(grad_alpha, logp, out=logp, tmp=tmp)
-        np.negative(weights, out=weights)
-        np.multiply(weights[:, None], data.signed.T, out=out[:, len(alphas):])
+        _grad_rows(neg_grad_weight_map(grad_alpha), logp, data.signed.T, out[:, len(alphas):],
+                   np.empty_like(logp) if tmp is None else tmp)
     return out.reshape(-1, data.n)
+
+
+def _grad_rows(neg_weight, logp: np.ndarray, signed_t: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """Per row of ``logp``, one gradient row per coordinate into ``out``,
+    (points, d, n): -w times each label-signed feature column (``signed_t``
+    is ``data.signed.T``). ``neg_weight`` is a ``neg_grad_weight_map``;
+    ``logp`` is overwritten by -w and ``tmp`` by expm1(log p)."""
+    np.multiply(neg_weight(logp, logp, tmp)[:, None], signed_t, out=out)
 
 
 def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True,
@@ -452,16 +482,28 @@ def empirical_risk_hess(alpha: float, theta, data: Dataset) -> np.ndarray:
 
 def value_and_grad(alpha: float, data: Dataset):
     """Objective oracle theta -> (risk, gradient) bound to a dataset: the
-    one-point ``_terms`` summed directly, without the block loop, in
-    buffers made with the oracle (so one thread calls it at a time); each
-    call returns a new gradient array."""
-    alpha = check_alpha(alpha)
-    n, rows = data.n, 1 + data.dim
-    logp_buf, tmp, terms_buf, scratch = np.empty((1, n)), np.empty((1, n)), np.empty((1, rows, n)), np.empty(rows * n)
+    one-point ``_terms`` summed directly, without the block loop. The loss
+    and gradient-weight maps, the signed features and the buffers are made
+    with the oracle (so one thread calls it at a time); a call checks its
+    point once, then makes the margins, log p, the loss row, the -w
+    gradient rows and one ``_extract_sums``. Each call returns a new
+    gradient array."""
+    loss, neg_weight = loss_map(alpha), neg_grad_weight_map(alpha)
+    n, d = data.n, data.dim
+    signed_t = data.signed.T
+    logp, tmp, terms, scratch = np.empty((1, n)), np.empty((1, n)), np.empty((1, 1 + d, n)), np.empty((1 + d) * n)
+    loss_row, grad_rows, block = terms[:, 0], terms[:, 1:], terms.reshape(1 + d, n)
 
     def oracle(theta):
-        logp = _logp(_as_point(theta, data), data, out=logp_buf, tmp=tmp)
-        means = _extract_sums(_terms(logp, data, (alpha,), alpha, out=terms_buf, tmp=tmp), n, scratch)
+        pts = np.asarray(theta, dtype=float)
+        if pts.shape == (d,) and np.isfinite(pts).all():
+            pts = pts[None, :]
+        else:  # a (1, d) point, or the error that names what is wrong
+            pts = _as_point(theta, data)
+        _logp(pts, data, out=logp, tmp=tmp)
+        loss(logp, loss_row)
+        _grad_rows(neg_weight, logp, signed_t, grad_rows, tmp)
+        means = _extract_sums(block, n, scratch)
         return float(means[0]), means[1:]
 
     return oracle

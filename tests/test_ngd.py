@@ -6,6 +6,7 @@ import pytest
 
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.ngd import (
+    GRAD_NORM_FLOOR,
     NgdConfig,
     iteration_budget,
     ngd_run,
@@ -207,6 +208,117 @@ class TestReferenceFixedPoint:
         theta, value = projected_gd_reference(counted, np.zeros(2), steps, 1.0, 5.0)
         assert counted.calls == steps
         assert theta.tobytes() == theta_full.tobytes() and value == value_full
+
+
+def slow_reference(objective, theta1, steps, step_size, radius=None):
+    """The slow oracle of ``projected_gd_reference``: its loop with the
+    step size and radius checked by each use, ``np.array_equal`` for the
+    fixed point and ``np.all`` for finiteness."""
+    if not (float(step_size) > 0.0):
+        raise DomainError(f"step_size must be positive, got {step_size!r}")
+    theta = as_vector(theta1, "theta1").copy()
+    if radius is not None:
+        theta = project_ball(theta, radius)
+    best_theta, best_value = theta.copy(), math.inf
+    for t in range(1, steps + 1):
+        value, grad = objective(theta)
+        value, grad = float(value), np.asarray(grad, dtype=float)
+        if not math.isfinite(value) or not np.all(np.isfinite(grad)):
+            raise NumericError(f"objective returned non-finite output at iteration {t}")
+        if value < best_value:
+            best_value, best_theta = value, theta.copy()
+        nxt = theta - step_size * grad
+        if radius is not None:
+            nxt = project_ball(nxt, radius)
+        if np.array_equal(nxt, theta):
+            break
+        theta = nxt
+    return best_theta, best_value
+
+
+def slow_ngd_run(objective, theta1, config):
+    """The slow oracle of ``ngd_run``: (best theta, best value, iterations,
+    stop reason, trace) from its loop with ``np.all`` for finiteness."""
+    theta = as_vector(theta1, "theta1").copy()
+    best_theta, best_value, trace, stop_reason, done = theta.copy(), math.inf, [], None, 0
+    for t in range(1, config.iterations + 1):
+        value, grad = objective(theta)
+        value, grad = float(value), np.asarray(grad, dtype=float)
+        if not math.isfinite(value) or not np.all(np.isfinite(grad)):
+            raise NumericError(f"objective returned non-finite output at iteration {t}")
+        grad_norm = float(np.linalg.norm(grad))
+        trace.append((t, theta.copy(), value, grad_norm))
+        if value < best_value:
+            best_value, best_theta = value, theta.copy()
+        done = t
+        if grad_norm < GRAD_NORM_FLOOR:
+            stop_reason = f"gradient norm {grad_norm:.3e} below {GRAD_NORM_FLOOR:.0e}"
+            break
+        theta = theta - config.eta * (grad / grad_norm)
+        if config.radius is not None:
+            theta = project_ball(theta, config.radius)
+    return best_theta, best_value, done, stop_reason, trace
+
+
+def trace_bytes(trace):
+    return [(t, theta.tobytes(), np.float64(value).tobytes(), np.float64(norm).tobytes())
+            for t, theta, value, norm in trace]
+
+
+class TestLoopsAgainstSlowLoops:
+    """The reference and NGD loops keep the bits of their slow oracles:
+    an interior minimizer (r = 5), an active ball (r = 0.5) and a run that
+    ends at its step cap."""
+
+    @pytest.fixture(scope="class", params=[0.5, 1.0], ids=["alpha=0.5", "alpha=1"])
+    def objective(self, request):
+        data, _ = normalize_features(sample_gmm(preset("fig2"), 300, RngState(5)))
+        return value_and_grad(request.param, data)
+
+    @pytest.mark.parametrize("radius,steps,capped", [(5.0, 4000, False), (0.5, 4000, False), (5.0, 60, True)],
+                             ids=["interior", "active-ball", "step-cap"])
+    def test_reference(self, objective, radius, steps, capped):
+        counted = CountingObjective(objective)
+        theta, value = projected_gd_reference(counted, [0.1, -0.2], steps, 1.0, radius)
+        want_theta, want_value = slow_reference(objective, [0.1, -0.2], steps, 1.0, radius)
+        assert (counted.calls == steps) == capped
+        assert theta.tobytes() == want_theta.tobytes()
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        if radius == 0.5:
+            assert float(np.linalg.norm(theta)) == pytest.approx(0.5, rel=1e-12)  # on the sphere
+        else:
+            assert float(np.linalg.norm(theta)) < 5.0
+
+    @pytest.mark.parametrize("radius", [5.0, 0.5])
+    def test_ngd_run(self, objective, radius):
+        config = NgdConfig(eta=0.05, iterations=300, radius=radius, record_trace=True)
+        result = ngd_run(objective, [0.3, 0.1], config)
+        best_theta, best_value, done, stop_reason, trace = slow_ngd_run(objective, [0.3, 0.1], config)
+        assert result.best_theta.tobytes() == best_theta.tobytes()
+        assert np.float64(result.best_value).tobytes() == np.float64(best_value).tobytes()
+        assert (result.iterations, result.stop_reason) == (done, stop_reason) == (300, None)
+        assert trace_bytes(result.trace) == trace_bytes(trace)
+
+
+class TestReferenceChecks:
+    """The step size and radius are checked once, before the loop, and the
+    error names the one that is wrong."""
+
+    @pytest.mark.parametrize("step_size", [math.inf, math.nan, 0.0, -0.1])
+    @pytest.mark.parametrize("radius", [None, 1.0])
+    def test_step_size(self, step_size, radius):
+        counted = CountingObjective(quadratic_first_coord)
+        message = f"step_size must be positive and finite, got {step_size!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            projected_gd_reference(counted, [1.0, 0.0], 10, step_size, radius)
+        assert counted.calls == 0
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+    def test_radius(self, radius):
+        counted = CountingObjective(quadratic_first_coord)
+        with pytest.raises(DomainError, match=re.escape(f"radius must be positive and finite, got {radius!r}")):
+            projected_gd_reference(counted, [1.0, 0.0], 10, 0.1, radius)
+        assert counted.calls == 0
 
 
 class TestTraceCsv:

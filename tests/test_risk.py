@@ -14,6 +14,7 @@ from alphaloss.data import normalize_features, preset, sample_gmm
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
+    LOG_BRANCH_TOL,
     UNIT_BALL_TOL,
     curvature_floor,
     grad_lipschitz_in_inv_alpha,
@@ -158,6 +159,25 @@ def extraction_blocks(draw):
     return _block_entries(draw, rng, (rows, cols), lo, hi)
 
 
+@st.composite
+def scaled_row_blocks(draw):
+    """Blocks of 2-6 rows whose rows differ in scale by up to 2^+-600
+    within the block, so one block-wide sigma sits far above some rows:
+    each row is a narrow exponent window shifted by its own power of two,
+    and a zero row and a row of subnormals may join them."""
+    rows = draw(st.integers(2, 6))
+    cols = draw(st.one_of(st.integers(1, 40), st.sampled_from([1000, 5000])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0, 8, 60, 600]))
+    mant = rng.uniform(0.5, 1.0, (rows, cols)) * rng.choice([-1.0, 1.0], (rows, cols))
+    block = np.ldexp(mant, rng.integers(-8, 1, (rows, cols)) + rng.integers(-spread, spread + 1, (rows, 1)))
+    if draw(st.booleans()):
+        block[rng.integers(rows)] = 0.0
+    if draw(st.booleans()):
+        block[rng.integers(rows)] = np.ldexp(mant[0], rng.integers(-1074, -1021, cols))
+    return block
+
+
 class TestExactRowSums:
     @settings(max_examples=150, deadline=None)
     @given(sum_blocks())
@@ -187,6 +207,36 @@ class TestExactRowSums:
             if columns:
                 patch.setattr(risk, "_FOLD_COLUMNS", columns)
             assert exact_row_sums(block).tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_row_blocks(), st.sampled_from([1, 2, 4]), st.sampled_from([None, 7, 1000]))
+    def test_one_sigma_for_rows_of_every_scale(self, block, folds, columns):
+        # A cap of one fold always leaves the remainder path; rows of one
+        # scale clear in two folds and take the float sum f0 + f1.
+        expected = fsum_rows(block)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk, "_MAX_FOLDS", folds)
+            if columns:
+                patch.setattr(risk, "_FOLD_COLUMNS", columns)
+            assert exact_row_sums(block).tobytes() == expected.tobytes()
+
+    def test_two_clearing_folds_sum_in_floats(self, monkeypatch):
+        # Loss and gradient rows of one oracle call clear in two folds: their
+        # sums are f0 + f1, with no math.fsum call. A cap of two folds that
+        # leaves a remainder keeps it: without 2^-140, 1 + 2^-53 is a tie
+        # that rounds down to 1.
+        data, _ = normalize_features(sample_gmm(preset("fig2"), 1000, RngState(3)))
+        logp = risk._logp(np.array([[0.7, -1.2]]), data)
+        block = risk._terms(logp, data, (1.0,), 1.0)
+        rows = np.array([[1.0, 2.0 ** -53, 2.0 ** -140], [3.0, 0.0, 0.0]])
+        expected, expected_rows = fsum_rows(block), fsum_rows(rows)
+        fsum, fsum_calls = math.fsum, []
+        monkeypatch.setattr(risk.math, "fsum", lambda row: fsum_calls.append(row) or fsum(row))
+        assert exact_row_sums(block).tobytes() == expected.tobytes()
+        assert fsum_calls == []
+        monkeypatch.setattr(risk, "_MAX_FOLDS", 2)
+        assert exact_row_sums(rows).tobytes() == expected_rows.tobytes()
+        assert len(fsum_calls) == 2
 
     @pytest.mark.parametrize("shape", [(1, 65_536), (1, 65_537), (2, 32_768), (3, 32_769), (2, 140_000)])
     def test_chunk_boundaries(self, shape):
@@ -320,6 +370,80 @@ class TestEmpiricalRisk:
         batch = risk_values(2.0, pts, fig2_small)
         singles = [empirical_risk(2.0, p, fig2_small) for p in pts]
         assert np.array_equal(batch, np.array(singles))
+
+
+def fsum_oracle(alpha: float, data: Dataset):
+    """The slow oracle of ``value_and_grad``: the point checked by
+    ``_as_point``, the margin matmul, log p, the old terms formula (the
+    loss row by its order's branch, then the weights p^u (1 - p) negated
+    and times the features) and one ``math.fsum`` per row, out of place."""
+    u, n = 1.0 - 1.0 / alpha, data.n
+
+    def oracle(theta):
+        margins = np.matmul(risk._as_point(theta, data), data.signed.T)
+        logp = np.minimum(margins, 0.0) - np.log1p(np.exp(-np.abs(margins)))
+        if math.isinf(alpha):
+            loss = -np.expm1(logp)
+        elif abs(u) < LOG_BRANCH_TOL:
+            loss = -logp
+        else:
+            loss = -np.expm1(u * logp) / u
+        weights = np.exp(u * logp) * -np.expm1(logp)
+        rows = [loss[0], *(-weights * data.signed.T)]
+        means = np.array([math.fsum(row.tolist()) for row in rows]) / n
+        return float(means[0]), means[1:]
+
+    return oracle
+
+
+def random_dataset(rng: np.random.Generator, n: int, d: int) -> Dataset:
+    """n labeled features in the unit ball, some on its sphere."""
+    xs = rng.normal(size=(n, d))
+    xs /= np.maximum(np.linalg.norm(xs, axis=1), 1e-300)[:, None] * rng.choice([1.0, 1.0, 1.25, 4.0], (n, 1))
+    return Dataset(xs * (1.0 - 1e-12), rng.choice([-1, 1], n))
+
+
+class TestOracleAgainstFsumOracle:
+    """``value_and_grad`` keeps the bits, the exceptions and the messages
+    of the slow oracle ``fsum_oracle``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0.0016, 0.5, 1.0, 1.0 + 1e-7, 2.0, INFINITY]), st.integers(1, 5),
+           st.sampled_from([1, 2, 7, 1000, 5000]), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    def test_bit_equal(self, alpha, d, n, seed, norms):
+        # theta norms from 1e-12 up to r, log-uniform; r = 0.5 for the
+        # order whose powers reach 1e264. Several points go through one
+        # oracle, so its buffers are reused.
+        r = 0.5 if alpha < 0.01 else 5.0
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, n, d)
+        fast, slow = value_and_grad(alpha, data), fsum_oracle(alpha, data)
+        for t in norms:
+            theta = rng.normal(size=d)
+            theta *= math.exp(math.log(1e-12) + t * math.log(r / 1e-12)) / np.linalg.norm(theta)
+            (value, grad), (want_value, want_grad) = fast(theta), slow(theta)
+            assert type(value) is float and np.float64(value).tobytes() == np.float64(want_value).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("theta", [
+        [math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf], [[0.0, math.nan]], [0.0, 0.0, 0.0], [1.0],
+        np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((1, 3)), 1.0, "x",
+    ], ids=["nan", "inf", "-inf", "nan-row", "long", "short", "two-points", "no-point", "long-row", "scalar",
+            "text"])
+    def test_same_errors(self, fig2_small, theta):
+        with pytest.raises(Exception) as want:
+            fsum_oracle(2.0, fig2_small)(theta)
+        with pytest.raises(Exception) as got:
+            value_and_grad(2.0, fig2_small)(theta)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_one_point_row_and_list(self, fig2_small):
+        oracle = value_and_grad(0.5, fig2_small)
+        want = fsum_oracle(0.5, fig2_small)([0.25, -3.0])
+        for theta in ([0.25, -3.0], np.array([[0.25, -3.0]]), np.array([0.25, -3.0])):
+            value, grad = oracle(theta)
+            assert value == want[0] and grad.tobytes() == want[1].tobytes()
 
 
 class TestRiskDerivatives:
