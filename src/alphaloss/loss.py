@@ -19,7 +19,8 @@ Each per-sample quantity has one formula, a map over log p (``*_from_logp``).
 The loss and the gradient weight pick their branch once per order
 (``loss_map``, ``neg_grad_weight_map``), so a caller that evaluates one
 order many times, such as the ``value_and_grad`` oracle, resolves its maps
-once; ``loss_from_logp`` and ``grad_weight_from_logp`` apply them.
+once; ``loss_from_logp`` and ``grad_weight_from_logp`` apply them, and
+``loss_sum_map`` gives the row sums of ``loss_map``.
 
 Numerical policy: every power p^(1-1/alpha) is evaluated as
 exp((1-1/alpha) * log p) with log p obtained from log_sigmoid, so large
@@ -148,6 +149,16 @@ def alpha_loss(alpha: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _negate(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """-x into ``out``, as the product x * -1.0, which has the bits of
+    ``np.negative`` for every input but NaN (whose sign bit a product may
+    keep). numpy 2.4's AVX-512 ``np.negative`` writes wrong values when it
+    works in place on a view whose elements lie 64 bytes apart, such as a
+    terms row of one sample in a block of eight rows
+    (``test_risk.py::TestEvaluationKernel::test_eight_orders_of_one_sample``)."""
+    return np.multiply(x, -1.0, out=out)
+
+
 def loss_map(alpha: float):
     """The loss map of one order, with its branch (infinite order, log
     order, other) chosen once: ``map(logp, out)`` writes the pointwise
@@ -158,11 +169,11 @@ def loss_map(alpha: float):
     if math.isinf(alpha):
         def one_minus_p(logp, out):
             np.expm1(logp, out=out)
-            return np.negative(out, out=out)  # 1 - p, stable for p near 1
+            return _negate(out, out)  # 1 - p, stable for p near 1
         return one_minus_p
     u = _loss_exponent(alpha)
     if u is None:
-        return lambda logp, out: np.negative(logp, out=out)
+        return lambda logp, out: _negate(logp, out)
 
     def power(logp, out):  # -expm1(u log p) / u, the sign moved into the divisor
         np.multiply(u, logp, out=out)
@@ -171,13 +182,39 @@ def loss_map(alpha: float):
     return power
 
 
+def loss_sum_map(alpha: float):
+    """The row sums of ``loss_map``, with its branch chosen once:
+    ``sums(logp, tmp)`` returns the pairwise sums of the loss rows of the
+    2-D ``logp``, with ``tmp`` (logp's shape) as scratch. At the log and
+    infinite orders it sums log p or expm1(log p) and negates the sum,
+    which saves writing the negated rows. Negation is exact, rounding to
+    nearest is sign-symmetric, and log p and expm1(log p) are never
+    positive, so each sum has the bits of the pairwise sum of the
+    ``loss_map`` row, but for the sign of a zero sum (a row of zeros)."""
+    alpha = check_alpha(alpha)
+    if math.isinf(alpha):
+        return lambda logp, tmp: -np.add.reduce(np.expm1(logp, out=tmp), axis=1)
+    if _loss_exponent(alpha) is None:
+        return lambda logp, tmp: -np.add.reduce(logp, axis=1)
+    loss = loss_map(alpha)
+    return lambda logp, tmp: np.add.reduce(loss(logp, tmp), axis=1)
+
+
 def neg_grad_weight_map(alpha: float):
     """The gradient-weight map of one order, chosen once: ``map(logp, out,
     tmp)`` writes -w = p^(1-1/alpha) * expm1(log p), the negated weight
     (see ``grad_weight_from_logp``), into ``out`` (which may be ``logp``
     itself) and expm1(log p) into ``tmp``, and returns ``out``. IEEE
-    products are sign-symmetric, so -w has the bits of the negated w."""
+    products are sign-symmetric, so -w has the bits of the negated w.
+
+    At alpha = 1 the power 1 - 1/alpha is exactly 0.0, so p^0 = exp(0.0 *
+    log p) = 1.0 and 1.0 * x = x for every finite log p: the map is one
+    ``expm1`` into ``out``, with the same bits, and leaves ``tmp``
+    unwritten. At log p = -inf (a margin that overflowed) it gives the
+    weight's limit, -1, where the formula's 0 * inf would give NaN."""
     u = _exponent(check_alpha(alpha))
+    if u == 0.0:
+        return lambda logp, out, tmp: np.expm1(logp, out=out)
 
     def neg_weight(logp, out, tmp):
         np.expm1(logp, out=tmp)  # before ``out``, which may alias logp
@@ -201,12 +238,13 @@ def grad_weight_from_logp(alpha: float, logp: np.ndarray, out: np.ndarray | None
     """Nonnegative weights w with gradient factor -y * w, from log p:
     w = p^(1-1/alpha) * (1-p), with 1-p evaluated as -expm1(log p): the
     negation of ``neg_grad_weight_map``. ``out`` (which may be ``logp``
-    itself) receives w and ``tmp`` expm1(log p); each is a float array of
-    logp's shape, made when it is None."""
+    itself) receives w and ``tmp`` expm1(log p), except at alpha = 1,
+    where ``tmp`` is left as it was; each is a float array of logp's
+    shape, made when it is None."""
     logp = np.asarray(logp, dtype=float)
     neg = neg_grad_weight_map(alpha)(logp, np.empty_like(logp) if out is None else out,
                                      np.empty_like(logp) if tmp is None else tmp)
-    return np.negative(neg, out=neg)
+    return _negate(neg, neg)
 
 
 def hess_factor_from_logp(alpha: float, logp: np.ndarray) -> np.ndarray:

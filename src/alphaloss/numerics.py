@@ -37,6 +37,7 @@ __all__ = [
     "cholesky",
     "RngState",
     "sample_ball",
+    "sample_ball_batch",
     "csv_text",
     "read_text",
 ]
@@ -293,16 +294,42 @@ def sample_ball(rng: RngState, dim: int, radius: float) -> np.ndarray:
     of about 1.3e154; it is made on the point scaled by the power of two that
     brings the radius into [0.5, 1). That scaling is exact, so the test
     decides as unscaled arithmetic would wherever that stays finite."""
-    if dim < 1:
-        raise UsageError(f"dim must be >= 1, got {dim}")
-    radius = check_positive_finite(radius, "radius")
-    exp = math.frexp(radius)[1]  # ldexp, since 2**-exp overflows for a subnormal radius
-    unit = math.ldexp(radius, -exp)
+    radius, exp, unit = _ball_scale(dim, radius)
     while True:
         point = np.array([(2.0 * rng.uniform() - 1.0) * radius for _ in range(dim)])
         scaled = np.ldexp(point, -exp)
         if float(np.dot(scaled, scaled)) <= unit * unit:
             return point
+
+
+def sample_ball_batch(rng: RngState, dim: int, radius: float, count: int) -> np.ndarray:
+    """``count`` points of ``sample_ball`` as the rows of one array: the
+    points that ``count`` calls would return, with their bits, and ``rng``
+    left where those calls leave it. Each round draws one attempt (dim
+    uniforms, in stream order) per point still needed and keeps the ones
+    the membership test accepts, tested all at once: ``np.vecdot`` has
+    ``np.dot``'s bits. A round of k attempts accepts at most k points, and
+    all k only at its last attempt, so no round draws past the attempt that
+    gives the last point."""
+    radius, exp, unit = _ball_scale(dim, radius)
+    rounds, need = [], count
+    while need > 0:
+        points = (2.0 * np.array([rng.uniform() for _ in range(need * dim)]) - 1.0) * radius
+        points = points.reshape(need, dim)
+        scaled = np.ldexp(points, -exp)
+        rounds.append(points[np.vecdot(scaled, scaled) <= unit * unit])
+        need -= len(rounds[-1])
+    return np.concatenate(rounds) if rounds else np.empty((0, dim))
+
+
+def _ball_scale(dim: int, radius: float) -> tuple[float, int, float]:
+    """The checked radius r, and the exponent e and r 2^-e in [0.5, 1) of
+    the membership test (see ``sample_ball``)."""
+    if dim < 1:
+        raise UsageError(f"dim must be >= 1, got {dim}")
+    radius = check_positive_finite(radius, "radius")
+    exp = math.frexp(radius)[1]  # ldexp, since 2**-exp overflows for a subnormal radius
+    return radius, exp, math.ldexp(radius, -exp)
 
 
 def _csv_cell(v) -> str:

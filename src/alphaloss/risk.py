@@ -32,22 +32,27 @@ Every value, gradient and Hessian starts from one margin pass to log p
 (``_logp``); values and gradients share one terms formula (``_terms``)
 and one block driver (``_means``), whose blocks of about 200,000 elements
 stay in cache. A batched call makes one buffer set, sized for its largest
-block: the margins (overwritten by log p), one temporary, the terms and
-the extraction scratch. Every block reuses it: the margin pass, the maps
-and the extraction run in place, so no block makes an array of its own,
-and the buffers go with the call. The margin matmul rounds a one-row
-batch differently, so a one-point call agrees with a batch only up to
-rounding. The ``value_and_grad`` oracle makes its one-point buffer set
-and picks its order's loss and gradient-weight maps (``loss.loss_map``,
-``loss.neg_grad_weight_map``) once, when it is built. Grid scans take
-every order they need from one margin pass over the grid.
+block: the margins (overwritten by log p), one temporary and, for exact
+sums, the terms and the extraction scratch. Every block reuses it: the
+margin pass, the maps and the extraction run in place, so no block makes
+an array of its own, and the buffers go with the call. The margin matmul
+rounds a one-row batch differently, so a one-point call agrees with a
+batch only up to rounding. The ``value_and_grad`` oracle makes its
+one-point buffer set and picks its order's loss and gradient-weight maps
+(``loss.loss_map``, ``loss.neg_grad_weight_map``) once, when it is built.
+Grid scans take every order they need from one margin pass over the grid.
 
 The saturation scan needs only the max of the gaps, and the SLQC sweep and
 gradient-infimum estimate only verdicts, counts and a few extremes, so
 they sum with a certified float filter (Shewchuk 1997, *Adaptive precision
-floating-point arithmetic and fast robust geometric predicates*): pairwise
-float sums under a proven bound (``float_means``), and exact sums only
-where the bound cannot decide.
+floating-point arithmetic and fast robust geometric predicates*): float
+sums under a proven bound (``float_means``), and exact sums only where the
+bound cannot decide. The float pass (``_float_sums``) sums the exact
+pass's terms without making the terms block. A loss row is summed
+pairwise by ``loss.loss_sum_map``, with the bits of the pairwise sum of
+its terms row (but for the sign of a zero). The gradient rows and the weights' sum come from one BLAS
+product, -w @ [signed | -1].
+
 With u = 2^-53, a float sum S of n terms in any order is within
 gamma * sum|x| of the exact sum s, gamma = (n-1)u / (1 - (n-1)u) (Higham
 2002, *Accuracy and Stability of Numerical Algorithms*). Loss terms are
@@ -64,20 +69,29 @@ each mean's bound adds 2^-1070 (float sums and differences of subnormals
 are exact).
 
 Gradient rows have terms of both signs, -w_i s_ij, with gradient weights
-w_i >= 0 and label-signed features of norm at most 1 + t, t =
-UNIT_BALL_TOL (``Dataset`` checks the computed norm, which is within
-(d/2 + 1) u of the true one). With the rounding of each product, sum|x| <=
-(1 + t)(1 + (d + 4) u) sum w. The same pass sums the weights pairwise
-(``_terms`` leaves -w in the log p buffer), W = fl(fl(sum w) / n), so
-sum w / n <= (1 + 1.03 gamma + u) W. The argument above, with sum|x| / n
-in place of M, bounds the mean's error by (1.011 gamma + 3.03 u) sum|x| / n
-<= (1.011 gamma + 3.03 u)(1 + 1.04 gamma + 1.01 (d + 5) u)(1 + t) W, which
-for (d + 5) u <= 0.01 is below (1.04 gamma + 3.1 u)(1 + t) W: kappa (1 + t)
-W bounds it with room for its own rounding. A product that underflows
-adds at most 2^-1075 to the mean of |x|, which the 2^-1070 pays for. So
-every gradient row of a point has the bound ``_approx_mean_error((1 + t)
-W, n)`` (``float_means``), which gives NaN bounds to every row of a point
-without finite means and bounds; rows not settled go to ``exact_rows``.
+w_i >= 0 (the same floats in both passes) and label-signed features s_i
+of norm at most 1 + t, t = UNIT_BALL_TOL (``Dataset`` checks the computed
+norm, which is within (d/2 + 1) u of the true one); let A = sum |w_i s_ij|
+<= (1 + t)(1 + (d/2 + 1) u) sum w. The exact pass sums the rounded
+products fl(-w_i s_ij) exactly, so its sum X is within u A of the real
+sum P = sum -w_i s_ij. The float pass takes column j of the product: a dot
+product D formed in some order, with or without fused multiply-adds, so
+within gamma_n A of P, gamma_n = n u / (1 - n u) (Higham 2002, eq. 3.5).
+That assumes the BLAS forms each entry of a matrix product as such a dot
+product, with no Strassen-type algorithm, as OpenBLAS does. So |D - X| <=
+(gamma_n + u) A; the float mean fl(D / n) adds one rounding and the exact
+mean fl(fl(X) / n) two, each of u (1 + gamma_n + u) A / n at most, and the
+mean's error is below (gamma_n + 4.1 u) A / n for gamma_n <= 0.01. The
+product's last column sums the w_i (each -w_i * -1 is exact) in some
+order, within gamma_n sum w of it, and W = fl(that / n), so sum w / n <=
+(1 + 1.02 gamma_n + 1.01 u) W. With gamma_n <= gamma + 1.01 u and (d + 5)
+u <= 0.01 the error is then below (1.03 gamma + 5.3 u)(1 + t) W, and
+kappa (1 + t) W bounds it with room for its own rounding. A product that
+underflows errs by up to 2^-1075 instead, in either pass; n of them add
+2^-1075 to a mean, which the 2^-1070 pays for. So every gradient row of a
+point has the bound ``_approx_mean_error((1 + t) W, n)`` (``float_means``),
+which gives NaN bounds to every row of a point without finite means and
+bounds; rows not settled go to ``exact_rows``.
 """
 
 from __future__ import annotations
@@ -98,6 +112,7 @@ from .loss import (
     hess_factor_from_logp,
     loss_from_logp,
     loss_map,
+    loss_sum_map,
     neg_grad_weight_map,
 )
 from .numerics import check_positive_finite, log_sigmoid_vec, row_norms
@@ -360,37 +375,67 @@ def _grad_rows(neg_weight, logp: np.ndarray, signed_t: np.ndarray, out: np.ndarr
     """Per row of ``logp``, one gradient row per coordinate into ``out``,
     (points, d, n): -w times each label-signed feature column (``signed_t``
     is ``data.signed.T``). ``neg_weight`` is a ``neg_grad_weight_map``;
-    ``logp`` is overwritten by -w and ``tmp`` by expm1(log p)."""
+    ``logp`` is overwritten by -w and ``tmp`` may be (see that map)."""
     np.multiply(neg_weight(logp, logp, tmp)[:, None], signed_t, out=out)
 
 
-def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True,
-           weights: np.ndarray | None = None) -> np.ndarray:
-    """(points, rows) means of the ``_terms`` rows: one margin pass and one sum per block,
-    exactly rounded, or pairwise with ``exact`` False; then ``weights``, if given with
-    ``grad_alpha``, receives each point's mean gradient weight, summed pairwise too."""
+def _float_sums(data: Dataset, alphas, grad_alpha):
+    """The float pass's block map ``sums(logp, tmp, out)``, with each
+    order's maps chosen once: per row of ``logp`` (overwritten), the float
+    sums of the ``_terms`` rows into ``out``, (points, rows + 1), without
+    making them. A loss row is summed pairwise (``loss.loss_sum_map``, with
+    ``tmp`` as scratch). The gradient rows and the sum of the weights come
+    from one matrix product, -w @ [signed | -1]; the last column holds sum
+    w, or 0.0 without ``grad_alpha``."""
+    losses = [loss_sum_map(alpha) for alpha in alphas]
+    if grad_alpha is not None:
+        neg_weight = neg_grad_weight_map(grad_alpha)
+        # [signed | -1], (n, d + 1), laid out as its transpose: the BLAS
+        # product runs faster that way. Each -w * -1 is w exactly.
+        features = np.vstack([data.signed.T, np.full(data.n, -1.0)]).T
+
+    def sums(logp, tmp, out):
+        for j, loss in enumerate(losses):
+            out[:, j] = loss(logp, tmp)
+        if grad_alpha is None:
+            out[:, -1] = 0.0
+        else:
+            np.matmul(neg_weight(logp, logp, tmp), features, out=out[:, len(losses):])
+    return sums
+
+
+def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True) -> np.ndarray:
+    """(points, rows) means of the ``_terms`` rows: one margin pass and one
+    sum per block, exactly rounded. With ``exact`` False the rows are
+    summed in floats instead (``_float_sums``), and one more column holds
+    each point's mean gradient weight (0.0 without ``grad_alpha``)."""
     alphas = [check_alpha(a) for a in alphas]
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
     pts = _as_points(thetas, data)
     n, rows = data.n, len(alphas) + (0 if grad_alpha is None else data.dim)
-    out = np.empty((len(pts), rows))
+    out = np.empty((len(pts), rows + (0 if exact else 1)))
     blocks = list(_blocks(len(pts), (1 + rows) * n))
     # One buffer set per call, sized for the largest block and reused by
-    # every block: log p, one temporary, the terms and the extraction
-    # scratch. Block-sized arrays made and freed per block would have the
-    # allocator return their pages and fault them in again.
+    # every block: log p, one temporary and, for exact sums, the terms and
+    # the extraction scratch. Block-sized arrays made and freed per block
+    # would have the allocator return their pages and fault them in again.
     size = max((sl.stop - sl.start for sl in blocks), default=0) * n
-    logp_buf, tmp_buf, terms_buf = np.empty(size), np.empty(size), np.empty(size * rows)
-    scratch = np.empty(size * rows if exact else 0)
+    logp_buf, tmp_buf = np.empty(size), np.empty(size)
+    if exact:
+        terms_buf, scratch = np.empty(size * rows), np.empty(size * rows)
+    else:
+        float_sums = _float_sums(data, alphas, grad_alpha)
     for sl in blocks:
         k = sl.stop - sl.start
         tmp = tmp_buf[:k * n].reshape(k, n)
         logp = _logp(pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp)
-        terms = _terms(logp, data, alphas, grad_alpha, out=terms_buf[:k * rows * n].reshape(k, rows, n), tmp=tmp)
-        sums = _extract_sums(terms, n, scratch) if exact else np.add.reduce(terms, axis=1) / n
-        out[sl] = sums.reshape(k, rows)
-        if weights is not None and grad_alpha is not None:
-            weights[sl] = np.add.reduce(logp, axis=1) / -n  # logp now holds -w
+        if exact:
+            terms = _terms(logp, data, alphas, grad_alpha, out=terms_buf[:k * rows * n].reshape(k, rows, n), tmp=tmp)
+            out[sl] = _extract_sums(terms, n, scratch).reshape(k, rows)
+        else:
+            float_sums(logp, tmp, out[sl])
+    if not exact:
+        out /= n
     return out
 
 
@@ -402,7 +447,7 @@ def _approx_mean_error(means: np.ndarray, n: int) -> np.ndarray:
 
 
 def float_means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_means`` rows summed pairwise in floats, and a proven bound on
+    """The ``_means`` rows summed in floats (``_float_sums``), and a proven bound on
     each one's distance from the exact mean: (means, bounds), both (points,
     rows). A loss row's bound is ``_approx_mean_error`` of its mean; a
     point's gradient rows share ``_approx_mean_error`` of (1 +
@@ -410,11 +455,10 @@ def float_means(thetas, data: Dataset, alphas=(), grad_alpha=None) -> tuple[np.n
     docstring). Every row of a point whose means and bounds are not all
     finite, or whose loss mean is negative (nonnegative terms cannot give
     that), gets a NaN bound, which settles no comparison."""
-    pts = _as_points(thetas, data)
-    weights = np.zeros(len(pts))
     k = len(alphas)
     with np.errstate(all="ignore"):  # an overflow is an inf, which settles nothing
-        means = _means(pts, data, alphas, grad_alpha, exact=False, weights=weights)
+        sums = _means(thetas, data, alphas, grad_alpha, exact=False)
+        means, weights = sums[:, :-1], sums[:, -1]
         bounds = np.empty_like(means)
         bounds[:, :k] = np.where(means[:, :k] >= 0.0, _approx_mean_error(means[:, :k], data.n), np.nan)
         bounds[:, k:] = _approx_mean_error((1.0 + UNIT_BALL_TOL) * weights, data.n)[:, None]

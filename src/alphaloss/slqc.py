@@ -65,7 +65,8 @@ from .numerics import (
     csv_text,
     min_eigen_sym,
     row_norms,
-    sample_ball,
+    sample_ball,  # noqa: F401  unused here, but bench/tracer.py rebinds the name in this module
+    sample_ball_batch,
     vector_norm,
 )
 from .risk import Dataset, exact_rows, float_means, may_hold_max, risk_grads, risk_values, risk_values_grads
@@ -237,10 +238,11 @@ def _entry(points: np.ndarray, verdicts, i: int) -> dict:
 
 
 def _ball_points(rng: RngState, dim: int, r: float, count: int, name: str) -> np.ndarray:
-    """``count`` points drawn uniformly from the radius-r ball, one row each."""
+    """``count`` points drawn uniformly from the radius-r ball, one row each
+    (``sample_ball_batch``: the points of ``count`` ``sample_ball`` calls)."""
     if count < 1:
         raise UsageError(f"{name} must be >= 1, got {count}")
-    return np.stack([sample_ball(rng, dim, r) for _ in range(count)])
+    return sample_ball_batch(rng, dim, r, count)
 
 
 def check_slqc_point(alpha: float, theta, params: SlqcParams, data: Dataset, r: float) -> dict:

@@ -24,6 +24,9 @@ from alphaloss.loss import (
     lipschitz_in_inv_alpha,
     lipschitz_in_theta,
     loss_from_logp,
+    loss_map,
+    loss_sum_map,
+    neg_grad_weight_map,
     parse_alpha,
 )
 from alphaloss.numerics import log_sigmoid_vec, sigmoid, vector_norm
@@ -368,6 +371,73 @@ class TestInPlaceMaps:
             grad_weight_from_logp(alpha, logp.copy(), out=rows[:, 1], tmp=np.empty_like(z))
             assert rows[:, 0].tobytes() == old_loss_from_logp(alpha, logp).tobytes()
             assert rows[:, 1].tobytes() == old_grad_weight_from_logp(alpha, logp).tobytes()
+
+
+class TestOrderOneWeightMap:
+    """At alpha = 1 the gradient-weight map is one expm1: bit-equal to the
+    formula exp(0.0 log p) expm1(log p) wherever log p is finite, with
+    ``tmp`` left as it was."""
+
+    @staticmethod
+    def dense_log_p() -> np.ndarray:
+        rng = np.random.default_rng(24)
+        tiny = np.finfo(float).tiny
+        return np.concatenate([
+            rng.uniform(-745.0, 0.0, 200_000), -np.geomspace(5e-324, 1.0, 20_000),
+            -rng.uniform(0.0, tiny, 5000), -np.geomspace(745.0, 1e308, 2000),
+            [-0.0, 0.0, -5e-324, -tiny, -745.0, -1.7976931348623157e308],
+        ])
+
+    @staticmethod
+    def formula(alpha, logp):
+        return np.exp((1.0 - 1.0 / alpha) * logp) * np.expm1(logp)
+
+    def test_bit_equal_to_the_formula(self):
+        logp = self.dense_log_p()
+        tmp = np.full_like(logp, 7.0)
+        got = neg_grad_weight_map(1.0)(logp, np.empty_like(logp), tmp)
+        assert got.tobytes() == self.formula(1.0, logp).tobytes()
+        assert np.all(tmp == 7.0)
+        assert grad_weight_from_logp(1.0, logp).tobytes() == old_grad_weight_from_logp(1.0, logp).tobytes()
+
+    def test_in_place(self):
+        logp = self.dense_log_p()
+        want = np.expm1(logp)
+        assert neg_grad_weight_map(1.0)(logp, logp, None) is logp and logp.tobytes() == want.tobytes()
+
+    def test_log_p_minus_inf_gives_the_limit(self):
+        # where the formula's 0 * inf gives NaN
+        logp = np.array([-math.inf, -1.0])
+        assert neg_grad_weight_map(1.0)(logp, np.empty(2), None).tolist() == [-1.0, math.expm1(-1.0)]
+        assert grad_weight_from_logp(1.0, logp).tolist() == [1.0, -math.expm1(-1.0)]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 + 1e-7, 2.0, INFINITY])
+    def test_other_orders_take_the_formula(self, alpha):
+        logp = np.append(self.dense_log_p(), -math.inf)
+        with np.errstate(over="ignore"):  # p^(1-1/alpha) overflows at alpha = 0.5
+            got = neg_grad_weight_map(alpha)(logp, np.empty_like(logp), np.empty_like(logp))
+            assert got.tobytes() == self.formula(alpha, logp).tobytes()
+
+
+class TestLossSumMap:
+    """``loss_sum_map`` gives the pairwise row sums of ``loss_map``'s rows,
+    bit for bit but for the sign of a zero sum, also where it sums log p
+    or expm1(log p) and negates."""
+
+    @pytest.mark.parametrize("alpha", MAP_ORDERS)
+    def test_sums_of_the_map_rows(self, alpha):
+        rng = np.random.default_rng(7)
+        dense = TestOrderOneWeightMap.dense_log_p()
+        rows = [
+            dense[:200_000].reshape(8, -1), -rng.exponential(1.0, (5, 1001)),
+            np.zeros((2, 9)), np.array([[0.0, -5e-324, 0.0], [-math.inf, -1.0, 0.0]]),
+            log_sigmoid_vec(rng.uniform(-800.0, 800.0, (3, 4097))),
+        ]
+        with np.errstate(over="ignore"):  # p^(1-1/alpha) overflows at alpha = 0.5
+            for logp in rows:
+                want = np.add.reduce(loss_map(alpha)(logp, np.empty_like(logp)), axis=1)
+                tmp = np.empty_like(logp)
+                assert np.array_equal(loss_sum_map(alpha)(logp.copy(), tmp), want)  # == is bitwise but for zeros
 
 
 class TestLandscapeConstants:

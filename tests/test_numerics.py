@@ -18,6 +18,7 @@ from alphaloss.numerics import (
     project_ball,
     row_norms,
     sample_ball,
+    sample_ball_batch,
     sigmoid,
     vector_norm,
 )
@@ -321,10 +322,53 @@ class TestSampleBall:
         assert np.all(np.linalg.norm(points / radius, axis=1) <= 1.0 + 1e-15)
 
     def test_bad_inputs(self):
-        with pytest.raises(UsageError):
-            sample_ball(RngState(1), 0, 1.0)
-        with pytest.raises(DomainError):
-            sample_ball(RngState(1), 2, -1.0)
+        for sample in (sample_ball, lambda rng, dim, radius: sample_ball_batch(rng, dim, radius, 3)):
+            with pytest.raises(UsageError):
+                sample(RngState(1), 0, 1.0)
+            with pytest.raises(DomainError):
+                sample(RngState(1), 2, -1.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from([1e-300, 0.5, 5.0, 1e308]),
+           st.one_of(st.integers(1, 40), st.integers(1, 5000)), st.integers(0, 2**64 - 1),
+           st.sampled_from([None, 0, 1, 2, 9]))
+    def test_batch_is_the_scalar_loop(self, dim, radius, count, seed, index):
+        # The batch holds the points of ``count`` sample_ball calls, bit for
+        # bit, and leaves the stream where those calls leave it.
+        self.check_batch(dim, radius, count, seed, index)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([1e-300, 0.5, 5.0, 1e308]), st.integers(1, 60), st.integers(0, 2**64 - 1),
+           st.sampled_from([None, 0, 3]))
+    def test_eight_dimensional_batch_is_the_scalar_loop(self, radius, count, seed, index):
+        # At d = 8 about 1 attempt in 60 lands in the ball, so the counts are
+        # small; past about d = 30 the sampler accepts almost nothing, and
+        # test_vecdot_has_the_bits_of_dot covers the longer rows.
+        self.check_batch(8, radius, count, seed, index)
+
+    @staticmethod
+    def check_batch(dim, radius, count, seed, index):
+        rng, oracle = RngState(seed), RngState(seed)
+        if index is not None:
+            rng, oracle = rng.spawn(index), oracle.spawn(index)
+        points = sample_ball_batch(rng, dim, radius, count)
+        assert np.array_equal(points, np.array([sample_ball(oracle, dim, radius) for _ in range(count)]))
+        assert rng._s == oracle._s and rng.next_u64() == oracle.next_u64()
+
+    def test_empty_batch_draws_nothing(self):
+        rng = RngState(4)
+        assert sample_ball_batch(rng, 3, 1.0, 0).shape == (0, 3)
+        assert rng.next_u64() == RngState(4).next_u64()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 64, 1000])
+    def test_vecdot_has_the_bits_of_dot(self, dim):
+        # The batch's membership test: np.vecdot over rows, np.dot per point,
+        # also on rows long enough for a BLAS dot to sum in SIMD lanes.
+        rng = np.random.default_rng(dim)
+        count = min(20_000, 2_000_000 // dim)
+        rows = rng.uniform(-1.0, 1.0, (count, dim))
+        rows /= np.linalg.norm(rows, axis=1)[:, None] * rng.uniform(0.999999, 1.000001, (count, 1))
+        assert np.vecdot(rows, rows).tobytes() == np.array([np.dot(r, r) for r in rows]).tobytes()
 
 
 def test_as_sym_matrix_tolerance():

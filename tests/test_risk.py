@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaloss import risk
-from alphaloss.data import normalize_features, preset, sample_gmm
+from alphaloss.data import GmmSpec, normalize_features, preset, sample_gmm
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
     INFINITY,
@@ -22,6 +22,7 @@ from alphaloss.loss import (
     hess_factor_from_logp,
     lipschitz_in_inv_alpha,
     loss_from_logp,
+    neg_grad_weight_map,
 )
 from alphaloss.numerics import RngState, log_sigmoid_vec, min_eigen_sym, sigmoid
 from alphaloss.risk import (
@@ -632,6 +633,81 @@ class TestEvaluationKernel:
             tracemalloc.stop()
         assert peak <= buffers + output + 64 * 1024
 
+    def test_float_pass_holds_no_terms_block(self, fig2_n5000):
+        # The float pass makes log p, one temporary and the (n, d + 1)
+        # features of its product; it never makes the terms block.
+        data = fig2_n5000
+        pts = np.random.default_rng(16).uniform(-3.0, 3.0, size=(400, 2))
+        blocks = list(risk._blocks(len(pts), (2 + data.dim) * data.n))
+        largest = max(sl.stop - sl.start for sl in blocks)
+        buffers = 8 * largest * data.n * 2 + 8 * data.n * (data.dim + 1)
+        output = 8 * len(pts) * (2 + data.dim) * 2
+        tracemalloc.start()
+        try:
+            risk.float_means(pts, data, (1.0,), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers + output + 64 * 1024
+
+    @pytest.mark.parametrize("orders", [[INFINITY, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 1.0], [1.0] * 8, [INFINITY] * 8])
+    def test_eight_orders_of_one_sample(self, orders):
+        # One sample and eight orders: each loss row of the terms block is a
+        # view whose elements lie 64 bytes apart, where an in-place
+        # np.negative miscomputes on some numpy builds.
+        data = Dataset(np.array([[0.6, 0.8]]), np.array([1]))
+        pts = np.random.default_rng(8).uniform(-3.0, 3.0, (5, 2))
+        multi = risk.risk_values_multi(orders, pts, data)
+        assert multi.tobytes() == np.column_stack([risk_values(a, pts, data) for a in orders]).tobytes()
+        approx, bounds = risk.float_means(pts, data, orders)
+        assert np.all(np.abs(approx - multi) <= bounds)
+
+
+class TestOrderOneWeightMap:
+    """At alpha = 1 the gradient-weight map is expm1(log p) alone. Where a
+    margin overflows to -inf, log p is -inf and the map gives the weight's
+    limit -1 (the formula exp(0 log p) expm1(log p) would give NaN). The
+    oracle, the exact batched passes and the float pass all take the map,
+    so both passes of the float filter see the same weights there."""
+
+    # theta . (y x) = 1.5e308 * (-0.6 - 0.8) overflows to -inf at sample 0
+    # and to +inf at sample 1; sample 2's margin is finite.
+    DATA = Dataset(np.array([[0.6, 0.8], [0.6, 0.8], [0.0, 0.5]]), np.array([-1, 1, 1]))
+    FAR = np.array([1.5e308, 1.5e308])
+    NEAR = np.array([0.5, -0.25])
+    # -w = expm1(log p): -1 at sample 0, -0.0 at the others
+    LIMIT = [0.6 / 3, 0.8 / 3]
+
+    @pytest.fixture(autouse=True)
+    def overflowing_margins(self):
+        with np.errstate(over="ignore"):  # the margin matmul overflows
+            yield
+
+    def test_far_point_has_log_p_minus_inf(self):
+        logp = risk._logp(self.FAR[None, :], self.DATA)[0]
+        assert logp[0] == -math.inf and logp[1] == 0.0 and np.isfinite(logp[2])
+
+    def test_oracle_gives_the_limit(self):
+        value, grad = value_and_grad(1.0, self.DATA)(self.FAR)
+        assert value == math.inf and grad.tolist() == self.LIMIT
+
+    def test_exact_passes_give_the_limit(self):
+        grads = risk_grads(1.0, [self.FAR, self.NEAR], self.DATA)
+        values, both = risk_values_grads(1.0, [self.FAR, self.NEAR], self.DATA)
+        assert grads[0].tolist() == self.LIMIT and np.all(np.isfinite(grads[1]))
+        assert values[0] == math.inf and both.tobytes() == grads.tobytes()
+
+    @pytest.mark.parametrize("alphas, grad_alpha", [((1.0,), 1.0), ((), 1.0), ((2.0,), 1.0), ((2.0,), 2.0),
+                                                    ((INFINITY,), INFINITY), ((2.0, INFINITY), None)])
+    def test_float_pass_bounds_hold(self, alphas, grad_alpha):
+        # An infinite loss mean (the log order) settles nothing; every other
+        # row of the far point has a bound that holds.
+        means, bounds = risk.float_means([self.FAR, self.NEAR], self.DATA, alphas, grad_alpha)
+        exact = risk._means([self.FAR, self.NEAR], self.DATA, alphas, grad_alpha)
+        assert np.all(np.isnan(bounds[0]) if 1.0 in alphas else np.isfinite(bounds[0]))
+        settled = np.isfinite(bounds)
+        assert np.all(settled[1]) and np.all(np.abs(means[settled] - exact[settled]) <= bounds[settled])
+
 
 class TestSmallOrderInfinities:
     """At alpha = 0.002 and theta = (5, 0), p^(1-1/alpha) overflows: loss
@@ -876,10 +952,50 @@ def grad_filter_cases(draw):
     return data, pts, alpha
 
 
+FLOAT_LOSS_ORDERS = (0.5, 1.0, 1.0 + 1e-7, 2.0, 10.0, INFINITY)
+FLOAT_GRAD_ORDERS = (0.5, 1.0, 2.0, INFINITY)
+
+
+@st.composite
+def gmm_filter_cases(draw):
+    """A ``GmmSpec`` mixture of 1-5 dimensions with random means and
+    covariances, 1 to a few thousand normalized samples of it, up to 3 loss
+    orders and one gradient order, and up to 6 points. With every order at
+    least 1 the points may lie far out, norms up to 3000, where many
+    margins pass 745 and their weights underflow; below order 1 the weights
+    grow like exp(|margin|), so the points keep norms up to 10."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    d = draw(st.integers(1, 5))
+    means = rng.normal(size=(2, d)) * draw(st.sampled_from([0.1, 1.0, 5.0]))
+    factors = rng.normal(size=(2, d, d))
+    covs = factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    spec = GmmSpec(rng.uniform(0.1, 0.9), means[0], means[1], covs[0], covs[1])
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1, 3000)))
+    data, _ = normalize_features(sample_gmm(spec, n, RngState(seed)))
+    alphas = draw(st.lists(st.sampled_from(FLOAT_LOSS_ORDERS), max_size=3))
+    grad_alpha = draw(st.sampled_from(FLOAT_GRAD_ORDERS))
+    far = min([*alphas, grad_alpha]) >= 1.0
+    radius = draw(st.sampled_from([1.0, 10.0, 1000.0, 3000.0] if far else [1.0, 10.0]))
+    pts = rng.uniform(-radius, radius, (draw(st.integers(1, 6)), d))
+    return data, pts, alphas, grad_alpha
+
+
 def exact_sups(alphas, grid, data, reference=INFINITY):
     """The oracle: the max of |risk(alpha) - risk(reference)| over ``landscape_scans``."""
     _, risks = landscape_scans([*alphas, reference], grid, data)
     return np.max(np.abs(risks[:, :-1] - risks[:, -1:]), axis=0).tolist()
+
+
+def negate_losses(patch):
+    """Negate every loss row of the exact pass (``risk.loss_from_logp``)
+    and every loss sum of the float pass (``risk.loss_sum_map``): means
+    that nonnegative terms cannot give. The rows are negated as the maps
+    negate (x * -1.0; see ``loss._negate``)."""
+    loss, loss_sum = risk.loss_from_logp, risk.loss_sum_map
+    patch.setattr(risk, "loss_from_logp", lambda alpha, logp, out=None: np.multiply(
+        loss(alpha, logp, out=out), -1.0, out=out))
+    patch.setattr(risk, "loss_sum_map", lambda alpha: lambda logp, tmp: -loss_sum(alpha)(logp, tmp))
 
 
 def record_exact_calls(patch) -> list:
@@ -900,7 +1016,7 @@ class TestSaturationFilter:
     @given(filter_cases())
     def test_approximate_mean_lies_within_its_bound(self, case):
         data, pts, alphas = case
-        approx = risk._means(pts, data, alphas, exact=False)
+        approx = risk._means(pts, data, alphas, exact=False)[:, :-1]  # the last column is the weights'
         exact = risk._means(pts, data, alphas)
         assert np.all(approx >= 0)
         assert np.all(np.abs(approx - exact) <= risk._approx_mean_error(approx, data.n))
@@ -916,16 +1032,61 @@ class TestSaturationFilter:
         assert np.all(np.abs(approx - exact) <= bounds)
         assert np.all(bounds[:, 1:] == bounds[:, 1:2])  # one bound for a point's gradient rows
 
-    def test_float_means_leave_the_rows_bits(self, fig2_small):
-        # The float pass sums the same terms as the exact one: only the sums differ.
+    @settings(max_examples=200, deadline=None)
+    @given(gmm_filter_cases())
+    def test_loss_and_gradient_orders_lie_within_their_bounds(self, case):
+        # Every loss order with every gradient order: each float mean lies
+        # within its bound of the exact mean, a point's gradient rows share
+        # one bound, and only a point with a non-finite exact mean goes
+        # without bounds.
+        data, pts, alphas, grad_alpha = case
+        approx, bounds = risk.float_means(pts, data, alphas, grad_alpha)
+        exact = risk._means(pts, data, alphas, grad_alpha)
+        settled = ~np.isnan(bounds)
+        assert np.all(np.abs(approx - exact)[settled] <= bounds[settled])
+        assert np.array_equal(settled.all(axis=1), settled.any(axis=1))
+        assert np.all(settled.all(axis=1) | ~np.isfinite(exact).all(axis=1))
+        k = len(alphas)
+        assert np.all(bounds[:, k:] == bounds[:, k:k + 1])
+
+    def test_far_points_have_underflowing_weights(self):
+        # The far points of ``gmm_filter_cases`` reach the weights that
+        # underflow: subnormal or zero products -w s in the float pass.
+        data, _ = normalize_features(sample_gmm(preset("fig2"), 2000, RngState(5)))
+        pts = np.array([[3000.0, 0.0], [0.0, -3000.0], [-2000.0, 2000.0]])
+        neg_w = neg_grad_weight_map(INFINITY)(risk._logp(pts, data), np.empty((3, 2000)), np.empty((3, 2000)))
+        assert np.any((neg_w != 0.0) & (np.abs(neg_w) < np.finfo(float).tiny)) and np.any(neg_w == 0.0)
+        for grad_alpha in (1.0, 2.0, INFINITY):
+            approx, bounds = risk.float_means(pts, data, (1.0,), grad_alpha)
+            exact = risk._means(pts, data, (1.0,), grad_alpha)
+            assert np.all(np.isfinite(bounds)) and np.all(np.abs(approx - exact) <= bounds)
+
+    @pytest.mark.parametrize("alphas, grad_alpha", [
+        ((0.5, 2.0), 2.0), ((1.0, INFINITY, 1.0 + 1e-7), 1.0), ((10.0,), INFINITY), ((), 0.5), ((1.0, 2.0), None),
+    ])
+    def test_float_means_leave_the_rows_bits(self, fig2_small, alphas, grad_alpha):
+        # The float pass sums the exact pass's terms without making them:
+        # each loss row has the bits of the pairwise sum of its ``_terms``
+        # row (a log or infinite order sums before its negation, which is
+        # exact), and the gradient rows and the weight sum are the one
+        # product -w @ [signed | 1].
+        data, n, k = fig2_small, fig2_small.n, len(alphas)
         pts = np.array([[0.5, -1.0], [2.0, 3.0], [-4.0, 1.0]])
-        approx, _ = risk.float_means(pts, fig2_small, (0.5, 2.0), 2.0)
-        assert np.array_equal(approx, risk._means(pts, fig2_small, (0.5, 2.0), 2.0, exact=False))
+        approx, _ = risk.float_means(pts, data, alphas, grad_alpha)
+        sums = risk._means(pts, data, alphas, grad_alpha, exact=False)
+        assert np.array_equal(approx, sums[:, :-1])
+        logp = risk._logp(pts, data)
+        terms = risk._terms(logp.copy(), data, alphas).reshape(len(pts), k, n)
+        assert np.array_equal(sums[:, :k], np.add.reduce(terms, axis=2) / n)
+        if grad_alpha is None:
+            assert np.array_equal(sums[:, -1], np.zeros(len(pts)))
+            return
+        product = -grad_weight_from_logp(grad_alpha, logp) @ np.vstack([data.signed.T, np.ones(n)]).T
+        assert np.array_equal(sums[:, k:-1], product[:, :-1] / n)
+        assert np.array_equal(sums[:, -1], product[:, -1] / -n)
 
     def test_negative_loss_mean_has_no_bound(self, fig2_small, monkeypatch):
-        original = risk.loss_from_logp
-        monkeypatch.setattr(risk, "loss_from_logp", lambda alpha, logp, out=None: np.negative(
-            original(alpha, logp, out=out), out=out))
+        negate_losses(monkeypatch)
         means, bounds = risk.float_means([[1.0, 1.0], [0.0, 0.0]], fig2_small, (1.0,), 1.0)
         # nonnegative terms cannot give a negative mean: no row of the point has a usable bound
         assert np.all(means[:, 0] < 0) and np.all(np.isfinite(means[:, 1:]))
@@ -959,7 +1120,7 @@ class TestSaturationFilter:
         # underflow in the division, and the absolute part of the bound holds them.
         data = Dataset(np.array([[1.0], [0.5], [0.25]]), np.array([1, 1, 1]))
         pts = np.array([[2760.0], [2800.0], [2976.0], [2980.0]])
-        approx = risk._means(pts, data, [INFINITY], exact=False)
+        approx = risk._means(pts, data, [INFINITY], exact=False)[:, :-1]
         exact = risk._means(pts, data, [INFINITY])
         assert np.all(np.abs(approx - exact) <= risk._approx_mean_error(approx, data.n))
         assert np.any((0 < exact) & (exact < np.finfo(float).tiny))
@@ -1000,11 +1161,12 @@ class TestSaturationFilter:
         error = 2999 * u / (1.0 - 2999 * u) + 3.0 * u
         means, approximations = risk._means, []
 
-        def adversarial(thetas, data, alphas=(), grad_alpha=None, exact=True, weights=None):
+        def adversarial(thetas, data, alphas=(), grad_alpha=None, exact=True):
             out = means(thetas, data, alphas, grad_alpha)
             if not exact:
                 out *= 1.0 + error * rng.choice([-1.0, 1.0], out.shape)
                 approximations.append(out)
+                out = np.column_stack([out, np.zeros(len(out))])  # no gradient rows: a zero weight column
             return out
 
         monkeypatch.setattr(risk, "_means", adversarial)
@@ -1084,9 +1246,7 @@ class TestSaturationFilter:
     def test_negative_mean_falls_back_to_the_scan_error(self, fig2_small, monkeypatch):
         # Negated loss rows: every mean is negative, so the filter cannot
         # bound its terms, and every node goes to the exact pass.
-        original = risk.loss_from_logp
-        monkeypatch.setattr(risk, "loss_from_logp", lambda alpha, logp, out=None: np.negative(
-            original(alpha, logp, out=out), out=out))
+        negate_losses(monkeypatch)
         calls = record_exact_calls(monkeypatch)
         grid = GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3)))
         with warnings.catch_warnings():

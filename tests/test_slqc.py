@@ -235,9 +235,9 @@ class TestSweepOracle:
         passes = []
         means, logp = risk._means, risk._logp
 
-        def counting_means(thetas, data, alphas=(), grad_alpha=None, exact=True, weights=None):
+        def counting_means(thetas, data, alphas=(), grad_alpha=None, exact=True):
             passes.append((exact, []))
-            return means(thetas, data, alphas, grad_alpha, exact, weights)
+            return means(thetas, data, alphas, grad_alpha, exact)
 
         def counting_logp(pts, data, **buffers):
             passes[-1][1].append(len(pts))
@@ -473,15 +473,15 @@ class TestFilteredCertificate:
         theta0 = np.array([0.3, -0.2]) * r
         spoil, means_of = np.random.default_rng(seed), risk._means
 
-        def spoiled(thetas, data, alphas=(), grad_alpha=None, exact=True, weights=None):
-            means = means_of(thetas, data, alphas, grad_alpha, exact, weights)
-            if not exact:
+        def spoiled(thetas, data, alphas=(), grad_alpha=None, exact=True):
+            means = means_of(thetas, data, alphas, grad_alpha, exact)
+            if not exact:  # the last column is the mean gradient weight
                 for i in np.flatnonzero(spoil.random(len(means)) < share):
                     value = spoil.choice([np.nan, np.inf, -np.inf])
                     if grad_alpha is not None and spoil.random() < 0.5:
-                        weights[i] = value
+                        means[i, -1] = value
                     else:
-                        means[i, spoil.integers(means.shape[1])] = value
+                        means[i, spoil.integers(means.shape[1] - 1)] = value
             return means
 
         sweep = (alpha, SlqcParams(epsilon, lipschitz_in_theta(1.0, r) * kappa_scale, theta0), fig2_small, r, count)
