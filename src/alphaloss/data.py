@@ -146,13 +146,14 @@ def sample_gmm(spec: GmmSpec, n: int, rng: RngState) -> RawDataset:
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     d = spec.dim
-    z = np.empty((n, d + d % 2))
-    ys = np.empty(n, dtype=np.int64)
+    try:
+        z, ys, xs = np.empty((n, d + d % 2)), np.empty(n, dtype=np.int64), np.empty((n, d))
+    except (ValueError, MemoryError):  # past numpy's largest dimension, or past memory
+        raise UsageError(f"n = {n} samples cannot be allocated") from None
     for i in range(n):
         ys[i] = -1 if rng.uniform() < spec.prior_neg else 1
         for j in range(0, d, 2):
             z[i, j:j + 2] = rng.gaussian_pair()
-    xs = np.empty((n, d))
     for label, cov, mean in ((-1, spec.cov_neg, spec.mean_neg), (1, spec.cov_pos, spec.mean_pos)):
         rows = ys == label
         xs[rows] = (cholesky(cov) @ z[rows, :d, None])[:, :, 0] + mean

@@ -286,6 +286,11 @@ class RngState:
         return radius * math.cos(angle), radius * math.sin(angle)
 
 
+# Most attempts one round of ``sample_ball_batch`` draws, so a round's
+# uniforms stay a small list whatever the count.
+_BALL_ROUND = 1 << 16
+
+
 def sample_ball(rng: RngState, dim: int, radius: float) -> np.ndarray:
     """One point uniform on the ball of given radius, by rejection from the
     bounding cube. Advances ``rng`` a data-dependent number of steps.
@@ -305,21 +310,28 @@ def sample_ball(rng: RngState, dim: int, radius: float) -> np.ndarray:
 def sample_ball_batch(rng: RngState, dim: int, radius: float, count: int) -> np.ndarray:
     """``count`` points of ``sample_ball`` as the rows of one array: the
     points that ``count`` calls would return, with their bits, and ``rng``
-    left where those calls leave it. Each round draws one attempt (dim
-    uniforms, in stream order) per point still needed and keeps the ones
-    the membership test accepts, tested all at once: ``np.vecdot`` has
-    ``np.dot``'s bits. A round of k attempts accepts at most k points, and
-    all k only at its last attempt, so no round draws past the attempt that
-    gives the last point."""
+    left where those calls leave it. The result is made first (UsageError
+    when it cannot be). Each round draws one attempt (dim uniforms, in
+    stream order) per point still needed, at most _BALL_ROUND of them, and
+    keeps the ones the membership test accepts, tested all at once:
+    ``np.vecdot`` has ``np.dot``'s bits. A round of k attempts accepts at
+    most k points, and all k only at its last attempt, so no round draws
+    past the attempt that gives the last point."""
     radius, exp, unit = _ball_scale(dim, radius)
-    rounds, need = [], count
-    while need > 0:
-        points = (2.0 * np.array([rng.uniform() for _ in range(need * dim)]) - 1.0) * radius
-        points = points.reshape(need, dim)
+    try:
+        out = np.empty((count, dim))
+    except (ValueError, MemoryError):  # past numpy's largest dimension, or past memory
+        raise UsageError(f"{count} ball points of dimension {dim} cannot be allocated") from None
+    done = 0
+    while done < count:
+        k = min(count - done, _BALL_ROUND)
+        points = (2.0 * np.array([rng.uniform() for _ in range(k * dim)]) - 1.0) * radius
+        points = points.reshape(k, dim)
         scaled = np.ldexp(points, -exp)
-        rounds.append(points[np.vecdot(scaled, scaled) <= unit * unit])
-        need -= len(rounds[-1])
-    return np.concatenate(rounds) if rounds else np.empty((0, dim))
+        accepted = points[np.vecdot(scaled, scaled) <= unit * unit]
+        out[done:done + len(accepted)] = accepted
+        done += len(accepted)
+    return out
 
 
 def _ball_scale(dim: int, radius: float) -> tuple[float, int, float]:

@@ -29,18 +29,20 @@ tests' oracle; a finite mean whose sum passes the float range is taken in
 a scaled frame there.
 
 Every value, gradient and Hessian starts from one margin pass to log p
-(``_logp``); values and gradients share one terms formula (``_terms``)
-and one block driver (``_means``), whose blocks of about 200,000 elements
-stay in cache. A batched call makes one buffer set, sized for its largest
-block: the margins (overwritten by log p), one temporary and, for exact
-sums, the terms and the extraction scratch. Every block reuses it: the
-margin pass, the maps and the extraction run in place, so no block makes
-an array of its own, and the buffers go with the call. The margin matmul
-rounds a one-row batch differently, so a one-point call agrees with a
-batch only up to rounding. The ``value_and_grad`` oracle makes its
-one-point buffer set and picks its order's loss and gradient-weight maps
-(``loss.loss_map``, ``loss.neg_grad_weight_map``) once, when it is built.
-Grid scans take every order they need from one margin pass over the grid.
+(``_logp``). Values and gradients come from one block driver (``_means``),
+whose blocks of about 200,000 elements stay in cache, and one block map
+per pass, which chooses its orders' maps once per call: ``_exact_sums``
+writes the terms and sums them exactly, ``_float_sums`` sums them in
+floats. A batched call makes one buffer set, sized for its largest block:
+the margins (overwritten by log p), one temporary and, for exact sums, the
+terms and the extraction scratch. Every block reuses it: the margin pass,
+the maps and the extraction run in place, so no block makes an array of
+its own, and the buffers go with the call. The ``value_and_grad`` oracle
+is the exact map of one point, made with its buffers when it is built.
+The BLAS may round a row's margins differently with the row count of its
+matmul call, so a point's bits are those of its block; a caller that needs
+a batch's bits recomputes whole blocks of it. Grid scans take every order
+they need from one margin pass over the grid.
 
 The saturation scan needs only the max of the gaps, and the SLQC sweep and
 gradient-infimum estimate only verdicts, counts and a few extremes, so
@@ -110,7 +112,7 @@ from .loss import (
     format_alpha,
     grad_weight_from_logp,  # noqa: F401  unused here, but bench/tracer.py rebinds the name in this module
     hess_factor_from_logp,
-    loss_from_logp,
+    loss_from_logp,  # noqa: F401  unused here, but bench/tracer.py rebinds the name in this module
     loss_map,
     loss_sum_map,
     neg_grad_weight_map,
@@ -352,62 +354,69 @@ def _second_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def _terms(logp: np.ndarray, data: Dataset, alphas, grad_alpha=None, out: np.ndarray | None = None,
-           tmp: np.ndarray | None = None) -> np.ndarray:
-    """Per row of ``logp``, one loss row per order in ``alphas``, then one
-    gradient row per coordinate at ``grad_alpha`` if set: (points * rows, n).
-    The rows go to ``out``, a (points, rows, n) float array, and ``tmp``, of
-    logp's shape, takes the gradient map's expm1(log p); both are made when
-    they are None. With ``grad_alpha`` set, ``logp`` is overwritten by the
-    negated gradient weights -w, and each gradient row is -w times a
-    feature column."""
-    rows = len(alphas) + (0 if grad_alpha is None else data.dim)
-    out = np.empty((len(logp), rows, data.n)) if out is None else out
-    for j, alpha in enumerate(alphas):
-        loss_from_logp(alpha, logp, out=out[:, j])
-    if grad_alpha is not None:
-        _grad_rows(neg_grad_weight_map(grad_alpha), logp, data.signed.T, out[:, len(alphas):],
-                   np.empty_like(logp) if tmp is None else tmp)
-    return out.reshape(-1, data.n)
+def _exact_sums(data: Dataset, alphas, grad_alpha, points: int):
+    """The exact pass's block map ``sums(logp, tmp)``, with each order's maps
+    chosen once: per row of ``logp`` (at most ``points`` rows), the exact
+    means of one loss row per order in ``alphas``, then of -w times each
+    label-signed feature column at ``grad_alpha`` if set, as a new array
+    with a row per row of ``logp``. ``logp`` is overwritten by -w and ``tmp`` may be (see
+    ``loss.neg_grad_weight_map``). The terms block and the extraction
+    scratch are made once, for ``points`` rows."""
+    losses = [loss_map(alpha) for alpha in alphas]
+    neg_weight = None if grad_alpha is None else neg_grad_weight_map(grad_alpha)
+    n, k = data.n, len(losses)
+    rows = k + (0 if grad_alpha is None else data.dim)
+    terms_buf, scratch = np.empty(points * rows * n), np.empty(points * rows * n)
+    signed_t = data.signed.T
 
+    def views(m):  # the terms block of m points, its loss rows and its gradient rows
+        terms = terms_buf[:m * rows * n].reshape(m, rows, n)
+        return terms.reshape(m * rows, n), [terms[:, j] for j in range(k)], terms[:, k:]
+    full = views(points)  # made once: every oracle call, and most blocks, use it
 
-def _grad_rows(neg_weight, logp: np.ndarray, signed_t: np.ndarray, out: np.ndarray, tmp: np.ndarray):
-    """Per row of ``logp``, one gradient row per coordinate into ``out``,
-    (points, d, n): -w times each label-signed feature column (``signed_t``
-    is ``data.signed.T``). ``neg_weight`` is a ``neg_grad_weight_map``;
-    ``logp`` is overwritten by -w and ``tmp`` may be (see that map)."""
-    np.multiply(neg_weight(logp, logp, tmp)[:, None], signed_t, out=out)
+    def sums(logp, tmp):
+        m = len(logp)
+        block, loss_rows, grad_rows = full if m == points else views(m)
+        for loss, out in zip(losses, loss_rows):
+            loss(logp, out)
+        if neg_weight is not None:
+            np.multiply(neg_weight(logp, logp, tmp)[:, None], signed_t, out=grad_rows)
+        return _extract_sums(block, n, scratch).reshape(m, rows)
+    return sums
 
 
 def _float_sums(data: Dataset, alphas, grad_alpha):
-    """The float pass's block map ``sums(logp, tmp, out)``, with each
-    order's maps chosen once: per row of ``logp`` (overwritten), the float
-    sums of the ``_terms`` rows into ``out``, (points, rows + 1), without
-    making them. A loss row is summed pairwise (``loss.loss_sum_map``, with
-    ``tmp`` as scratch). The gradient rows and the sum of the weights come
-    from one matrix product, -w @ [signed | -1]; the last column holds sum
-    w, or 0.0 without ``grad_alpha``."""
+    """The float pass's block map ``sums(logp, tmp)``, with each order's maps
+    chosen once: per row of ``logp`` (overwritten), the float means of the
+    ``_exact_sums`` rows, without making them, and of the weights, as a new
+    (points, rows + 1) array. A loss row is summed pairwise
+    (``loss.loss_sum_map``, with ``tmp`` as scratch); the gradient rows and
+    the weights' sum come from one matrix product, -w @ [signed | -1].
+    Without ``grad_alpha`` the last column is 0.0."""
     losses = [loss_sum_map(alpha) for alpha in alphas]
+    n, k = data.n, len(losses)
     if grad_alpha is not None:
         neg_weight = neg_grad_weight_map(grad_alpha)
         # [signed | -1], (n, d + 1), laid out as its transpose: the BLAS
         # product runs faster that way. Each -w * -1 is w exactly.
-        features = np.vstack([data.signed.T, np.full(data.n, -1.0)]).T
+        features = np.vstack([data.signed.T, np.full(n, -1.0)]).T
 
-    def sums(logp, tmp, out):
+    def sums(logp, tmp):
+        out = np.empty((len(logp), k + (1 if grad_alpha is None else data.dim + 1)))
         for j, loss in enumerate(losses):
             out[:, j] = loss(logp, tmp)
         if grad_alpha is None:
             out[:, -1] = 0.0
         else:
-            np.matmul(neg_weight(logp, logp, tmp), features, out=out[:, len(losses):])
+            np.matmul(neg_weight(logp, logp, tmp), features, out=out[:, k:])
+        return np.divide(out, n, out=out)
     return sums
 
 
 def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True) -> np.ndarray:
-    """(points, rows) means of the ``_terms`` rows: one margin pass and one
-    sum per block, exactly rounded. With ``exact`` False the rows are
-    summed in floats instead (``_float_sums``), and one more column holds
+    """(points, rows) means of the ``_exact_sums`` rows: one margin pass and
+    one block map per block, exactly rounded. With ``exact`` False the rows
+    are summed in floats instead (``_float_sums``), and one more column holds
     each point's mean gradient weight (0.0 without ``grad_alpha``)."""
     alphas = [check_alpha(a) for a in alphas]
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
@@ -419,23 +428,13 @@ def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True
     # every block: log p, one temporary and, for exact sums, the terms and
     # the extraction scratch. Block-sized arrays made and freed per block
     # would have the allocator return their pages and fault them in again.
-    size = max((sl.stop - sl.start for sl in blocks), default=0) * n
-    logp_buf, tmp_buf = np.empty(size), np.empty(size)
-    if exact:
-        terms_buf, scratch = np.empty(size * rows), np.empty(size * rows)
-    else:
-        float_sums = _float_sums(data, alphas, grad_alpha)
+    largest = max((sl.stop - sl.start for sl in blocks), default=0)
+    logp_buf, tmp_buf = np.empty(largest * n), np.empty(largest * n)
+    sums = _exact_sums(data, alphas, grad_alpha, largest) if exact else _float_sums(data, alphas, grad_alpha)
     for sl in blocks:
         k = sl.stop - sl.start
         tmp = tmp_buf[:k * n].reshape(k, n)
-        logp = _logp(pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp)
-        if exact:
-            terms = _terms(logp, data, alphas, grad_alpha, out=terms_buf[:k * rows * n].reshape(k, rows, n), tmp=tmp)
-            out[sl] = _extract_sums(terms, n, scratch).reshape(k, rows)
-        else:
-            float_sums(logp, tmp, out[sl])
-    if not exact:
-        out /= n
+        out[sl] = sums(_logp(pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp), tmp)
     return out
 
 
@@ -475,9 +474,10 @@ def may_hold_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def exact_rows(evaluate, points: np.ndarray, keep: np.ndarray):
     """The rows of ``points`` where ``keep`` holds, and ``evaluate`` of them
     in one call: (row indices, result), with result None when no row is
-    kept. When one row of several is kept, the first other row joins it:
-    a one-point call rounds its margins differently, so only a call of two
-    or more points gives a row the bits of the whole batch."""
+    kept. When one row of several is kept, the first other row joins it: a
+    one-point call rounds its margins apart from every batch. A call of two
+    or more points can still round a row apart from a larger batch (see the
+    module docstring); ``saturation_sups`` keeps whole blocks for that."""
     keep = np.array(keep, dtype=bool)
     if 0 < np.count_nonzero(keep) < min(2, len(points)):
         keep[np.argmin(keep)] = True
@@ -526,17 +526,14 @@ def empirical_risk_hess(alpha: float, theta, data: Dataset) -> np.ndarray:
 
 def value_and_grad(alpha: float, data: Dataset):
     """Objective oracle theta -> (risk, gradient) bound to a dataset: the
-    one-point ``_terms`` summed directly, without the block loop. The loss
-    and gradient-weight maps, the signed features and the buffers are made
-    with the oracle (so one thread calls it at a time); a call checks its
-    point once, then makes the margins, log p, the loss row, the -w
-    gradient rows and one ``_extract_sums``. Each call returns a new
-    gradient array."""
-    loss, neg_weight = loss_map(alpha), neg_grad_weight_map(alpha)
-    n, d = data.n, data.dim
-    signed_t = data.signed.T
-    logp, tmp, terms, scratch = np.empty((1, n)), np.empty((1, n)), np.empty((1, 1 + d, n)), np.empty((1 + d) * n)
-    loss_row, grad_rows, block = terms[:, 0], terms[:, 1:], terms.reshape(1 + d, n)
+    one-point block map of ``_means`` (``_exact_sums``), without the block
+    loop. The maps, the signed features and the buffers are made with the
+    oracle (so one thread calls it at a time); a call checks its point
+    once, then makes the margins, log p and one block's exact means. Each
+    call returns a new gradient array."""
+    sums = _exact_sums(data, (alpha,), alpha, 1)
+    d = data.dim
+    logp, tmp = np.empty((1, data.n)), np.empty((1, data.n))
 
     def oracle(theta):
         pts = np.asarray(theta, dtype=float)
@@ -544,10 +541,7 @@ def value_and_grad(alpha: float, data: Dataset):
             pts = pts[None, :]
         else:  # a (1, d) point, or the error that names what is wrong
             pts = _as_point(theta, data)
-        _logp(pts, data, out=logp, tmp=tmp)
-        loss(logp, loss_row)
-        _grad_rows(neg_weight, logp, signed_t, grad_rows, tmp)
-        means = _extract_sums(block, n, scratch)
+        means = sums(_logp(pts, data, out=logp, tmp=tmp), tmp)[0]
         return float(means[0]), means[1:]
 
     return oracle
@@ -645,9 +639,11 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
     """Largest grid-node gap |risk(alpha) - risk(reference)| for each order
     in ``alphas``, in input order: the bits of the max over
     ``landscape_scans([*alphas, reference], ...)``, with its errors. A filter
-    pass sums every order in floats; only the nodes that may hold a largest
-    gap, or have no usable bound, get exact sums and the scan's checks, in
-    one ``exact_rows`` call. An order equal to the reference has sup 0.0.
+    pass sums every order in floats; only the scan's blocks that hold a node
+    that may hold a largest gap, or has no usable bound, get exact sums and
+    the scan's checks, in one ``exact_rows`` call. A union of whole blocks
+    is cut into the same blocks, so each node gets the scan's bits. An order
+    equal to the reference has sup 0.0.
 
     Every order must lie in [1, inf]; the gap obeys the Lipschitz-in-1/alpha
     bound L_r * |1/alpha - 1/reference| when the grid sits inside the
@@ -665,6 +661,8 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
         gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
         # With no order but the reference, a node without bounds still needs the scan's checks.
         keep = np.isnan(errors[:, -1]) | np.any(may_hold_max(gaps - bounds, gaps + bounds), axis=1)
+    starts = [sl.start for sl in _blocks(len(nodes), (1 + len(orders)) * data.n)]
+    keep = np.repeat(np.logical_or.reduceat(keep, starts), np.diff([*starts, len(nodes)]))
     _, exact = exact_rows(lambda pts: _checked_risks(orders, pts, data), nodes, keep)
     if exact is None:  # every order is the reference
         return [0.0] * len(alphas)

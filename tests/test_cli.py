@@ -61,6 +61,18 @@ class TestGenData:
         assert run("gen-data", "--n", "0", "--out", str(tmp_path)) == 2
         assert not (tmp_path / "dataset.csv").exists()
 
+    # Counts numpy cannot allocate: past its largest dimension, and past any memory.
+    @pytest.mark.parametrize("argv", [
+        ("gen-data", "--n", "100000000000000000000"),
+        ("gen-data", "--n", "10000000000000"),
+        ("certify", "--n", "20", "--sweep", "100000000000000000000", "--i-budget", "5", "--accept-infinite-i"),
+    ])
+    def test_count_that_cannot_be_allocated_is_usage_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot be allocated" in err and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     def test_spec_whose_squared_norms_overflow_gets_a_finite_scale(self, tmp_path):
         spec = {"prior_neg": 0.5, "mean_neg": [1e200, 1e200], "mean_pos": [-1e200, 2e200],
                 "cov_neg": [[1, 0], [0, 1]], "cov_pos": [[1, 0], [0, 1]]}

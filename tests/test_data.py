@@ -92,6 +92,12 @@ class TestSampling:
         with pytest.raises(UsageError):
             sample_gmm(preset("fig2"), 0, RngState(1))
 
+    # Past numpy's largest dimension (ValueError), and past any memory (MemoryError).
+    @pytest.mark.parametrize("n", [10**20, 10**15])
+    def test_n_that_cannot_be_allocated_is_usage_error(self, n):
+        with pytest.raises(UsageError, match=f"n = {n} samples cannot be allocated"):
+            sample_gmm(preset("fig2"), n, RngState(1))
+
 
 def per_row_sample_gmm(spec, n, rng):
     """The oracle: ``sample_gmm`` as it stood before the batched colouring,

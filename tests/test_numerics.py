@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphaloss import numerics
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.numerics import (
     RngState,
@@ -345,6 +346,22 @@ class TestSampleBall:
         # small; past about d = 30 the sampler accepts almost nothing, and
         # test_vecdot_has_the_bits_of_dot covers the longer rows.
         self.check_batch(8, radius, count, seed, index)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 300), st.integers(1, 9), st.integers(0, 2**64 - 1))
+    def test_capped_rounds_are_the_scalar_loop(self, dim, count, per_round, seed):
+        # Rounds of at most per_round attempts keep the points and the stream.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_BALL_ROUND", per_round)
+            self.check_batch(dim, 5.0, count, seed, None)
+
+    @pytest.mark.parametrize("count", [10**20, 10**15])
+    def test_count_that_cannot_be_allocated_is_usage_error(self, count):
+        # The result is made first: no uniform is drawn.
+        rng = RngState(4)
+        with pytest.raises(UsageError, match=f"{count} ball points of dimension 2 cannot be allocated"):
+            sample_ball_batch(rng, 2, 1.0, count)
+        assert rng.next_u64() == RngState(4).next_u64()
 
     @staticmethod
     def check_batch(dim, radius, count, seed, index):

@@ -22,6 +22,7 @@ from alphaloss.loss import (
     hess_factor_from_logp,
     lipschitz_in_inv_alpha,
     loss_from_logp,
+    loss_map,
     neg_grad_weight_map,
 )
 from alphaloss.numerics import RngState, log_sigmoid_vec, min_eigen_sym, sigmoid
@@ -57,6 +58,17 @@ def tiny_dataset():
     xs = np.array([[0.7, 0.1], [-0.3, 0.5], [0.2, -0.9], [0.1, 0.1], [-0.6, -0.6]])
     ys = np.array([1, -1, 1, -1, 1])
     return Dataset(xs, ys)
+
+
+def terms_rows(logp, data, alphas, grad_alpha=None):
+    """The terms the exact pass sums for one row of log p, built from the
+    maps: a loss row per order in ``alphas``, then -w times each
+    label-signed feature column at ``grad_alpha``: (rows, n)."""
+    rows = [loss_map(alpha)(logp, np.empty_like(logp)) for alpha in alphas]
+    if grad_alpha is not None:
+        neg_w = neg_grad_weight_map(grad_alpha)(logp, np.empty_like(logp), np.empty_like(logp))
+        rows.extend(neg_w * data.signed.T)
+    return np.array(rows).reshape(-1, data.n)
 
 
 class TestDataset:
@@ -227,8 +239,7 @@ class TestExactRowSums:
         # leaves a remainder keeps it: without 2^-140, 1 + 2^-53 is a tie
         # that rounds down to 1.
         data, _ = normalize_features(sample_gmm(preset("fig2"), 1000, RngState(3)))
-        logp = risk._logp(np.array([[0.7, -1.2]]), data)
-        block = risk._terms(logp, data, (1.0,), 1.0)
+        block = terms_rows(risk._logp(np.array([[0.7, -1.2]]), data)[0], data, (1.0,), 1.0)
         rows = np.array([[1.0, 2.0 ** -53, 2.0 ** -140], [3.0, 0.0, 0.0]])
         expected, expected_rows = fsum_rows(block), fsum_rows(rows)
         fsum, fsum_calls = math.fsum, []
@@ -301,7 +312,7 @@ class TestExactRowSums:
         # 2^-10 where nothing overflows or underflows. That is within one ulp
         # of the exact mean.
         data = Dataset(np.array([[0.6, 0.8]] * 3), np.array([-1, -1, -1]))
-        losses = risk._terms(risk._logp(np.array([[1e308, 0.0]]), data), data, (1.0,))[0].tolist()
+        losses = terms_rows(risk._logp(np.array([[1e308, 0.0]]), data)[0], data, (1.0,))[0].tolist()
         exact = sum(map(Fraction, losses))
         scaled_sum = Fraction(float(exact / 2**10))
         expected = math.ldexp(float(scaled_sum) / 3, 10)
@@ -517,14 +528,33 @@ class TestRiskDerivatives:
                 rtol=1e-14, atol=0.0,
             )
 
-    def test_value_and_grad_oracle_consistent(self, fig2_small):
-        oracle = value_and_grad(2.0, fig2_small)
-        theta = np.array([0.5, -1.0])
-        value, grad = oracle(theta)
-        assert value == empirical_risk(2.0, theta, fig2_small)
-        assert np.array_equal(grad, empirical_risk_grad(2.0, theta, fig2_small))
-        v2, g2 = risk_values_grads(2.0, theta, fig2_small)
-        assert v2[0] == value and np.array_equal(g2[0], grad)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0 + 1e-7, 2.0, 10.0, INFINITY, 0.0016])
+    @pytest.mark.parametrize("theta", [[0.5, -1.0], [3000.0, -2000.0]])
+    def test_value_and_grad_oracle_consistent(self, fig2_small, alpha, theta):
+        # The oracle is the batched passes' exact block map: the same bits,
+        # or the same error. At the far point some gradient weights
+        # underflow to subnormals and zeros; at orders 0.5 and 0.0016 others
+        # overflow, and the gradient rows hold infinities of both signs.
+        data = fig2_small
+        calls = [
+            lambda: value_and_grad(alpha, data)(theta),
+            lambda: (empirical_risk(alpha, theta, data), empirical_risk_grad(alpha, theta, data)),
+            lambda: tuple(a[0] for a in risk_values_grads(alpha, theta, data)),
+        ]
+
+        def bits(call):
+            try:
+                value, grad = call()
+            except NumericError as exc:
+                return str(exc)
+            return np.array([value, *grad]).tobytes()
+
+        with np.errstate(all="ignore"):
+            assert len({bits(call) for call in calls}) == 1
+            if theta[0] > 1000.0:
+                neg_w = neg_grad_weight_map(alpha)(risk._logp(np.array([theta]), data), np.empty((1, data.n)),
+                                                   np.empty((1, data.n)))
+                assert np.any(neg_w == 0.0) and np.any((neg_w != 0.0) & (np.abs(neg_w) < np.finfo(float).tiny))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.0 + 1e-7, 2.0, INFINITY])
     def test_oracle_buffers_keep_the_bits_and_return_new_gradients(self, fig2_small, alpha):
@@ -580,6 +610,23 @@ class TestEvaluationKernel:
                 assert values.tobytes() == risk_values(alpha, pts, fig2_small).tobytes()
                 assert grads.tobytes() == risk_grads(alpha, pts, fig2_small).tobytes()
 
+
+    @pytest.mark.parametrize("per_block, blocks", [(None, 1), (2, 4), (3, 3)])
+    def test_one_call_chooses_each_map_once(self, fig2_small, monkeypatch, per_block, blocks):
+        # However many blocks an exact call takes, each order's loss map and
+        # the gradient-weight map are chosen once, before the first block.
+        chosen = []
+        for name in ("loss_map", "neg_grad_weight_map"):
+            original = getattr(risk, name)
+            monkeypatch.setattr(risk, name, lambda alpha, name=name, original=original: (
+                chosen.append((name, alpha)) or original(alpha)))
+        width = (1 + 2 + fig2_small.dim) * fig2_small.n  # two loss rows and two gradient rows per point
+        if per_block is not None:
+            monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", per_block * width)
+        pts = np.random.default_rng(25).uniform(-5.0, 5.0, size=(9, 2))
+        assert len(list(risk._blocks(len(pts), width))) == blocks
+        risk._means(pts, fig2_small, (0.5, INFINITY), 2.0)
+        assert chosen == [("loss_map", 0.5), ("loss_map", INFINITY), ("neg_grad_weight_map", 2.0)]
 
     def test_cache_sized_blocks_give_the_bytes_of_one_block(self, monkeypatch):
         # A fig3-style grid on 5000 samples: the default cap cuts it into
@@ -988,13 +1035,13 @@ def exact_sups(alphas, grid, data, reference=INFINITY):
 
 
 def negate_losses(patch):
-    """Negate every loss row of the exact pass (``risk.loss_from_logp``)
-    and every loss sum of the float pass (``risk.loss_sum_map``): means
-    that nonnegative terms cannot give. The rows are negated as the maps
-    negate (x * -1.0; see ``loss._negate``)."""
-    loss, loss_sum = risk.loss_from_logp, risk.loss_sum_map
-    patch.setattr(risk, "loss_from_logp", lambda alpha, logp, out=None: np.multiply(
-        loss(alpha, logp, out=out), -1.0, out=out))
+    """Negate every loss row of the exact pass (``risk.loss_map``) and
+    every loss sum of the float pass (``risk.loss_sum_map``): means that
+    nonnegative terms cannot give. The rows are negated as the maps negate
+    (x * -1.0; see ``loss._negate``)."""
+    loss, loss_sum = risk.loss_map, risk.loss_sum_map
+    patch.setattr(risk, "loss_map", lambda alpha: lambda logp, out: np.multiply(
+        loss(alpha)(logp, out), -1.0, out=out))
     patch.setattr(risk, "loss_sum_map", lambda alpha: lambda logp, tmp: -loss_sum(alpha)(logp, tmp))
 
 
@@ -1066,17 +1113,17 @@ class TestSaturationFilter:
     ])
     def test_float_means_leave_the_rows_bits(self, fig2_small, alphas, grad_alpha):
         # The float pass sums the exact pass's terms without making them:
-        # each loss row has the bits of the pairwise sum of its ``_terms``
-        # row (a log or infinite order sums before its negation, which is
-        # exact), and the gradient rows and the weight sum are the one
-        # product -w @ [signed | 1].
+        # each loss row has the bits of the pairwise sum of its terms row,
+        # built from the maps (a log or infinite order sums before its
+        # negation, which is exact), and the gradient rows and the weight
+        # sum are the one product -w @ [signed | 1].
         data, n, k = fig2_small, fig2_small.n, len(alphas)
         pts = np.array([[0.5, -1.0], [2.0, 3.0], [-4.0, 1.0]])
         approx, _ = risk.float_means(pts, data, alphas, grad_alpha)
         sums = risk._means(pts, data, alphas, grad_alpha, exact=False)
         assert np.array_equal(approx, sums[:, :-1])
         logp = risk._logp(pts, data)
-        terms = risk._terms(logp.copy(), data, alphas).reshape(len(pts), k, n)
+        terms = np.array([terms_rows(row, data, alphas) for row in logp]).reshape(len(pts), k, n)
         assert np.array_equal(sums[:, :k], np.add.reduce(terms, axis=2) / n)
         if grad_alpha is None:
             assert np.array_equal(sums[:, -1], np.zeros(len(pts)))
@@ -1177,16 +1224,32 @@ class TestSaturationFilter:
 
     def test_one_candidate_is_padded_to_a_two_point_call(self):
         # The far corner (-3.75, -2.5) holds the largest gap alone, and a
-        # one-point call rounds its margins apart from the scan's batch.
+        # one-point call rounds its margins apart from the scan's batch. The
+        # exact call takes the corner's whole block of the scan: all four
+        # nodes, or the corner and its neighbour in blocks of two nodes.
         data, _ = normalize_features(sample_gmm(preset("fig3"), 500, RngState(7)))
         grid = GridSpec(((-3.75, 0.0, 2), (-2.5, 0.0, 2)))
         alone = risk.risk_values_multi([1.0, INFINITY], [[-3.75, -2.5]], data)[0]
         assert abs(alone[0] - alone[1]) != exact_sups([1.0], grid, data)[0]
-        with pytest.MonkeyPatch.context() as patch:
-            calls = record_exact_calls(patch)
-            sups = saturation_sups([1.0], grid, data)
-        assert calls == [2]
-        assert sups == exact_sups([1.0], grid, data)
+        for per_block, size in ((None, 4), (2, 2)):
+            with pytest.MonkeyPatch.context() as patch:
+                if per_block is not None:
+                    patch.setattr(risk, "_BLOCK_ELEMENTS", per_block * 3 * data.n)
+                calls = record_exact_calls(patch)
+                sups = saturation_sups([1.0], grid, data)
+                assert calls == [size]
+                assert sups == exact_sups([1.0], grid, data)
+
+    def test_exact_call_takes_whole_blocks_of_the_scan(self):
+        # d = 3, n = 279: OpenBLAS rounds node 18's margins in a call of the
+        # first 19 to 23 nodes apart from a call of 24 or more, so an exact
+        # call of a few kept nodes could miss the scan's max in its last
+        # bits. Whole blocks of the scan repeat the scan's matmul calls.
+        rng = np.random.default_rng(254724)
+        d, n = 3, 279
+        data = Dataset(rng.uniform(-1.0, 1.0, (n, d)) / math.sqrt(d), rng.choice([-1, 1], n))
+        grid = GridSpec(((-5.0, 5.0, 3),) * d)
+        assert saturation_sups([1.0], grid, data, reference=2.0) == exact_sups([1.0], grid, data, 2.0)
 
     def test_one_node_grid(self, fig2_small):
         grid = GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3)), mask_radius=0.5)
@@ -1209,11 +1272,21 @@ class TestSaturationFilter:
         data, _ = normalize_features(raw)
         grid = GridSpec(((-5.0, 5.0, 41), (-5.0, 5.0, 41)), mask_radius=5.0)
         alphas = [1.0, 2.0, 4.0, 10.0, INFINITY]
+        nodes = grid.nodes()
+        # Two of the 1,257 nodes may hold a largest gap; the rest are ruled
+        # out, and only the scan's blocks of those two reach the exact call.
+        means, errors = risk.float_means(nodes, data, alphas)
+        gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
+        candidates = np.flatnonzero(np.any(risk.may_hold_max(gaps - bounds, gaps + bounds), axis=1))
+        blocks = [sl for sl in risk._blocks(len(nodes), (1 + len(alphas)) * data.n)
+                  if np.any((sl.start <= candidates) & (candidates < sl.stop))]
+        seen, original = [], risk.risk_values_multi
         with pytest.MonkeyPatch.context() as patch:
-            calls = record_exact_calls(patch)
+            patch.setattr(risk, "risk_values_multi", lambda orders, thetas, data: (
+                seen.append(thetas) or original(orders, thetas, data)))
             sups = saturation_sups(alphas, grid, data)
-        # Two of the 1,257 nodes may hold a largest gap; the rest are ruled out.
-        assert len(grid.nodes()) == 1257 and calls == [2]
+        assert len(nodes) == 1257 and len(candidates) == 2 and len(seen) == 1
+        assert np.array_equal(seen[0], np.concatenate([nodes[sl] for sl in blocks])) and len(seen[0]) <= 32
         assert sups == exact_sups(alphas, grid, data)
 
     def test_non_finite_mean_falls_back_to_the_scan_error(self):
