@@ -50,6 +50,8 @@ from .numerics import RngState, check_positive_finite, csv_text, min_eigen_sym, 
 from .risk import Dataset, GridSpec, landscape_scans, saturation_sups, value_and_grad
 
 OUT_ENV_VAR = "ALPHALOSS_OUT"
+# Most in-window evolution targets ``certify`` builds from --evolution-points.
+MAX_EVOLUTION_POINTS = 1_000_000
 
 
 def _json_ready(obj):
@@ -233,6 +235,8 @@ def cmd_certify(o) -> dict[str, str]:
         raise UsageError("--alpha0 must be finite")
     if o.safety > 1.0:
         raise UsageError(f"--safety must be <= 1 (it shrinks an upper estimate), got {o.safety}")
+    if o.evolution_points > MAX_EVOLUTION_POINTS:
+        raise UsageError(f"--evolution-points must be <= {MAX_EVOLUTION_POINTS}, got {o.evolution_points}")
     if o.kappa0 is not None:
         kappa0 = o.kappa0
     elif alpha0 <= 1.0:
@@ -433,7 +437,8 @@ _OPTIONS = {
     "alpha0": (_alpha, "base order"),
     "epsilon0": (_positive_float, "base value-gap epsilon"),
     "kappa0": (_positive_float, "base kappa [default: closed form at alpha0 <= 1]"),
-    "evolution_points": (_positive_int, "in-window evolution targets without --alphas, plus one outside"),
+    "evolution_points": (_positive_int, f"in-window evolution targets without --alphas (at most "
+                                        f"{MAX_EVOLUTION_POINTS}), plus one outside"),
     "sweep": (_positive_int, "sampled points in the SLQC sweep"),
     "i_budget": (_positive_int, "samples for the gradient-infimum estimate"),
     "safety": (_positive_float, "shrink factor on the infimum estimate"),

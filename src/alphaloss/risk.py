@@ -37,12 +37,13 @@ floats. A batched call makes one buffer set, sized for its largest block:
 the margins (overwritten by log p), one temporary and, for exact sums, the
 terms and the extraction scratch. Every block reuses it: the margin pass,
 the maps and the extraction run in place, so no block makes an array of
-its own, and the buffers go with the call. The ``value_and_grad`` oracle
-is the exact map of one point, made with its buffers when it is built.
-The BLAS may round a row's margins differently with the row count of its
-matmul call, so a point's bits are those of its block; a caller that needs
-a batch's bits recomputes whole blocks of it. Grid scans take every order
-they need from one margin pass over the grid.
+its own but the kept rows it gathers (below), and the buffers go with the
+call. The ``value_and_grad`` oracle is the exact map of one point, made
+with its buffers when it is built. The BLAS may round a row's margins
+differently with the row count of its matmul call, so a point's bits are
+those of its block; a caller that needs a few points of a batch passes the
+batch and a ``keep`` mask, which gives each kept point its bits in the
+batch. Grid scans take every order they need from one pass over the grid.
 
 The saturation scan needs only the max of the gaps, and the SLQC sweep and
 gradient-infimum estimate only verdicts, counts and a few extremes, so
@@ -93,7 +94,7 @@ underflows errs by up to 2^-1075 instead, in either pass; n of them add
 2^-1075 to a mean, which the 2^-1070 pays for. So every gradient row of a
 point has the bound ``_approx_mean_error((1 + t) W, n)`` (``float_means``),
 which gives NaN bounds to every row of a point without finite means and
-bounds; rows not settled go to ``exact_rows``.
+bounds; the points a caller cannot settle are kept for its one exact call.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ __all__ = [
     "exact_row_sums",
     "float_means",
     "may_hold_max",
-    "exact_rows",
     "landscape_scans",
     "saturation_sup",
     "saturation_sups",
@@ -413,29 +413,42 @@ def _float_sums(data: Dataset, alphas, grad_alpha):
     return sums
 
 
-def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True) -> np.ndarray:
+def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True, keep=None) -> np.ndarray:
     """(points, rows) means of the ``_exact_sums`` rows: one margin pass and
     one block map per block, exactly rounded. With ``exact`` False the rows
     are summed in floats instead (``_float_sums``), and one more column holds
-    each point's mean gradient weight (0.0 without ``grad_alpha``)."""
+    each point's mean gradient weight (0.0 without ``grad_alpha``). With
+    ``keep``, a boolean per point, only the kept rows: each block of the
+    whole call that holds one makes its margins, so each has its bits in the
+    whole call, and sums the kept rows it gathers; the other blocks do not run."""
     alphas = [check_alpha(a) for a in alphas]
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
     pts = _as_points(thetas, data)
     n, rows = data.n, len(alphas) + (0 if grad_alpha is None else data.dim)
-    out = np.empty((len(pts), rows + (0 if exact else 1)))
     blocks = list(_blocks(len(pts), (1 + rows) * n))
+    parts = [(sl, slice(None)) for sl in blocks]  # each block that runs, and its rows to sum
+    if keep is not None:
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(pts),):
+            raise UsageError(f"keep must be a boolean array of {len(pts)} entries, got {keep.dtype} {keep.shape}")
+        held = np.searchsorted([sl.start for sl in blocks], np.flatnonzero(keep), side="right") - 1
+        # dict.fromkeys, not np.unique, whose first call imports numpy.ma (about 1 MB of resident memory)
+        parts = [(blocks[b], np.flatnonzero(keep[blocks[b]])) for b in dict.fromkeys(held.tolist())]
     # One buffer set per call, sized for the largest block and reused by
     # every block: log p, one temporary and, for exact sums, the terms and
     # the extraction scratch. Block-sized arrays made and freed per block
     # would have the allocator return their pages and fault them in again.
-    largest = max((sl.stop - sl.start for sl in blocks), default=0)
+    largest = max((sl.stop - sl.start for sl, _ in parts), default=0)
     logp_buf, tmp_buf = np.empty(largest * n), np.empty(largest * n)
-    sums = _exact_sums(data, alphas, grad_alpha, largest) if exact else _float_sums(data, alphas, grad_alpha)
-    for sl in blocks:
+    most = largest if keep is None else max((len(local) for _, local in parts), default=0)  # terms block rows
+    sums = _exact_sums(data, alphas, grad_alpha, most) if exact else _float_sums(data, alphas, grad_alpha)
+    out = np.empty((len(pts), rows + (0 if exact else 1)))
+    for sl, local in parts:
         k = sl.stop - sl.start
         tmp = tmp_buf[:k * n].reshape(k, n)
-        out[sl] = sums(_logp(pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp), tmp)
-    return out
+        logp = _logp(pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp)[local]
+        out[sl][local] = sums(logp, tmp[:len(logp)])
+    return out if keep is None else out[keep]
 
 
 def _approx_mean_error(means: np.ndarray, n: int) -> np.ndarray:
@@ -471,24 +484,10 @@ def may_hold_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.isnan(lo) | ~(hi < np.fmax.reduce(lo, axis=0, initial=-np.inf))  # fmax passes over NaN
 
 
-def exact_rows(evaluate, points: np.ndarray, keep: np.ndarray):
-    """The rows of ``points`` where ``keep`` holds, and ``evaluate`` of them
-    in one call: (row indices, result), with result None when no row is
-    kept. When one row of several is kept, the first other row joins it: a
-    one-point call rounds its margins apart from every batch. A call of two
-    or more points can still round a row apart from a larger batch (see the
-    module docstring); ``saturation_sups`` keeps whole blocks for that."""
-    keep = np.array(keep, dtype=bool)
-    if 0 < np.count_nonzero(keep) < min(2, len(points)):
-        keep[np.argmin(keep)] = True
-    rows = np.flatnonzero(keep)
-    return rows, (evaluate(points[rows]) if rows.size else None)
-
-
-def risk_values_multi(alphas, thetas, data: Dataset) -> np.ndarray:
-    """Empirical risks at each row of ``thetas`` for several orders at once,
-    sharing one margin and log-probability pass; returns (points, orders)."""
-    return _means(thetas, data, alphas)
+def risk_values_multi(alphas, thetas, data: Dataset, keep=None) -> np.ndarray:
+    """Empirical risks at each row of ``thetas`` (or kept row: ``_means``) for
+    several orders at once, sharing one margin pass; returns (points, orders)."""
+    return _means(thetas, data, alphas, keep=keep)
 
 
 def risk_values(alpha: float, thetas, data: Dataset) -> np.ndarray:
@@ -501,9 +500,9 @@ def risk_grads(alpha: float, thetas, data: Dataset) -> np.ndarray:
     return _means(thetas, data, grad_alpha=alpha)
 
 
-def risk_values_grads(alpha: float, thetas, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical risks and gradients at each row of ``thetas``, one pass."""
-    means = _means(thetas, data, (alpha,), alpha)
+def risk_values_grads(alpha: float, thetas, data: Dataset, keep=None) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical risks and gradients at each row of ``thetas`` (or kept row: ``_means``), one pass."""
+    means = _means(thetas, data, (alpha,), alpha, keep=keep)
     return means[:, 0], means[:, 1:]
 
 
@@ -610,10 +609,10 @@ def _grid_nodes(grid: GridSpec, data: Dataset) -> np.ndarray:
     return nodes
 
 
-def _checked_risks(orders, thetas, data: Dataset) -> np.ndarray:
-    """``risk_values_multi`` of ``orders`` at ``thetas``, with the scan's finiteness and sign checks."""
+def _checked_risks(orders, thetas, data: Dataset, keep=None) -> np.ndarray:
+    """``risk_values_multi`` of ``orders`` at ``thetas`` (and ``keep``), with the scan's finiteness and sign checks."""
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
-        values = risk_values_multi(orders, thetas, data)
+        values = risk_values_multi(orders, thetas, data, keep)
     bad = [format_alpha(a) for a, ok in zip(orders, np.isfinite(values).all(axis=0)) if not ok]
     if bad:
         raise NumericError(f"risk is not finite at some grid node for order(s) {', '.join(bad)}")
@@ -639,11 +638,10 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
     """Largest grid-node gap |risk(alpha) - risk(reference)| for each order
     in ``alphas``, in input order: the bits of the max over
     ``landscape_scans([*alphas, reference], ...)``, with its errors. A filter
-    pass sums every order in floats; only the scan's blocks that hold a node
-    that may hold a largest gap, or has no usable bound, get exact sums and
-    the scan's checks, in one ``exact_rows`` call. A union of whole blocks
-    is cut into the same blocks, so each node gets the scan's bits. An order
-    equal to the reference has sup 0.0.
+    pass sums every order in floats; only the nodes that may hold a largest
+    gap, or have no usable bound, get exact sums and the scan's checks, in
+    one call over the whole grid that keeps them, so each gets the scan's
+    bits. An order equal to the reference has sup 0.0.
 
     Every order must lie in [1, inf]; the gap obeys the Lipschitz-in-1/alpha
     bound L_r * |1/alpha - 1/reference| when the grid sits inside the
@@ -661,11 +659,9 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
         gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
         # With no order but the reference, a node without bounds still needs the scan's checks.
         keep = np.isnan(errors[:, -1]) | np.any(may_hold_max(gaps - bounds, gaps + bounds), axis=1)
-    starts = [sl.start for sl in _blocks(len(nodes), (1 + len(orders)) * data.n)]
-    keep = np.repeat(np.logical_or.reduceat(keep, starts), np.diff([*starts, len(nodes)]))
-    _, exact = exact_rows(lambda pts: _checked_risks(orders, pts, data), nodes, keep)
-    if exact is None:  # every order is the reference
+    if not keep.any():  # every order is the reference
         return [0.0] * len(alphas)
+    exact = _checked_risks(orders, nodes, data, keep)
     sups = dict(zip(orders, np.max(np.abs(exact - exact[:, [orders.index(reference)]]), axis=0).tolist()))
     return [sups[a] for a in alphas]
 

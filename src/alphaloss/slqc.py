@@ -37,9 +37,11 @@ monotone, so every exact result lies in [fl(x - e), fl(x + e)] for a float
 x within e of it, and a threshold outside that interval settles the
 comparison. A point whose quantities stay below 2^1000 leaves its exact
 counterparts no room to overflow. Only the points that the intervals
-cannot settle, or that may hold a reported number, go through one exact
-pass (``exact_rows``), among them every point to which ``float_means``
-gives NaN bounds. The gradient-infimum estimate takes one float pass.
+cannot settle, or that may hold a reported number, are kept for one exact
+call over all the points (``risk_values_grads`` with ``keep``), among them
+every point to which ``float_means`` gives NaN bounds; each kept point has
+the bits of an exact pass over all of them. The sweep and the
+gradient-infimum estimate each take one float pass and one exact call.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .numerics import (
     sample_ball_batch,
     vector_norm,
 )
-from .risk import Dataset, exact_rows, float_means, may_hold_max, risk_grads, risk_values, risk_values_grads
+from .risk import Dataset, float_means, may_hold_max, risk_values, risk_values_grads
 
 # Absolute slack applied to both SLQC inequalities; empirical risks are
 # finite sums with bounded rounding.
@@ -213,11 +215,11 @@ def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Datase
         may_top_gap = may_hold_max(gap_lo, gap_hi)
         # The smallest cone margin is the largest negated one; only settled failing points bound it.
         may_least_margin = ~passes & may_hold_max(np.where(fails & calm, -(margins + e_margin), np.nan), -margin_lo)
-    rows, found = exact_rows(lambda pts: risk_values_grads(alpha, pts, data), points,
-                             may_be_neither | may_top_gap | may_least_margin)
+    keep = may_be_neither | may_top_gap | may_least_margin
+    values, grads = risk_values_grads(alpha, points, data, keep)
     kind = np.where(passes, 0, 1)
-    for whole, part in zip((kind, gaps, inner, rho_grad), _rule(params, points[rows], found[0] - base, found[1])):
-        whole[rows] = part
+    for whole, part in zip((kind, gaps, inner, rho_grad), _rule(params, points[keep], values - base, grads)):
+        whole[keep] = part
     return kind, gaps, inner, rho_grad, inside
 
 
@@ -310,10 +312,11 @@ def estimate_grad_infimum(
     so downstream windows computed from this value are optimistic;
     consumers should shrink it by a safety factor when that matters.
 
-    One float pass, two exact calls, and the bits of exact sums: only
-    points whose gap may lie on either side of epsilon0 get exact values,
-    and only qualifying points that may hold the smallest norm get exact
-    gradients, in a call drawn from the qualifying points alone.
+    One float pass, one exact call, and the bits of exact sums: the call
+    keeps the points whose gap may lie on either side of epsilon0, and the
+    points that surely qualify and may hold the smallest norm among those
+    that surely qualify. Qualification and the smallest norm are then read
+    off its exact values and gradients.
     """
     alpha0 = check_alpha(alpha0)
     epsilon0 = float(epsilon0)
@@ -328,18 +331,14 @@ def estimate_grad_infimum(
         e_gap = _gap_error(gaps, bounds[:, 0])
         qualifying = gaps - e_gap > epsilon0
         near = ~qualifying & ~(gaps + e_gap <= epsilon0)
-    rows, values = exact_rows(lambda pts: risk_values(alpha0, pts, data), points, near)
-    if rows.size:
-        qualifying[rows] = values - base > epsilon0
-    if not np.any(qualifying):
-        return math.inf
-    with np.errstate(all="ignore"):
-        norms = row_norms(means[qualifying, 1:])
-        e_norm = _norm_error(norms, bounds[qualifying, 1], data.dim)
-        # The smallest norm is the largest of the negated intervals.
-        least = may_hold_max(-(norms + e_norm), e_norm - norms) | ~(norms + e_norm < _CALM)
-    _, grads = exact_rows(lambda pts: risk_grads(alpha0, pts, data), points[qualifying], least)
-    return float(np.min(row_norms(grads)))
+        norms = row_norms(means[:, 1:])
+        e_norm = _norm_error(norms, bounds[:, 1], data.dim)
+        # The smallest norm is the largest of the negated intervals, over the surely qualifying points.
+        least = qualifying & (may_hold_max(np.where(qualifying, -(norms + e_norm), np.nan), e_norm - norms)
+                              | ~(norms + e_norm < _CALM))
+    values, grads = risk_values_grads(alpha0, points, data, near | least)
+    qualified = values - base > epsilon0
+    return float(np.min(row_norms(grads[qualified]))) if qualified.any() else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ def count_value_calls(monkeypatch) -> list:
     calls = []
     original = risk.risk_values_multi
 
-    def counting(alphas, thetas, data):
+    def counting(alphas, thetas, data, keep=None):
         calls.append(list(alphas))
-        return original(alphas, thetas, data)
+        return original(alphas, thetas, data, keep)
 
     monkeypatch.setattr(risk, "risk_values_multi", counting)
     return calls
@@ -388,6 +388,13 @@ class TestCertify:
     def test_safety_above_one_is_usage_error_and_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
         assert self._run(out, "--safety", "1.5") == 2
+        assert not out.exists()
+
+    def test_evolution_points_past_the_cap_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._run(out, "--evolution-points", str(cli.MAX_EVOLUTION_POINTS + 1)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --evolution-points must be <= 1000000, got 1000001\n"
         assert not out.exists()
 
     def test_evolution_points_set_the_in_window_rows(self, tmp_path):

@@ -697,6 +697,40 @@ class TestEvaluationKernel:
             tracemalloc.stop()
         assert peak <= buffers + output + 64 * 1024
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+           st.one_of(st.integers(1, 2100), st.builds(lambda q, r: 8 * q + r, st.integers(0, 261), st.integers(4, 7))),
+           st.integers(1, 40), st.sampled_from(["none", "one", "all", "some"]), st.sampled_from([None, 2, 3, 7, 16]),
+           st.lists(st.sampled_from([0.5, 1.0, 2.0, INFINITY]), min_size=1, max_size=4))
+    def test_kept_rows_have_the_bits_of_the_whole_call(self, seed, d, n, m, mask, per_block, alphas):
+        # OpenBLAS may round a row's margins apart with the row count of its
+        # matmul call (d >= 2 at n mod 8 in 4 to 7, among others): a kept
+        # row must still have its bits in the call without ``keep``.
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.uniform(-1.0, 1.0, (n, d)) / math.sqrt(d), rng.choice([-1, 1], n))
+        pts = rng.uniform(-5.0, 5.0, (m, d))
+        keep = {"none": np.zeros(m, dtype=bool), "one": np.arange(m) == rng.integers(m),
+                "all": np.ones(m, dtype=bool), "some": rng.random(m) < 0.2}[mask]
+        with pytest.MonkeyPatch.context() as patch:
+            if per_block is not None:
+                patch.setattr(risk, "_BLOCK_ELEMENTS", per_block * (2 + len(alphas)) * n)
+            values = risk.risk_values_multi(alphas, pts, data)
+            assert risk.risk_values_multi(alphas, pts, data, keep).tobytes() == values[keep].tobytes()
+            for alpha in alphas:
+                values, grads = risk_values_grads(alpha, pts, data)
+                kept_values, kept_grads = risk_values_grads(alpha, pts, data, keep)
+                assert kept_values.tobytes() == values[keep].tobytes()
+                assert kept_grads.tobytes() == grads[keep].tobytes() and kept_grads.shape == (keep.sum(), d)
+
+    @pytest.mark.parametrize("keep", [np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool), np.array([1, 0, 1]),
+                                      [[True, False, True]]])
+    def test_keep_of_the_wrong_shape_or_kind_is_usage_error(self, fig2_small, keep):
+        pts = np.zeros((3, 2))
+        for call in (lambda: risk.risk_values_multi([1.0], pts, fig2_small, keep),
+                     lambda: risk_values_grads(1.0, pts, fig2_small, keep)):
+            with pytest.raises(UsageError, match="keep must be a boolean array of 3 entries"):
+                call()
+
     @pytest.mark.parametrize("orders", [[INFINITY, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 1.0], [1.0] * 8, [INFINITY] * 8])
     def test_eight_orders_of_one_sample(self, orders):
         # One sample and eight orders: each loss row of the terms block is a
@@ -882,9 +916,9 @@ class TestLandscape:
         calls = []
         original = risk.risk_values_multi
 
-        def counting(alphas, thetas, data):
+        def counting(alphas, thetas, data, keep=None):
             calls.append(list(alphas))
-            return original(alphas, thetas, data)
+            return original(alphas, thetas, data, keep)
 
         monkeypatch.setattr(risk, "risk_values_multi", counting)
         landscape_scans([2.0, 1.0, INFINITY, 2.0, 1], GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3))), fig2_small)
@@ -892,7 +926,7 @@ class TestLandscape:
 
     def test_negative_risk_is_domain_error(self, fig2_small, monkeypatch):
         monkeypatch.setattr(risk, "risk_values_multi",
-                            lambda alphas, thetas, data: -np.ones((len(thetas), len(alphas))))
+                            lambda alphas, thetas, data, keep=None: -np.ones((len(thetas), len(alphas))))
         with pytest.raises(DomainError, match="nonnegative"):
             landscape_scans([1.0], GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3))), fig2_small)
 
@@ -1045,14 +1079,27 @@ def negate_losses(patch):
     patch.setattr(risk, "loss_sum_map", lambda alpha: lambda logp, tmp: -loss_sum(alpha)(logp, tmp))
 
 
+def record_margin_rows(patch) -> list:
+    """Record the number of points of every margin pass (``risk._logp``)."""
+    rows, logp = [], risk._logp
+
+    def counting(pts, data, **buffers):
+        rows.append(len(pts))
+        return logp(pts, data, **buffers)
+
+    patch.setattr(risk, "_logp", counting)
+    return rows
+
+
 def record_exact_calls(patch) -> list:
-    """Record the number of points of every ``risk.risk_values_multi`` call."""
+    """Record the number of points that every ``risk.risk_values_multi``
+    call sums: its kept points, or all of them without ``keep``."""
     calls = []
     original = risk.risk_values_multi
 
-    def counting(alphas, thetas, data):
-        calls.append(len(thetas))
-        return original(alphas, thetas, data)
+    def counting(alphas, thetas, data, keep=None):
+        calls.append(len(thetas) if keep is None else int(np.count_nonzero(keep)))
+        return original(alphas, thetas, data, keep)
 
     patch.setattr(risk, "risk_values_multi", counting)
     return calls
@@ -1139,23 +1186,6 @@ class TestSaturationFilter:
         assert np.all(means[:, 0] < 0) and np.all(np.isfinite(means[:, 1:]))
         assert np.all(np.isnan(bounds))
 
-    def test_exact_rows_never_call_one_point_of_several(self):
-        calls = []
-
-        def evaluate(pts):
-            calls.append(pts.tolist())
-            return pts.sum(axis=1)
-
-        points = np.arange(8.0).reshape(4, 2)
-        rows, found = risk.exact_rows(evaluate, points, [False, False, True, False])
-        assert rows.tolist() == [0, 2] and calls == [[[0.0, 1.0], [4.0, 5.0]]] and found.tolist() == [1.0, 9.0]
-        rows, found = risk.exact_rows(evaluate, points, [True, False, True, True])
-        assert rows.tolist() == [0, 2, 3] and found.tolist() == [1.0, 9.0, 13.0]
-        rows, found = risk.exact_rows(evaluate, points, np.zeros(4, dtype=bool))
-        assert rows.tolist() == [] and found is None and len(calls) == 2
-        rows, found = risk.exact_rows(evaluate, points[:1], [True])
-        assert rows.tolist() == [0] and calls[-1] == [[0.0, 1.0]]
-
     def test_bound(self):
         u = 2.0 ** -53
         assert risk._approx_mean_error(np.array([0.0]), 7)[0] == 2.0 ** -1070
@@ -1208,8 +1238,8 @@ class TestSaturationFilter:
         error = 2999 * u / (1.0 - 2999 * u) + 3.0 * u
         means, approximations = risk._means, []
 
-        def adversarial(thetas, data, alphas=(), grad_alpha=None, exact=True):
-            out = means(thetas, data, alphas, grad_alpha)
+        def adversarial(thetas, data, alphas=(), grad_alpha=None, exact=True, keep=None):
+            out = means(thetas, data, alphas, grad_alpha, keep=keep)
             if not exact:
                 out *= 1.0 + error * rng.choice([-1.0, 1.0], out.shape)
                 approximations.append(out)
@@ -1222,11 +1252,12 @@ class TestSaturationFilter:
         gaps = [np.abs(a[:, 0] - a[:, 1]) for a in approximations]
         assert any(true_gaps[g == g.max()].max() < true_gaps.max() for g in gaps)
 
-    def test_one_candidate_is_padded_to_a_two_point_call(self):
+    def test_one_candidate_is_summed_alone_from_its_block(self):
         # The far corner (-3.75, -2.5) holds the largest gap alone, and a
         # one-point call rounds its margins apart from the scan's batch. The
-        # exact call takes the corner's whole block of the scan: all four
-        # nodes, or the corner and its neighbour in blocks of two nodes.
+        # exact call keeps the corner alone, and its margin pass takes the
+        # corner's whole block of the scan: all four nodes, or the corner
+        # and its neighbour in blocks of two nodes.
         data, _ = normalize_features(sample_gmm(preset("fig3"), 500, RngState(7)))
         grid = GridSpec(((-3.75, 0.0, 2), (-2.5, 0.0, 2)))
         alone = risk.risk_values_multi([1.0, INFINITY], [[-3.75, -2.5]], data)[0]
@@ -1235,9 +1266,10 @@ class TestSaturationFilter:
             with pytest.MonkeyPatch.context() as patch:
                 if per_block is not None:
                     patch.setattr(risk, "_BLOCK_ELEMENTS", per_block * 3 * data.n)
+                margins = record_margin_rows(patch)
                 calls = record_exact_calls(patch)
                 sups = saturation_sups([1.0], grid, data)
-                assert calls == [size]
+                assert calls == [1] and margins[-1] == size
                 assert sups == exact_sups([1.0], grid, data)
 
     def test_exact_call_takes_whole_blocks_of_the_scan(self):
@@ -1274,7 +1306,8 @@ class TestSaturationFilter:
         alphas = [1.0, 2.0, 4.0, 10.0, INFINITY]
         nodes = grid.nodes()
         # Two of the 1,257 nodes may hold a largest gap; the rest are ruled
-        # out, and only the scan's blocks of those two reach the exact call.
+        # out. The one exact call keeps those two, and its margin pass takes
+        # only the scan's blocks that hold them.
         means, errors = risk.float_means(nodes, data, alphas)
         gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
         candidates = np.flatnonzero(np.any(risk.may_hold_max(gaps - bounds, gaps + bounds), axis=1))
@@ -1282,11 +1315,14 @@ class TestSaturationFilter:
                   if np.any((sl.start <= candidates) & (candidates < sl.stop))]
         seen, original = [], risk.risk_values_multi
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(risk, "risk_values_multi", lambda orders, thetas, data: (
-                seen.append(thetas) or original(orders, thetas, data)))
+            patch.setattr(risk, "risk_values_multi", lambda orders, thetas, data, keep=None: (
+                seen.append((thetas, keep)) or original(orders, thetas, data, keep)))
+            margins = record_margin_rows(patch)
             sups = saturation_sups(alphas, grid, data)
         assert len(nodes) == 1257 and len(candidates) == 2 and len(seen) == 1
-        assert np.array_equal(seen[0], np.concatenate([nodes[sl] for sl in blocks])) and len(seen[0]) <= 32
+        assert np.array_equal(seen[0][0], nodes) and np.array_equal(np.flatnonzero(seen[0][1]), candidates)
+        assert margins[-len(blocks):] == [sl.stop - sl.start for sl in blocks] and sum(margins[-len(blocks):]) <= 32
+        assert sum(margins) == len(nodes) + sum(margins[-len(blocks):])  # the float pass, then the held blocks
         assert sups == exact_sups(alphas, grid, data)
 
     def test_non_finite_mean_falls_back_to_the_scan_error(self):

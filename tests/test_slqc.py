@@ -235,9 +235,9 @@ class TestSweepOracle:
         passes = []
         means, logp = risk._means, risk._logp
 
-        def counting_means(thetas, data, alphas=(), grad_alpha=None, exact=True):
-            passes.append((exact, []))
-            return means(thetas, data, alphas, grad_alpha, exact)
+        def counting_means(thetas, data, alphas=(), grad_alpha=None, exact=True, keep=None):
+            passes.append((exact, [], keep))
+            return means(thetas, data, alphas, grad_alpha, exact, keep)
 
         def counting_logp(pts, data, **buffers):
             passes[-1][1].append(len(pts))
@@ -246,13 +246,16 @@ class TestSweepOracle:
         monkeypatch.setattr(risk, "_means", counting_means)
         monkeypatch.setattr(risk, "_logp", counting_logp)
         slqc_sweep(1.0, self.params(1.0), fig2_small, self.R, self.N_POINTS, RngState(self.SEED))
-        (base_exact, base_blocks), (float_exact, float_blocks), (last_exact, last_blocks) = passes
+        (base_exact, base_blocks, _), (float_exact, float_blocks, _), (last_exact, last_blocks, keep) = passes
         # theta0's exact one-point pass; the float pass, in blocks that cover
         # each point once and never hold one point alone; then one exact
-        # pass of a few points, never one alone
+        # pass that keeps a few points and makes the margins of exactly the
+        # float pass's blocks that hold them
         assert base_exact and base_blocks == [1]
         assert not float_exact and sum(float_blocks) == self.N_POINTS and min(float_blocks) >= 2
-        assert last_exact and 2 <= sum(last_blocks) <= 16 and min(last_blocks) >= 2
+        stops = np.cumsum(float_blocks)
+        held = np.unique(np.searchsorted(stops, np.flatnonzero(keep), side="right"))
+        assert last_exact and 1 <= np.count_nonzero(keep) <= 16 and last_blocks == [float_blocks[b] for b in held]
 
     def test_the_kappas_exercise_every_compared_field(self, fig2_small):
         def oracle(kappa_scale):
@@ -308,14 +311,15 @@ def whole_batch_verdicts(alpha, params, points, data):
 
 
 def whole_batch_grad_infimum(alpha0, epsilon0, r, theta0, data, budget, rng):
-    """The oracle: ``estimate_grad_infimum`` as it stood before the float
-    filter, exact sums for every point."""
+    """The oracle: ``estimate_grad_infimum`` without the float filter, one
+    exact pass of values and gradients over every point."""
     points = slqc._ball_points(rng, data.dim, r, budget, "budget")
     base = risk.risk_values(alpha0, np.asarray(theta0, dtype=float), data)[0]
-    qualifying = risk.risk_values(alpha0, points, data) - base > epsilon0
+    values, grads = risk.risk_values_grads(alpha0, points, data)
+    qualifying = values - base > epsilon0
     if not np.any(qualifying):
         return math.inf
-    return float(np.min(row_norms(risk.risk_grads(alpha0, points[qualifying], data))))
+    return float(np.min(row_norms(grads[qualifying])))
 
 
 def outcome(fn, *args):
@@ -336,13 +340,14 @@ def whole_batch_sweep(*args):
 
 
 def record_exact_points(patch) -> list:
-    """Record the points of every batch that ``slqc`` sends to an exact pass."""
+    """Record the points that every batched exact call of ``slqc`` sums:
+    its kept points, or all of them without ``keep``."""
     calls = []
-    for name in ("risk_values", "risk_grads", "risk_values_grads"):
-        def counting(alpha, thetas, data, original=getattr(slqc, name)):
+    for name in ("risk_values", "risk_values_grads"):
+        def counting(alpha, thetas, data, *keep, original=getattr(slqc, name)):
             if np.ndim(thetas) == 2:
-                calls.append(np.array(thetas))
-            return original(alpha, thetas, data)
+                calls.append(np.array(thetas)[keep[0] if keep else slice(None)])
+            return original(alpha, thetas, data, *keep)
 
         patch.setattr(slqc, name, counting)
     return calls
@@ -473,8 +478,8 @@ class TestFilteredCertificate:
         theta0 = np.array([0.3, -0.2]) * r
         spoil, means_of = np.random.default_rng(seed), risk._means
 
-        def spoiled(thetas, data, alphas=(), grad_alpha=None, exact=True):
-            means = means_of(thetas, data, alphas, grad_alpha, exact)
+        def spoiled(thetas, data, alphas=(), grad_alpha=None, exact=True, keep=None):
+            means = means_of(thetas, data, alphas, grad_alpha, exact, keep)
             if not exact:  # the last column is the mean gradient weight
                 for i in np.flatnonzero(spoil.random(len(means)) < share):
                     value = spoil.choice([np.nan, np.inf, -np.inf])
@@ -555,11 +560,11 @@ class TestFilteredCertificate:
             estimate = estimate_grad_infimum(1.0, epsilon0, 5.0, theta0, fig2_small, budget, RngState(seed))
         assert estimate == norms[record] == whole_batch_grad_infimum(1.0, epsilon0, 5.0, theta0, fig2_small, budget,
                                                                     RngState(seed))
-        assert [len(c) for c in calls] == [2, 2]
+        assert [len(c) for c in calls] == [2] and points[record].tolist() in calls[0].tolist()
 
     def test_estimate_takes_one_float_pass(self, fig2_small, monkeypatch):
         # One float pass gives every budget point its value and gradient;
-        # the exact calls that follow sum only a few points.
+        # the one exact call that follows sums only a few points.
         calls, float_means = [], slqc.float_means
 
         def counting(thetas, data, alphas=(), grad_alpha=None):
@@ -571,7 +576,7 @@ class TestFilteredCertificate:
             exact = record_exact_points(patch)
             estimate = estimate_grad_infimum(1.0, 0.05, 5.0, np.array([1.2, 0.9]), fig2_small, 300, RngState(4))
         assert math.isfinite(estimate) and calls == [(300, (1.0,), 1.0)]
-        assert 1 <= len(exact) <= 2 and all(2 <= len(points) <= 16 for points in exact)
+        assert len(exact) == 1 and 1 <= len(exact[0]) <= 16
 
     def test_non_finite_float_means_take_the_exact_path(self, fig2_small):
         # Order 0.0016 on the radius-1 ball: some weights overflow. Every
@@ -585,10 +590,61 @@ class TestFilteredCertificate:
             calls = record_exact_points(patch)
             with np.errstate(all="ignore"):
                 report = slqc_sweep(0.0016, params, fig2_small, 1.0, 40, RngState(2))
-        assert len(calls) == 1 and 2 <= len(calls[0]) < 40
+        assert len(calls) == 1 and 1 <= len(calls[0]) < 40
         assert unsettled and unsettled <= {tuple(p) for p in calls[0].tolist()}
         assert report["worst_value_gap"] == math.inf
         assert repr(report) == whole_batch_sweep(0.0016, params, fig2_small, 1.0, 40, RngState(2))
+
+    def test_each_filter_caller_makes_one_exact_call(self, fig2_small, monkeypatch):
+        # Per caller, the exact passes: theta0's one point (not for the
+        # scan), then one call over all the points that keeps a few.
+        calls, means = [], risk._means
+
+        def counting(thetas, data, alphas=(), grad_alpha=None, exact=True, keep=None):
+            if exact:
+                calls.append((len(np.atleast_2d(thetas)), keep is not None))
+            return means(thetas, data, alphas, grad_alpha, exact, keep)
+
+        monkeypatch.setattr(risk, "_means", counting)
+        theta0 = np.array([1.2, 0.9])
+        slqc_sweep(1.0, SlqcParams(0.05, 0.1, theta0), fig2_small, 5.0, 300, RngState(4))
+        assert calls == [(1, False), (300, True)]
+        calls.clear()
+        estimate_grad_infimum(1.0, 0.05, 5.0, theta0, fig2_small, 300, RngState(4))
+        assert calls == [(1, False), (300, True)]
+        calls.clear()
+        grid = risk.GridSpec(((-5.0, 5.0, 11), (-5.0, 5.0, 11)), mask_radius=5.0)
+        risk.saturation_sups([1.0, 2.0], grid, fig2_small)
+        assert calls == [(len(grid.nodes()), True)]
+
+    @staticmethod
+    def call_shape_case(seed):
+        """A dataset whose row count puts margins at the mercy of the call
+        shape (d >= 2, n mod 8 often in 4 to 7), a theta0 and a count."""
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        n = int(rng.choice([204, 279, 300, 599, 1004, 1007]))
+        data = Dataset(rng.uniform(-1, 1, (n, d)) / math.sqrt(d), rng.choice([-1, 1], n))
+        theta0 = rng.uniform(-0.3, 0.3, d)
+        count = int(rng.choice([40, 100, 300]))
+        return data, theta0, count
+
+    def test_kept_sweep_points_have_the_whole_pass_bits(self):
+        # d = 3, n = 300: a fresh call of the kept points rounded the
+        # largest gap's margins apart from the pass over all 40 points.
+        data, theta0, count = self.call_shape_case(387)
+        assert (data.dim, data.n, count) == (3, 300, 40)
+        args = (1.0, SlqcParams(0.02, 0.05, theta0), data, 3.0, count)
+        assert outcome(slqc_sweep, *args, RngState(387)) == whole_batch_sweep(*args, RngState(387))
+
+    def test_kept_estimate_points_have_the_whole_pass_bits(self):
+        # d = 4, n = 279: a gradient call drawn from the qualifying points
+        # alone rounded the smallest norm apart from the pass over all 300.
+        data, theta0, count = self.call_shape_case(8)
+        assert (data.dim, data.n, count) == (4, 279, 300)
+        args = (1.0, 0.02, 3.0, theta0, data, count)
+        assert outcome(estimate_grad_infimum, *args, RngState(9)) == outcome(
+            whole_batch_grad_infimum, *args, RngState(9))
 
 
 def one_point_entry(alpha, params, theta, data):
