@@ -46,7 +46,16 @@ from .data import (
 )
 from .errors import DomainError, NumericError, ParseError, UsageError
 from .loss import curvature_floor, format_alpha, lipschitz_in_inv_alpha, lipschitz_in_theta, parse_alpha
-from .numerics import RngState, check_positive_finite, csv_text, min_eigen_sym, read_text, sample_ball, vector_norm
+from .numerics import (
+    MAX_SEED,
+    RngState,
+    check_positive_finite,
+    csv_text,
+    min_eigen_sym,
+    read_text,
+    sample_ball,
+    vector_norm,
+)
 from .risk import Dataset, GridSpec, landscape_scans, saturation_sups, value_and_grad
 
 OUT_ENV_VAR = "ALPHALOSS_OUT"
@@ -118,6 +127,13 @@ def _positive_int(value, name) -> int:
     value = _int(value, name)
     if value < 1:
         raise UsageError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _seed(value, name) -> int:
+    value = _int(value, name)
+    if not 0 <= value <= MAX_SEED:
+        raise UsageError(f"{name} must lie in [0, 2^64 - 1], got {value}")
     return value
 
 
@@ -426,7 +442,7 @@ _OPTIONS = {
     "preset": (_preset, f"built-in mixture setting: {', '.join(PRESET_NAMES)}"),
     "spec_json": (_path, "JSON file with a custom mixture spec"),
     "n": (_positive_int, "sample count"),
-    "seed": (_int, "root RNG seed"),
+    "seed": (_seed, "root RNG seed, an integer in [0, 2^64 - 1]"),
     "data": (_path, "reuse an existing dataset CSV instead of sampling"),
     "r": (_positive_float, "parameter-ball radius"),
     "alphas": (_alpha_list, "comma list of orders; 'inf' allowed"),

@@ -16,7 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphaLossError, DomainError, NumericError, ParseError, UsageError
-from .numerics import RngState, as_sym_matrix, as_vector, cholesky, csv_text, read_text, row_norms
+from .numerics import (
+    RngState,
+    as_sym_matrix,
+    as_vector,
+    cholesky,
+    csv_text,
+    gaussian_pairs,
+    read_text,
+    row_norms,
+    uniforms,
+)
 from .risk import Dataset
 
 __all__ = [
@@ -133,15 +143,25 @@ def preset(name: str) -> GmmSpec:
     raise UsageError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
 
 
+# Most samples one round of ``sample_gmm`` draws, so a round's draws stay
+# O(d) per sample whatever n.
+_GMM_ROUND = 1 << 16
+
+
 def sample_gmm(spec: GmmSpec, n: int, rng: RngState) -> RawDataset:
     """Draw n labeled points: label -1 with probability prior_neg, then the
     class mean plus a Cholesky-colored standard normal vector.
 
     Per sample the stream is consumed in a fixed order (one uniform for
     the label, then ceil(d/2) Box-Muller pairs with any odd deviate
-    discarded), so a seed fixes the dataset exactly. Then one stacked matmul
-    per class colours that class's rows with its (d, d) Cholesky factor and
-    adds its mean: a matvec's bits per row, in O(n d) memory.
+    discarded), so a seed fixes the dataset exactly. The result is made
+    first (UsageError when it cannot be). Each round of at most _GMM_ROUND
+    samples takes its draws from one ``next_u64_array`` call, laid out
+    sample by sample, and turns them into labels (``uniforms``) and
+    deviates (``gaussian_pairs``), each with the bits of the scalar draws.
+    Then one stacked matmul per class colours that class's rows with its
+    (d, d) Cholesky factor and adds its mean: a matvec's bits per row, in
+    O(n d) memory.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -150,10 +170,12 @@ def sample_gmm(spec: GmmSpec, n: int, rng: RngState) -> RawDataset:
         z, ys, xs = np.empty((n, d + d % 2)), np.empty(n, dtype=np.int64), np.empty((n, d))
     except (ValueError, MemoryError):  # past numpy's largest dimension, or past memory
         raise UsageError(f"n = {n} samples cannot be allocated") from None
-    for i in range(n):
-        ys[i] = -1 if rng.uniform() < spec.prior_neg else 1
-        for j in range(0, d, 2):
-            z[i, j:j + 2] = rng.gaussian_pair()
+    per_sample = 1 + d + d % 2
+    for start in range(0, n, _GMM_ROUND):
+        stop = min(n, start + _GMM_ROUND)
+        draws = rng.next_u64_array((stop - start) * per_sample).reshape(stop - start, per_sample)
+        ys[start:stop] = np.where(uniforms(draws[:, 0]) < spec.prior_neg, -1, 1)
+        z[start:stop, 0::2], z[start:stop, 1::2] = gaussian_pairs(draws[:, 1::2], draws[:, 2::2])
     for label, cov, mean in ((-1, spec.cov_neg, spec.mean_neg), (1, spec.cov_pos, spec.mean_pos)):
         rows = ys == label
         xs[rows] = (cholesky(cov) @ z[rows, :d, None])[:, :, 0] + mean

@@ -5,8 +5,13 @@ Everything here is dependency-light on purpose: eigenvalues come from
 LAPACK (``eigvalsh``), the Cholesky factorization is written out (its fixed
 operation order fixes the bits of the seeded datasets), and the random
 stream is a xoshiro256++ generator seeded through splitmix64 so that a seed
-reproduces the exact byte sequence of draws on every platform. Tolerances
-are module constants and appear verbatim in error messages.
+reproduces the exact byte sequence of draws on every platform. The stream
+comes one draw at a time (``RngState.next_u64``, the reference) or as an
+array (``next_u64_array``: lanes started by jump-ahead and stepped together
+in numpy uint64), with the same integers either way; ``uniforms`` and
+``gaussian_pairs`` turn array draws into the scalar uniforms and Box-Muller
+deviates, bit for bit. Tolerances are module constants and appear verbatim
+in error messages.
 
 All functions except RngState advancement are pure. An RngState is
 single-owner; concurrent work should derive independent child streams via
@@ -35,7 +40,10 @@ __all__ = [
     "project_ball",
     "min_eigen_sym",
     "cholesky",
+    "MAX_SEED",
     "RngState",
+    "uniforms",
+    "gaussian_pairs",
     "sample_ball",
     "sample_ball_batch",
     "csv_text",
@@ -207,7 +215,7 @@ def cholesky(a) -> np.ndarray:
 # Deterministic randomness: splitmix64-seeded xoshiro256++.
 # ---------------------------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
+_MASK64 = MAX_SEED = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -223,6 +231,57 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+# The array form of the xoshiro256++ update (``RngState.next_u64_array``):
+# the 256 unit states, one per column; column 64 w + j holds bit j in word w.
+_UNIT_STATES = np.where(np.arange(4)[:, None] == np.arange(256) // 64,
+                        np.uint64(1) << np.tile(np.arange(64, dtype=np.uint64), 4), np.uint64(0))
+_BYTES = np.arange(32)
+
+
+def _jump_table(columns: np.ndarray) -> np.ndarray:
+    """The (4, 256) columns of a bit matrix as a (32, 256, 4) table: entry
+    [p, v] is the XOR of the columns that the bits of value v select in byte
+    p of a little-endian state, so the matrix times a state is the XOR over
+    p of entry [p, byte p]."""
+    cols = columns.T.reshape(32, 8, 4)
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    for i in range(8):
+        np.bitwise_xor(table[:, :1 << i], cols[:, i, None], out=table[:, 1 << i:2 << i])
+    return table
+
+
+def _step_lanes(state: np.ndarray, steps: int, out: np.ndarray | None = None, end_step: int = 0) -> np.ndarray:
+    """Step every column of the (4, L) uint64 ``state`` ``steps`` times in
+    place. With ``out``, an (steps, L) array, row j receives each lane's
+    output before its (j + 1)-th update, and the return value is the last
+    lane's state after ``end_step`` updates; without, it is ``state``.
+    numpy uint64 arrays wrap without a warning, as the scalar ``& _MASK64``
+    does."""
+    s0, s1, s2, s3 = state
+    t = np.empty_like(s0)
+    end = state
+    for j in range(steps):
+        if out is not None:
+            row = out[j]
+            np.add(s0, s3, out=t)
+            np.left_shift(t, np.uint64(23), out=row)
+            t >>= np.uint64(41)
+            row |= t
+            row += s0
+        np.left_shift(s1, np.uint64(17), out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.left_shift(s3, np.uint64(45), out=t)
+        s3 >>= np.uint64(19)
+        s3 |= t
+        if j + 1 == end_step:
+            end = state[:, -1].copy()
+    return end
+
+
 class RngState:
     """xoshiro256++ stream seeded by splitmix64; fully deterministic.
 
@@ -232,6 +291,9 @@ class RngState:
     rounding in cos/sin/log, which is identical in practice on IEEE-754
     doubles.
 
+    A seed is an integer in [0, 2^64 - 1] (UsageError otherwise), so no
+    two seeds give one stream.
+
     Splitting: ``spawn(i)`` derives a child whose seed is
     ``mix64(seed + (i + 1) * GOLDEN)``, so sharded work is reproducible
     independent of worker count.
@@ -240,7 +302,9 @@ class RngState:
     __slots__ = ("seed", "_s")
 
     def __init__(self, seed: int):
-        seed = int(seed) & _MASK64
+        seed = int(seed)
+        if not 0 <= seed <= MAX_SEED:
+            raise UsageError(f"seed must lie in [0, 2^64 - 1], got {seed}")
         self.seed = seed
         state = seed
         s = []
@@ -256,6 +320,33 @@ class RngState:
         if index < 0:
             raise UsageError(f"stream index must be non-negative, got {index}")
         return RngState(_mix64((self.seed + (index + 1) * _GOLDEN) & _MASK64))
+
+    def next_u64_array(self, count: int) -> np.ndarray:
+        """The next ``count`` values of ``next_u64`` as a uint64 array, with
+        the state left where ``count`` calls leave it.
+
+        The stream is cut into L = min(256, isqrt(count)) lanes of b =
+        ceil(count / L) draws; the last lane, which holds at least one draw,
+        may be short. The update is linear over GF(2), so b steps are a
+        256 x 256 bit matrix M^b, whose columns are the 256 unit states
+        stepped b times. Lane k starts at M^b applied to lane k - 1's start
+        (the XOR of the columns its bits select), and then all lanes step b
+        times at once; the outputs are integers, so they are the scalar
+        stream's bits."""
+        if count < 1:
+            return np.empty(0, dtype=np.uint64)
+        lanes = min(256, math.isqrt(count))
+        steps = -(-count // lanes)
+        starts = np.empty((lanes, 4), dtype="<u8")
+        starts[0] = self._s
+        if lanes > 1:
+            table = _jump_table(_step_lanes(_UNIT_STATES.copy(), steps))
+            for k in range(1, lanes):
+                starts[k] = np.bitwise_xor.reduce(table[_BYTES, starts[k - 1].view(np.uint8)], axis=0)
+        out = np.empty((steps, lanes), dtype=np.uint64)
+        end = _step_lanes(np.ascontiguousarray(starts.T, dtype=np.uint64), steps, out, count - (lanes - 1) * steps)
+        self._s = [int(word) for word in end]
+        return out.T.ravel()[:count]
 
     def next_u64(self) -> int:
         s = self._s
@@ -286,8 +377,32 @@ class RngState:
         return radius * math.cos(angle), radius * math.sin(angle)
 
 
+def uniforms(draws: np.ndarray) -> np.ndarray:
+    """``RngState.uniform`` of each raw ``next_u64`` draw in a uint64 array,
+    with its bits: the top 53 bits, converted exactly, times 2^-53."""
+    return (draws >> np.uint64(11)).astype(float) * 2.0**-53
+
+
+def gaussian_pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``RngState.gaussian_pair`` of each pair of raw ``next_u64`` draws
+    (``first[i]`` then ``second[i]``, uint64 arrays of one shape), with its
+    bits. The uniforms convert exactly, and the arithmetic is the scalar
+    one's, in its order; ``math.log``, ``math.cos`` and ``math.sin`` run per
+    element, since numpy's SIMD forms may round differently (``np.sqrt`` is
+    correctly rounded, as ``math.sqrt`` is)."""
+    u1 = ((first >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0**-53
+    radius = np.sqrt(-2.0 * _per_element(math.log, u1))
+    angle = (2.0 * math.pi) * uniforms(second)
+    return radius * _per_element(math.cos, angle), radius * _per_element(math.sin, angle)
+
+
+def _per_element(func, x: np.ndarray) -> np.ndarray:
+    """``func``, a float function of the math module, of each entry of ``x``."""
+    return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 # Most attempts one round of ``sample_ball_batch`` draws, so a round's
-# uniforms stay a small list whatever the count.
+# draws stay a small array whatever the count.
 _BALL_ROUND = 1 << 16
 
 
@@ -312,8 +427,9 @@ def sample_ball_batch(rng: RngState, dim: int, radius: float, count: int) -> np.
     points that ``count`` calls would return, with their bits, and ``rng``
     left where those calls leave it. The result is made first (UsageError
     when it cannot be). Each round draws one attempt (dim uniforms, in
-    stream order) per point still needed, at most _BALL_ROUND of them, and
-    keeps the ones the membership test accepts, tested all at once:
+    stream order) per point still needed, at most _BALL_ROUND of them, from
+    one ``next_u64_array`` call through ``uniforms``, and keeps the ones the
+    membership test accepts, tested all at once:
     ``np.vecdot`` has ``np.dot``'s bits. A round of k attempts accepts at
     most k points, and all k only at its last attempt, so no round draws
     past the attempt that gives the last point."""
@@ -325,8 +441,7 @@ def sample_ball_batch(rng: RngState, dim: int, radius: float, count: int) -> np.
     done = 0
     while done < count:
         k = min(count - done, _BALL_ROUND)
-        points = (2.0 * np.array([rng.uniform() for _ in range(k * dim)]) - 1.0) * radius
-        points = points.reshape(k, dim)
+        points = ((2.0 * uniforms(rng.next_u64_array(k * dim)) - 1.0) * radius).reshape(k, dim)
         scaled = np.ldexp(points, -exp)
         accepted = points[np.vecdot(scaled, scaled) <= unit * unit]
         out[done:done + len(accepted)] = accepted

@@ -748,6 +748,31 @@ class TestConfigAndHelp:
         for name in ("dataset.csv", "dataset.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    # A seed masked into 64 bits would alias: -1 would write the dataset of
+    # 2^64 - 1, and 2^64 that of 2^65.
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "36893488147419103232"])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        assert run("gen-data", "--n", "3", "--seed", seed, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --seed must lie in [0, 2^64 - 1], got {seed}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_config_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        out = tmp_path / "out"
+        assert run("gen-data", "--config", str(cfg), "--n", "3", "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: seed must lie in [0, 2^64 - 1], got {seed}"]
+        assert not out.exists()
+
+    def test_seed_range_ends_write_their_own_datasets(self, tmp_path):
+        for seed in ("0", "18446744073709551615"):
+            assert run("gen-data", "--n", "3", "--seed", seed, "--out", str(tmp_path / seed)) == 0
+        assert (tmp_path / "0" / "dataset.csv").read_bytes() != (
+            tmp_path / "18446744073709551615" / "dataset.csv").read_bytes()
+
     @pytest.mark.parametrize("command, key, argv", [
         ("certify", "accept_infinite_i", ["--n", "50", "--sweep", "5", "--i-budget", "5"]),
         ("ngd", "trace", ["--n", "50", "--ref-steps", "5", "--iters", "5"]),

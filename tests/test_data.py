@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alphaloss import data as data_module
 from alphaloss.cli import main as cli_main
 from alphaloss.errors import DomainError, NumericError, ParseError, UsageError
 from alphaloss.data import (
@@ -95,8 +100,22 @@ class TestSampling:
     # Past numpy's largest dimension (ValueError), and past any memory (MemoryError).
     @pytest.mark.parametrize("n", [10**20, 10**15])
     def test_n_that_cannot_be_allocated_is_usage_error(self, n):
+        # The result is made first: no draw is made.
+        rng = RngState(1)
         with pytest.raises(UsageError, match=f"n = {n} samples cannot be allocated"):
-            sample_gmm(preset("fig2"), n, RngState(1))
+            sample_gmm(preset("fig2"), n, rng)
+        assert rng._s == RngState(1)._s
+
+    # sha256 of dataset_csv at n = 20,000, seed 42, as the scalar loop of
+    # per-sample next_u64 draws wrote it.
+    @pytest.mark.parametrize("name, digest", [
+        ("fig1", "762f89ea89bde7041299da40d502c5a1bcf155ba689ea9bfa997248fadbe7f4f"),
+        ("fig2", "718addfd93351875fe9c2260f00dbb98a683e59dde6a1edef692b7c4224dcc5f"),
+        ("fig3", "9aa99e4a95b67af09fa461f0a6551416820be9081f91e2940235dd1e6c319625"),
+    ])
+    def test_preset_dataset_digest(self, name, digest):
+        data, _ = normalize_features(sample_gmm(preset(name), 20_000, RngState(42)))
+        assert hashlib.sha256(dataset_csv(data).encode("utf-8")).hexdigest() == digest
 
 
 def per_row_sample_gmm(spec, n, rng):
@@ -145,6 +164,19 @@ class TestBatchedColouring:
         want_xs, want_ys = per_row_sample_gmm(spec, n, want_rng)
         assert np.array_equal(got.xs, want_xs) and np.array_equal(got.ys, want_ys)
         assert got_rng.next_u64() == want_rng.next_u64()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(range(len(SPECS))), st.integers(1, 60), st.integers(1, 9), st.integers(0, 2**64 - 1))
+    def test_capped_rounds_are_the_per_row_oracle(self, which, n, per_round, seed):
+        # Rounds of at most per_round samples keep the data and the stream.
+        spec = self.SPECS[which]
+        got_rng, want_rng = RngState(seed), RngState(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_module, "_GMM_ROUND", per_round)
+            got = sample_gmm(spec, n, got_rng)
+        want_xs, want_ys = per_row_sample_gmm(spec, n, want_rng)
+        assert np.array_equal(got.xs, want_xs) and np.array_equal(got.ys, want_ys)
+        assert got_rng._s == want_rng._s
 
 
 class TestNormalization:

@@ -294,6 +294,90 @@ class TestRngState:
         with pytest.raises(UsageError):
             RngState(1).spawn(-1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**65, -(2**64)])
+    def test_seed_outside_64_bits_is_usage_error(self, seed):
+        # A masked seed would alias: -1 and 2^64 - 1 gave one stream.
+        with pytest.raises(UsageError, match=r"seed must lie in \[0, 2\^64 - 1\]"):
+            RngState(seed)
+
+    def test_seed_range_ends_are_streams(self):
+        assert RngState(0).seed == 0 and RngState(2**64 - 1).seed == 2**64 - 1
+        assert RngState(0).next_u64() != RngState(2**64 - 1).next_u64()
+
+
+def check_stream(rng, count):
+    """``rng.next_u64_array(count)`` against ``count`` scalar draws from a
+    copy of ``rng``, then one more scalar draw from each, all with every
+    warning an error (numpy uint64 scalars warn on wraparound)."""
+    oracle = RngState(0)
+    oracle._s = list(rng._s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = rng.next_u64_array(count)
+    assert draws.dtype == np.uint64 and draws.shape == (count,)
+    assert draws.tolist() == [oracle.next_u64() for _ in range(count)]
+    assert rng._s == oracle._s and rng.next_u64() == oracle.next_u64()
+
+
+def last_lane(count):
+    """The draws of the last of ``next_u64_array``'s lanes."""
+    lanes = min(256, math.isqrt(count))
+    return count - (lanes - 1) * -(-count // lanes)
+
+
+class TestStreamArray:
+    """The lane-parallel array draw against the scalar ``next_u64`` loop."""
+
+    # L = isqrt(count) lanes up to 256: one lane (1 to 3), counts just below,
+    # at and above a square and a multiple of 256, a last lane of one or two
+    # draws (10001, 65537), and the largest counts a sampling round draws.
+    COUNTS = [1, 2, 3, 4, 5, 8, 9, 10, 99, 100, 101, 10_001, 10_099, 10_100, 65_535, 65_536, 65_537,
+              65_791, 65_792, 65_793, 70_000]
+
+    def test_counts_cover_short_last_lanes(self):
+        assert last_lane(10_001) == 2 and last_lane(65_537) == 2 and last_lane(65_792) == 257
+        assert all(1 <= last_lane(c) <= -(-c // min(256, math.isqrt(c))) for c in self.COUNTS)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_listed_counts_are_the_scalar_stream(self, count, seed):
+        check_stream(RngState(seed), count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.integers(0, 70_000), st.integers(0, 300),
+                     st.builds(lambda root, offset: max(0, root * root + offset), st.integers(1, 260),
+                               st.integers(-3, 3))),
+           st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+           st.sampled_from([None, 0, 1, 7]), st.integers(0, 5))
+    def test_array_is_the_scalar_stream(self, count, seed, index, offset):
+        # From any point of the stream: a fresh seed or spawn child, then
+        # ``offset`` scalar draws.
+        rng = RngState(seed) if index is None else RngState(seed).spawn(index)
+        for _ in range(offset):
+            rng.next_u64()
+        check_stream(rng, count)
+
+    def test_consecutive_arrays_continue_the_stream(self):
+        rng, oracle = RngState(42), RngState(42)
+        for count in (5, 0, 300, 1, 4097):
+            assert rng.next_u64_array(count).tolist() == [oracle.next_u64() for _ in range(count)]
+        assert rng._s == oracle._s
+
+    def test_zero_count_draws_nothing(self):
+        rng = RngState(4)
+        draws = rng.next_u64_array(0)
+        assert draws.dtype == np.uint64 and draws.shape == (0,)
+        assert rng._s == RngState(4)._s
+
+    def test_uniforms_and_gaussian_pairs_are_the_scalar_draws(self):
+        # Every conversion of the array path has the scalar path's bits.
+        rng, oracle = RngState(11), RngState(11)
+        draws = rng.next_u64_array(3000).reshape(1000, 3)
+        g1, g2 = numerics.gaussian_pairs(draws[:, 1], draws[:, 2])
+        got = np.column_stack([numerics.uniforms(draws[:, 0]), g1, g2])
+        want = np.array([[oracle.uniform(), *oracle.gaussian_pair()] for _ in range(1000)])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestSampleBall:
     def test_inside_and_deterministic(self):
