@@ -21,6 +21,7 @@ single-owner; concurrent work should derive independent child streams via
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -282,6 +283,14 @@ def _step_lanes(state: np.ndarray, steps: int, out: np.ndarray | None = None, en
     return end
 
 
+def _as_int(value, name: str) -> int:
+    """``operator.index(value)``: 1.9 or '7' is a UsageError, not another integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+
+
 class RngState:
     """xoshiro256++ stream seeded by splitmix64; fully deterministic.
 
@@ -302,7 +311,7 @@ class RngState:
     __slots__ = ("seed", "_s")
 
     def __init__(self, seed: int):
-        seed = int(seed)
+        seed = _as_int(seed, "seed")
         if not 0 <= seed <= MAX_SEED:
             raise UsageError(f"seed must lie in [0, 2^64 - 1], got {seed}")
         self.seed = seed
@@ -317,6 +326,7 @@ class RngState:
 
     def spawn(self, index: int) -> "RngState":
         """Child stream for shard ``index``; documented hash of (seed, index)."""
+        index = _as_int(index, "stream index")
         if index < 0:
             raise UsageError(f"stream index must be non-negative, got {index}")
         return RngState(_mix64((self.seed + (index + 1) * _GOLDEN) & _MASK64))

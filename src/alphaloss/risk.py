@@ -36,14 +36,12 @@ writes the terms and sums them exactly, ``_float_sums`` sums them in
 floats. A batched call makes one buffer set, sized for its largest block:
 the margins (overwritten by log p), one temporary and, for exact sums, the
 terms and the extraction scratch. Every block reuses it: the margin pass,
-the maps and the extraction run in place, so no block makes an array of
-its own but the kept rows it gathers (below), and the buffers go with the
+the maps and the extraction run in place, and the buffers go with the
 call. The ``value_and_grad`` oracle is the exact map of one point, made
-with its buffers when it is built. The BLAS may round a row's margins
-differently with the row count of its matmul call, so a point's bits are
-those of its block; a caller that needs a few points of a batch passes the
-batch and a ``keep`` mask, which gives each kept point its bits in the
-batch. Grid scans take every order they need from one pass over the grid.
+with its buffers when it is built. A row of an (m, d) array gets the same
+margins, so the same bits, in every call, whatever its size or blocks
+(``_logp``). Grid scans take every order they need from one pass over the
+grid.
 
 The saturation scan needs only the max of the gaps, and the SLQC sweep and
 gradient-infimum estimate only verdicts, counts and a few extremes, so
@@ -182,9 +180,9 @@ class Dataset:
             )
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", np.ascontiguousarray(ys.astype(np.int64)))
-        # Label-signed features: margins are theta . (y x). A plain
-        # attribute, not a field, so equality and repr are unchanged.
-        object.__setattr__(self, "signed", xs * self.ys[:, None])
+        # Label-signed features y x, with zero rows up to a multiple of 8 (``_logp``); not fields.
+        object.__setattr__(self, "padded", np.zeros((-(-len(xs) // 8) * 8, xs.shape[1])))
+        object.__setattr__(self, "signed", np.multiply(xs, self.ys[:, None], out=self.padded[:len(xs)]))
 
     @property
     def n(self) -> int:
@@ -231,11 +229,18 @@ def _as_point(theta, data: Dataset) -> np.ndarray:
 def _logp(pts: np.ndarray, data: Dataset, out: np.ndarray | None = None,
           tmp: np.ndarray | None = None) -> np.ndarray:
     """The margin pass every risk quantity starts from: log p of the true
-    label, one row per point and one column per sample. The margins and
-    then log p go to ``out``, ``tmp`` takes log_sigmoid's log1p term; both
-    are (points, n) float arrays, made when they are None."""
-    margins = np.matmul(pts, data.signed.T, out=out)
-    return log_sigmoid_vec(margins, out=margins, tmp=tmp)
+    label, one row per point and one column per sample, into ``out``, with
+    log_sigmoid's log1p term in ``tmp`` ((points, n) arrays, made when None).
+    A 1-D point is one matrix-vector product against ``data.signed``. The
+    rows of an (m, d) array are the first n columns of one product against
+    ``data.padded``, with a one-row array run as two equal rows, so the
+    BLAS rounds each row the same in every call. That product is made in
+    ``out`` at two rows or more and n a multiple of 8, else in a new array."""
+    if pts.ndim == 1 or (len(pts) > 1 and len(data.padded) == data.n):
+        margins = out = np.matmul(pts[None, :] if pts.ndim == 1 else pts, data.signed.T, out=out)
+    else:
+        margins = np.matmul(pts if len(pts) > 1 else np.repeat(pts, 2, axis=0), data.padded.T)[:len(pts), :data.n]
+    return log_sigmoid_vec(margins, out=out, tmp=tmp)
 
 
 def _blocks(m: int, width: int) -> Iterator[slice]:
@@ -413,42 +418,30 @@ def _float_sums(data: Dataset, alphas, grad_alpha):
     return sums
 
 
-def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True, keep=None) -> np.ndarray:
+def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True) -> np.ndarray:
     """(points, rows) means of the ``_exact_sums`` rows: one margin pass and
     one block map per block, exactly rounded. With ``exact`` False the rows
     are summed in floats instead (``_float_sums``), and one more column holds
-    each point's mean gradient weight (0.0 without ``grad_alpha``). With
-    ``keep``, a boolean per point, only the kept rows: each block of the
-    whole call that holds one makes its margins, so each has its bits in the
-    whole call, and sums the kept rows it gathers; the other blocks do not run."""
+    each point's mean gradient weight (0.0 without ``grad_alpha``)."""
     alphas = [check_alpha(a) for a in alphas]
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
     pts = _as_points(thetas, data)
+    alone = np.ndim(thetas) == 1  # one point given alone: a matrix-vector product (``_logp``)
     n, rows = data.n, len(alphas) + (0 if grad_alpha is None else data.dim)
+    out = np.empty((len(pts), rows + (0 if exact else 1)))
     blocks = list(_blocks(len(pts), (1 + rows) * n))
-    parts = [(sl, slice(None)) for sl in blocks]  # each block that runs, and its rows to sum
-    if keep is not None:
-        keep = np.asarray(keep)
-        if keep.dtype != bool or keep.shape != (len(pts),):
-            raise UsageError(f"keep must be a boolean array of {len(pts)} entries, got {keep.dtype} {keep.shape}")
-        held = np.searchsorted([sl.start for sl in blocks], np.flatnonzero(keep), side="right") - 1
-        # dict.fromkeys, not np.unique, whose first call imports numpy.ma (about 1 MB of resident memory)
-        parts = [(blocks[b], np.flatnonzero(keep[blocks[b]])) for b in dict.fromkeys(held.tolist())]
     # One buffer set per call, sized for the largest block and reused by
     # every block: log p, one temporary and, for exact sums, the terms and
     # the extraction scratch. Block-sized arrays made and freed per block
     # would have the allocator return their pages and fault them in again.
-    largest = max((sl.stop - sl.start for sl, _ in parts), default=0)
+    largest = max((sl.stop - sl.start for sl in blocks), default=0)
     logp_buf, tmp_buf = np.empty(largest * n), np.empty(largest * n)
-    most = largest if keep is None else max((len(local) for _, local in parts), default=0)  # terms block rows
-    sums = _exact_sums(data, alphas, grad_alpha, most) if exact else _float_sums(data, alphas, grad_alpha)
-    out = np.empty((len(pts), rows + (0 if exact else 1)))
-    for sl, local in parts:
+    sums = _exact_sums(data, alphas, grad_alpha, largest) if exact else _float_sums(data, alphas, grad_alpha)
+    for sl in blocks:
         k = sl.stop - sl.start
         tmp = tmp_buf[:k * n].reshape(k, n)
-        logp = _logp(pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp)[local]
-        out[sl][local] = sums(logp, tmp[:len(logp)])
-    return out if keep is None else out[keep]
+        out[sl] = sums(_logp(pts[0] if alone else pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp), tmp)
+    return out
 
 
 def _approx_mean_error(means: np.ndarray, n: int) -> np.ndarray:
@@ -484,10 +477,10 @@ def may_hold_max(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.isnan(lo) | ~(hi < np.fmax.reduce(lo, axis=0, initial=-np.inf))  # fmax passes over NaN
 
 
-def risk_values_multi(alphas, thetas, data: Dataset, keep=None) -> np.ndarray:
-    """Empirical risks at each row of ``thetas`` (or kept row: ``_means``) for
-    several orders at once, sharing one margin pass; returns (points, orders)."""
-    return _means(thetas, data, alphas, keep=keep)
+def risk_values_multi(alphas, thetas, data: Dataset) -> np.ndarray:
+    """Empirical risks at each row of ``thetas`` for several orders at once,
+    sharing one margin pass; returns (points, orders)."""
+    return _means(thetas, data, alphas)
 
 
 def risk_values(alpha: float, thetas, data: Dataset) -> np.ndarray:
@@ -500,26 +493,26 @@ def risk_grads(alpha: float, thetas, data: Dataset) -> np.ndarray:
     return _means(thetas, data, grad_alpha=alpha)
 
 
-def risk_values_grads(alpha: float, thetas, data: Dataset, keep=None) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical risks and gradients at each row of ``thetas`` (or kept row: ``_means``), one pass."""
-    means = _means(thetas, data, (alpha,), alpha, keep=keep)
+def risk_values_grads(alpha: float, thetas, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical risks and gradients at each row of ``thetas``, one pass."""
+    means = _means(thetas, data, (alpha,), alpha)
     return means[:, 0], means[:, 1:]
 
 
 def empirical_risk(alpha: float, theta, data: Dataset) -> float:
     """Mean pointwise loss over the dataset at parameter ``theta``."""
-    return float(risk_values(alpha, _as_point(theta, data), data)[0])
+    return float(risk_values(alpha, _as_point(theta, data)[0], data)[0])
 
 
 def empirical_risk_grad(alpha: float, theta, data: Dataset) -> np.ndarray:
     """Gradient of the empirical risk at ``theta``."""
-    return risk_grads(alpha, _as_point(theta, data), data)[0]
+    return risk_grads(alpha, _as_point(theta, data)[0], data)[0]
 
 
 def empirical_risk_hess(alpha: float, theta, data: Dataset) -> np.ndarray:
     """Hessian of the empirical risk at ``theta``: mean of factor * x x^T."""
     alpha = check_alpha(alpha)
-    logp = _logp(_as_point(theta, data), data)[0]
+    logp = _logp(_as_point(theta, data)[0], data)[0]
     return _second_moment(data.xs, hess_factor_from_logp(alpha, logp))
 
 
@@ -535,12 +528,10 @@ def value_and_grad(alpha: float, data: Dataset):
     logp, tmp = np.empty((1, data.n)), np.empty((1, data.n))
 
     def oracle(theta):
-        pts = np.asarray(theta, dtype=float)
-        if pts.shape == (d,) and np.isfinite(pts).all():
-            pts = pts[None, :]
-        else:  # a (1, d) point, or the error that names what is wrong
-            pts = _as_point(theta, data)
-        means = sums(_logp(pts, data, out=logp, tmp=tmp), tmp)[0]
+        point = np.asarray(theta, dtype=float)
+        if not (point.shape == (d,) and np.isfinite(point).all()):
+            point = _as_point(theta, data)[0]  # a (1, d) point, or the error that names what is wrong
+        means = sums(_logp(point, data, out=logp, tmp=tmp), tmp)[0]
         return float(means[0]), means[1:]
 
     return oracle
@@ -594,8 +585,7 @@ class GridSpec:
         mesh = np.meshgrid(*lines, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         if self.mask_radius is not None:
-            keep = row_norms(pts) <= self.mask_radius + 1e-12
-            pts = pts[keep]
+            pts = pts[row_norms(pts) <= self.mask_radius + 1e-12]
         return pts
 
 
@@ -609,10 +599,10 @@ def _grid_nodes(grid: GridSpec, data: Dataset) -> np.ndarray:
     return nodes
 
 
-def _checked_risks(orders, thetas, data: Dataset, keep=None) -> np.ndarray:
-    """``risk_values_multi`` of ``orders`` at ``thetas`` (and ``keep``), with the scan's finiteness and sign checks."""
+def _checked_risks(orders, thetas, data: Dataset) -> np.ndarray:
+    """``risk_values_multi`` of ``orders`` at ``thetas``, with the scan's finiteness and sign checks."""
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
-        values = risk_values_multi(orders, thetas, data, keep)
+        values = risk_values_multi(orders, thetas, data)
     bad = [format_alpha(a) for a, ok in zip(orders, np.isfinite(values).all(axis=0)) if not ok]
     if bad:
         raise NumericError(f"risk is not finite at some grid node for order(s) {', '.join(bad)}")
@@ -640,8 +630,8 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
     ``landscape_scans([*alphas, reference], ...)``, with its errors. A filter
     pass sums every order in floats; only the nodes that may hold a largest
     gap, or have no usable bound, get exact sums and the scan's checks, in
-    one call over the whole grid that keeps them, so each gets the scan's
-    bits. An order equal to the reference has sup 0.0.
+    one call, which gives each its bits in the scan. An order equal to the
+    reference has sup 0.0.
 
     Every order must lie in [1, inf]; the gap obeys the Lipschitz-in-1/alpha
     bound L_r * |1/alpha - 1/reference| when the grid sits inside the
@@ -658,10 +648,10 @@ def saturation_sups(alphas, grid: GridSpec, data: Dataset, reference: float = ma
     with np.errstate(all="ignore"):
         gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
         # With no order but the reference, a node without bounds still needs the scan's checks.
-        keep = np.isnan(errors[:, -1]) | np.any(may_hold_max(gaps - bounds, gaps + bounds), axis=1)
-    if not keep.any():  # every order is the reference
+        kept = np.isnan(errors[:, -1]) | np.any(may_hold_max(gaps - bounds, gaps + bounds), axis=1)
+    if not kept.any():  # every order is the reference
         return [0.0] * len(alphas)
-    exact = _checked_risks(orders, nodes, data, keep)
+    exact = _checked_risks(orders, nodes[kept], data)
     sups = dict(zip(orders, np.max(np.abs(exact - exact[:, [orders.index(reference)]]), axis=0).tolist()))
     return [sups[a] for a in alphas]
 

@@ -23,8 +23,7 @@ A sampled sweep is necessarily one-sided evidence; the reports say so.
 of points, whose dot products and norms keep ``np.dot``'s bits.
 ``_verdicts``, the one verdict function, gives ``slqc_sweep`` its arrays
 and ``check_slqc_point`` the sweep's entry for one point, which always
-reaches the exact pass; the two agree up to rounding (the margin matmul
-rounds a one-row batch differently).
+reaches the exact pass: the bits of ``_rule`` on any exact batch with it.
 
 The sweep and the gradient-infimum estimate need verdicts, counts and a
 few extremes, not every exact sum, so both run risk's certified float
@@ -38,10 +37,10 @@ x within e of it, and a threshold outside that interval settles the
 comparison. A point whose quantities stay below 2^1000 leaves its exact
 counterparts no room to overflow. Only the points that the intervals
 cannot settle, or that may hold a reported number, are kept for one exact
-call over all the points (``risk_values_grads`` with ``keep``), among them
-every point to which ``float_means`` gives NaN bounds; each kept point has
-the bits of an exact pass over all of them. The sweep and the
-gradient-infimum estimate each take one float pass and one exact call.
+call (``risk_values_grads``), among them every point to which
+``float_means`` gives NaN bounds; each kept point has the bits of an exact
+pass over all of them. The sweep and the gradient-infimum estimate each
+take one float pass and one exact call.
 """
 
 from __future__ import annotations
@@ -215,11 +214,11 @@ def _verdicts(alpha: float, params: SlqcParams, points: np.ndarray, data: Datase
         may_top_gap = may_hold_max(gap_lo, gap_hi)
         # The smallest cone margin is the largest negated one; only settled failing points bound it.
         may_least_margin = ~passes & may_hold_max(np.where(fails & calm, -(margins + e_margin), np.nan), -margin_lo)
-    keep = may_be_neither | may_top_gap | may_least_margin
-    values, grads = risk_values_grads(alpha, points, data, keep)
+    kept = may_be_neither | may_top_gap | may_least_margin
+    values, grads = risk_values_grads(alpha, points[kept], data)
     kind = np.where(passes, 0, 1)
-    for whole, part in zip((kind, gaps, inner, rho_grad), _rule(params, points[keep], values - base, grads)):
-        whole[keep] = part
+    for whole, part in zip((kind, gaps, inner, rho_grad), _rule(params, points[kept], values - base, grads)):
+        whole[kept] = part
     return kind, gaps, inner, rho_grad, inside
 
 
@@ -336,7 +335,7 @@ def estimate_grad_infimum(
         # The smallest norm is the largest of the negated intervals, over the surely qualifying points.
         least = qualifying & (may_hold_max(np.where(qualifying, -(norms + e_norm), np.nan), e_norm - norms)
                               | ~(norms + e_norm < _CALM))
-    values, grads = risk_values_grads(alpha0, points, data, near | least)
+    values, grads = risk_values_grads(alpha0, points[near | least], data)
     qualified = values - base > epsilon0
     return float(np.min(row_norms(grads[qualified]))) if qualified.any() else math.inf
 

@@ -38,9 +38,9 @@ def count_value_calls(monkeypatch) -> list:
     calls = []
     original = risk.risk_values_multi
 
-    def counting(alphas, thetas, data, keep=None):
+    def counting(alphas, thetas, data):
         calls.append(list(alphas))
-        return original(alphas, thetas, data, keep)
+        return original(alphas, thetas, data)
 
     monkeypatch.setattr(risk, "risk_values_multi", counting)
     return calls

@@ -300,6 +300,21 @@ class TestRngState:
         with pytest.raises(UsageError, match=r"seed must lie in \[0, 2\^64 - 1\]"):
             RngState(seed)
 
+    @pytest.mark.parametrize("seed", [1.9, 1.0, "7", np.float64(3.0), None, [1]])
+    def test_seed_that_is_not_an_integer_is_usage_error(self, seed):
+        # int() would alias: 1.9 gave seed 1's stream and '7' seed 7's.
+        with pytest.raises(UsageError, match="seed must be an integer"):
+            RngState(seed)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, "1", None])
+    def test_spawn_index_that_is_not_an_integer_is_usage_error(self, index):
+        with pytest.raises(UsageError, match="stream index must be an integer"):
+            RngState(1).spawn(index)
+
+    def test_integer_scalars_are_seeds_and_indices(self):
+        assert RngState(np.uint64(2**64 - 1)).seed == 2**64 - 1
+        assert RngState(7).spawn(np.int64(2)).seed == RngState(np.int32(7)).spawn(2).seed
+
     def test_seed_range_ends_are_streams(self):
         assert RngState(0).seed == 0 and RngState(2**64 - 1).seed == 2**64 - 1
         assert RngState(0).next_u64() != RngState(2**64 - 1).next_u64()

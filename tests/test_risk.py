@@ -699,37 +699,35 @@ class TestEvaluationKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5),
-           st.one_of(st.integers(1, 2100), st.builds(lambda q, r: 8 * q + r, st.integers(0, 261), st.integers(4, 7))),
-           st.integers(1, 40), st.sampled_from(["none", "one", "all", "some"]), st.sampled_from([None, 2, 3, 7, 16]),
+           st.one_of(st.integers(1, 21_000), st.builds(lambda q, r: 8 * q + r, st.integers(0, 2624), st.integers(4, 7))),
+           st.integers(2, 40), st.sampled_from([None, 2, 3, 7, 16]),
            st.lists(st.sampled_from([0.5, 1.0, 2.0, INFINITY]), min_size=1, max_size=4))
-    def test_kept_rows_have_the_bits_of_the_whole_call(self, seed, d, n, m, mask, per_block, alphas):
-        # OpenBLAS may round a row's margins apart with the row count of its
-        # matmul call (d >= 2 at n mod 8 in 4 to 7, among others): a kept
-        # row must still have its bits in the call without ``keep``.
+    def test_a_row_has_its_bits_in_every_call(self, seed, d, n, m, per_block, alphas):
+        # Unpadded, OpenBLAS rounds a row's margins apart with the row count
+        # of its matmul call (d >= 2 at n mod 8 in 4 to 7, among others): a
+        # row of an (m, d) array must have the same bits alone, as a (1, d)
+        # array, and in batches of 2 to 40 rows cut into any blocks. A 1-D
+        # point is a one-point call, with the bits of the slow oracle.
         rng = np.random.default_rng(seed)
         data = Dataset(rng.uniform(-1.0, 1.0, (n, d)) / math.sqrt(d), rng.choice([-1, 1], n))
         pts = rng.uniform(-5.0, 5.0, (m, d))
-        keep = {"none": np.zeros(m, dtype=bool), "one": np.arange(m) == rng.integers(m),
-                "all": np.ones(m, dtype=bool), "some": rng.random(m) < 0.2}[mask]
+        i, start = rng.integers(m), rng.integers(m - 1)
+        part = slice(start, rng.integers(start + 2, m + 1))  # a batch of 2 or more rows
         with pytest.MonkeyPatch.context() as patch:
             if per_block is not None:
                 patch.setattr(risk, "_BLOCK_ELEMENTS", per_block * (2 + len(alphas)) * n)
             values = risk.risk_values_multi(alphas, pts, data)
-            assert risk.risk_values_multi(alphas, pts, data, keep).tobytes() == values[keep].tobytes()
+            assert risk.risk_values_multi(alphas, pts[i:i + 1], data).tobytes() == values[i:i + 1].tobytes()
+            assert risk.risk_values_multi(alphas, pts[part], data).tobytes() == values[part].tobytes()
             for alpha in alphas:
                 values, grads = risk_values_grads(alpha, pts, data)
-                kept_values, kept_grads = risk_values_grads(alpha, pts, data, keep)
-                assert kept_values.tobytes() == values[keep].tobytes()
-                assert kept_grads.tobytes() == grads[keep].tobytes() and kept_grads.shape == (keep.sum(), d)
-
-    @pytest.mark.parametrize("keep", [np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool), np.array([1, 0, 1]),
-                                      [[True, False, True]]])
-    def test_keep_of_the_wrong_shape_or_kind_is_usage_error(self, fig2_small, keep):
-        pts = np.zeros((3, 2))
-        for call in (lambda: risk.risk_values_multi([1.0], pts, fig2_small, keep),
-                     lambda: risk_values_grads(1.0, pts, fig2_small, keep)):
-            with pytest.raises(UsageError, match="keep must be a boolean array of 3 entries"):
-                call()
+                for rows in (slice(i, i + 1), part):
+                    got_values, got_grads = risk_values_grads(alpha, pts[rows], data)
+                    assert got_values.tobytes() == values[rows].tobytes()
+                    assert got_grads.tobytes() == grads[rows].tobytes() and got_grads.shape == grads[rows].shape
+                value, grad = fsum_oracle(alpha, data)(pts[i])
+                got_values, got_grads = risk_values_grads(alpha, pts[i], data)
+                assert (got_values.tobytes(), got_grads.tobytes()) == (np.float64(value).tobytes(), grad.tobytes())
 
     @pytest.mark.parametrize("orders", [[INFINITY, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 1.0], [1.0] * 8, [INFINITY] * 8])
     def test_eight_orders_of_one_sample(self, orders):
@@ -916,9 +914,9 @@ class TestLandscape:
         calls = []
         original = risk.risk_values_multi
 
-        def counting(alphas, thetas, data, keep=None):
+        def counting(alphas, thetas, data):
             calls.append(list(alphas))
-            return original(alphas, thetas, data, keep)
+            return original(alphas, thetas, data)
 
         monkeypatch.setattr(risk, "risk_values_multi", counting)
         landscape_scans([2.0, 1.0, INFINITY, 2.0, 1], GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3))), fig2_small)
@@ -926,7 +924,7 @@ class TestLandscape:
 
     def test_negative_risk_is_domain_error(self, fig2_small, monkeypatch):
         monkeypatch.setattr(risk, "risk_values_multi",
-                            lambda alphas, thetas, data, keep=None: -np.ones((len(thetas), len(alphas))))
+                            lambda alphas, thetas, data: -np.ones((len(thetas), len(alphas))))
         with pytest.raises(DomainError, match="nonnegative"):
             landscape_scans([1.0], GridSpec(((-1.0, 1.0, 3), (-1.0, 1.0, 3))), fig2_small)
 
@@ -1084,7 +1082,7 @@ def record_margin_rows(patch) -> list:
     rows, logp = [], risk._logp
 
     def counting(pts, data, **buffers):
-        rows.append(len(pts))
+        rows.append(len(np.atleast_2d(pts)))
         return logp(pts, data, **buffers)
 
     patch.setattr(risk, "_logp", counting)
@@ -1092,14 +1090,13 @@ def record_margin_rows(patch) -> list:
 
 
 def record_exact_calls(patch) -> list:
-    """Record the number of points that every ``risk.risk_values_multi``
-    call sums: its kept points, or all of them without ``keep``."""
+    """Record the number of points of every ``risk.risk_values_multi`` call."""
     calls = []
     original = risk.risk_values_multi
 
-    def counting(alphas, thetas, data, keep=None):
-        calls.append(len(thetas) if keep is None else int(np.count_nonzero(keep)))
-        return original(alphas, thetas, data, keep)
+    def counting(alphas, thetas, data):
+        calls.append(len(thetas))
+        return original(alphas, thetas, data)
 
     patch.setattr(risk, "risk_values_multi", counting)
     return calls
@@ -1238,8 +1235,8 @@ class TestSaturationFilter:
         error = 2999 * u / (1.0 - 2999 * u) + 3.0 * u
         means, approximations = risk._means, []
 
-        def adversarial(thetas, data, alphas=(), grad_alpha=None, exact=True, keep=None):
-            out = means(thetas, data, alphas, grad_alpha, keep=keep)
+        def adversarial(thetas, data, alphas=(), grad_alpha=None, exact=True):
+            out = means(thetas, data, alphas, grad_alpha)
             if not exact:
                 out *= 1.0 + error * rng.choice([-1.0, 1.0], out.shape)
                 approximations.append(out)
@@ -1252,24 +1249,24 @@ class TestSaturationFilter:
         gaps = [np.abs(a[:, 0] - a[:, 1]) for a in approximations]
         assert any(true_gaps[g == g.max()].max() < true_gaps.max() for g in gaps)
 
-    def test_one_candidate_is_summed_alone_from_its_block(self):
+    def test_one_candidate_is_summed_alone_with_the_scan_bits(self):
         # The far corner (-3.75, -2.5) holds the largest gap alone, and a
-        # one-point call rounds its margins apart from the scan's batch. The
-        # exact call keeps the corner alone, and its margin pass takes the
-        # corner's whole block of the scan: all four nodes, or the corner
-        # and its neighbour in blocks of two nodes.
+        # 1-D point's matrix-vector product rounds its margins apart from
+        # the scan's batch. The exact call takes the corner alone, as a
+        # (1, d) array, which runs as two equal rows of the padded product
+        # and has the scan's bits whatever the scan's blocks.
         data, _ = normalize_features(sample_gmm(preset("fig3"), 500, RngState(7)))
         grid = GridSpec(((-3.75, 0.0, 2), (-2.5, 0.0, 2)))
-        alone = risk.risk_values_multi([1.0, INFINITY], [[-3.75, -2.5]], data)[0]
+        alone = risk.risk_values_multi([1.0, INFINITY], [-3.75, -2.5], data)[0]
         assert abs(alone[0] - alone[1]) != exact_sups([1.0], grid, data)[0]
-        for per_block, size in ((None, 4), (2, 2)):
+        for per_block in (None, 2):
             with pytest.MonkeyPatch.context() as patch:
                 if per_block is not None:
                     patch.setattr(risk, "_BLOCK_ELEMENTS", per_block * 3 * data.n)
                 margins = record_margin_rows(patch)
                 calls = record_exact_calls(patch)
                 sups = saturation_sups([1.0], grid, data)
-                assert calls == [1] and margins[-1] == size
+                assert calls == [1] and margins[-1] == 1
                 assert sups == exact_sups([1.0], grid, data)
 
     def test_exact_call_takes_whole_blocks_of_the_scan(self):
@@ -1306,23 +1303,19 @@ class TestSaturationFilter:
         alphas = [1.0, 2.0, 4.0, 10.0, INFINITY]
         nodes = grid.nodes()
         # Two of the 1,257 nodes may hold a largest gap; the rest are ruled
-        # out. The one exact call keeps those two, and its margin pass takes
-        # only the scan's blocks that hold them.
+        # out. The one exact call sums those two, in one margin pass.
         means, errors = risk.float_means(nodes, data, alphas)
         gaps, bounds = np.abs(means[:, :-1] - means[:, -1:]), errors[:, :-1] + errors[:, -1:]
         candidates = np.flatnonzero(np.any(risk.may_hold_max(gaps - bounds, gaps + bounds), axis=1))
-        blocks = [sl for sl in risk._blocks(len(nodes), (1 + len(alphas)) * data.n)
-                  if np.any((sl.start <= candidates) & (candidates < sl.stop))]
         seen, original = [], risk.risk_values_multi
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(risk, "risk_values_multi", lambda orders, thetas, data, keep=None: (
-                seen.append((thetas, keep)) or original(orders, thetas, data, keep)))
+            patch.setattr(risk, "risk_values_multi", lambda orders, thetas, data: (
+                seen.append(thetas) or original(orders, thetas, data)))
             margins = record_margin_rows(patch)
             sups = saturation_sups(alphas, grid, data)
         assert len(nodes) == 1257 and len(candidates) == 2 and len(seen) == 1
-        assert np.array_equal(seen[0][0], nodes) and np.array_equal(np.flatnonzero(seen[0][1]), candidates)
-        assert margins[-len(blocks):] == [sl.stop - sl.start for sl in blocks] and sum(margins[-len(blocks):]) <= 32
-        assert sum(margins) == len(nodes) + sum(margins[-len(blocks):])  # the float pass, then the held blocks
+        assert np.array_equal(seen[0], nodes[candidates])
+        assert margins[-1] == 2 and sum(margins) == len(nodes) + 2  # the float pass, then the two candidates
         assert sups == exact_sups(alphas, grid, data)
 
     def test_non_finite_mean_falls_back_to_the_scan_error(self):
