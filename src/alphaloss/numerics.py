@@ -28,9 +28,12 @@ import numpy as np
 from .errors import DomainError, NumericError, ParseError, UsageError
 
 SYM_TOL = 1e-12
+# Relative slack of the ball membership test in ``project_ball``.
+BALL_SLACK = 4e-15
 
 __all__ = [
     "SYM_TOL",
+    "BALL_SLACK",
     "as_vector",
     "as_sym_matrix",
     "check_positive_finite",
@@ -162,17 +165,18 @@ def project_ball(v, r: float) -> np.ndarray:
     """Euclidean projection of ``v`` onto the origin-centered ball of radius r.
 
     Identity inside the ball; radial rescale v * (r/||v||) outside, with the
-    norm from ``vector_norm``. The membership test carries a 4e-15 relative
-    slack so that a just-projected vector (whose recomputed norm may round a
-    few ulp past r) is returned unchanged, making the projection exactly
-    idempotent. A vector whose norm lies past the float range is first
-    divided by its largest |entry|, so it too lands on the sphere.
+    norm from ``vector_norm``. The membership test carries a BALL_SLACK
+    (4e-15) relative slack so that a just-projected vector (whose
+    recomputed norm may round a few ulp past r) is returned unchanged,
+    making the projection exactly idempotent. A vector whose norm lies past
+    the float range is first divided by its largest |entry|, so it too
+    lands on the sphere.
     """
     arr = as_vector(v)
     r = check_positive_finite(r, "radius")
     with np.errstate(over="ignore"):
         norm = vector_norm(arr)
-    if norm <= r * (1.0 + 4e-15):
+    if norm <= r * (1.0 + BALL_SLACK):
         return arr
     if math.isinf(norm):
         arr = arr / float(np.max(np.abs(arr)))

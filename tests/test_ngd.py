@@ -1,20 +1,26 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import alphaloss.ngd
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.ngd import (
     GRAD_NORM_FLOOR,
     NgdConfig,
+    _ball_projection,
     iteration_budget,
     ngd_run,
     projected_gd_reference,
     trace_to_csv,
 )
 from alphaloss.data import normalize_features, preset, sample_gmm
-from alphaloss.numerics import RngState, as_vector, project_ball, sigmoid
+from alphaloss.loss import lipschitz_in_theta
+from alphaloss.numerics import RngState, as_vector, project_ball, sample_ball, sigmoid
 from alphaloss.risk import value_and_grad
 
 
@@ -99,6 +105,16 @@ class TestStopping:
             NgdConfig(eta=0.0, iterations=5)
         with pytest.raises(DomainError):
             NgdConfig(eta=0.1, iterations=0)
+
+    # int(10.5) passed the ">= 1" check, and range() then raised a TypeError.
+    @pytest.mark.parametrize("iterations", [10.5, 3.0, "10", None])
+    def test_iteration_count_that_is_not_an_integer_is_usage_error(self, iterations):
+        with pytest.raises(UsageError, match=re.escape(f"iterations must be an integer, got {iterations!r}")):
+            NgdConfig(eta=0.1, iterations=iterations)
+
+    def test_integer_scalar_is_an_iteration_count(self):
+        result = ngd_run(quadratic_first_coord, [2.0, 0.0], NgdConfig(eta=0.5, iterations=np.int64(3)))
+        assert result.iterations == 3 and type(result.iterations) is int
 
 
 class TestBudget:
@@ -319,6 +335,133 @@ class TestReferenceChecks:
         with pytest.raises(DomainError, match=re.escape(f"radius must be positive and finite, got {radius!r}")):
             projected_gd_reference(counted, [1.0, 0.0], 10, 0.1, radius)
         assert counted.calls == 0
+
+    # A fractional or string count raised a bare TypeError from range().
+    @pytest.mark.parametrize("steps", [10.5, 3.0, "10", None])
+    def test_step_count_that_is_not_an_integer(self, steps):
+        counted = CountingObjective(quadratic_first_coord)
+        with pytest.raises(UsageError, match=re.escape(f"steps must be an integer, got {steps!r}")):
+            projected_gd_reference(counted, [1.0, 0.0], steps, 0.1)
+        assert counted.calls == 0
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_step_count_below_one(self, steps):
+        counted = CountingObjective(quadratic_first_coord)
+        with pytest.raises(UsageError, match=re.escape(f"steps must be >= 1, got {steps}")):
+            projected_gd_reference(counted, [1.0, 0.0], steps, 0.1)
+        assert counted.calls == 0
+
+
+class TestCycleExit:
+    """Both loops stop at the first iterate that repeats an earlier one bit
+    for bit, with the bits of their slow oracles, which run to the cap."""
+
+    def test_workload_ngd_run_with_trace(self):
+        # The benchmark's ngd workload (fig2, n = 1000, seed 42, 3,000
+        # iterations at r = 5): its orbit enters a 2-cycle at step 73, and
+        # the anchor of step 128 sees it at step 130.
+        data, _ = normalize_features(sample_gmm(preset("fig2"), 1000, RngState(42)))
+        objective = value_and_grad(1.0, data)
+        theta1 = sample_ball(RngState(42).spawn(3), 2, 5.0)
+        config = NgdConfig(0.05 / lipschitz_in_theta(1.0, 5.0), 3000, radius=5.0, record_trace=True)
+        counted = CountingObjective(objective)
+        result = ngd_run(counted, theta1, config)
+        best_theta, best_value, done, stop_reason, trace = slow_ngd_run(objective, theta1, config)
+        assert counted.calls == 129
+        assert result.best_theta.tobytes() == best_theta.tobytes()
+        assert np.float64(result.best_value).tobytes() == np.float64(best_value).tobytes()
+        assert (result.iterations, result.stop_reason) == (done, stop_reason) == (3000, None)
+        assert trace_bytes(result.trace) == trace_bytes(trace)
+        assert len({theta.tobytes() for _, theta, _, _ in result.trace}) == 74
+
+    def test_reference_that_cycles_before_its_cap(self):
+        # fig2, n = 200, seed 2, r = 1, step 1: from step 1,020 the reference
+        # alternates between two points on the sphere; none is a fixed point.
+        data, _ = normalize_features(sample_gmm(preset("fig2"), 200, RngState(2)))
+        objective = value_and_grad(1.0, data)
+        steps = 4000
+        theta_full, value_full, fixed_step = full_length_reference(objective, np.zeros(2), steps, 1.0, 1.0)
+        assert fixed_step == 0
+        counted = CountingObjective(objective)
+        theta, value = projected_gd_reference(counted, np.zeros(2), steps, 1.0, 1.0)
+        want_theta, want_value = slow_reference(objective, np.zeros(2), steps, 1.0, 1.0)
+        assert counted.calls == 1025
+        assert theta.tobytes() == want_theta.tobytes() == theta_full.tobytes()
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes() == np.float64(value_full).tobytes()
+        assert float(np.linalg.norm(theta)) == pytest.approx(1.0, rel=1e-12)
+
+    # GD with step 1 on theta_1^2 maps theta to (-theta_1, theta_2) exactly:
+    # a 2-cycle from the (projected) start, seen at step 4.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+           st.none() | st.floats(1e-3, 1e3), st.integers(4, 300))
+    def test_reference_on_a_two_cycle(self, start, radius, steps):
+        counted = CountingObjective(quadratic_first_coord)
+        theta, value = projected_gd_reference(counted, start, steps, 1.0, radius)
+        want_theta, want_value = slow_reference(quadratic_first_coord, start, steps, 1.0, radius)
+        assert counted.calls <= 3
+        assert theta.tobytes() == want_theta.tobytes()
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+
+    # NGD on the norm, started on a coordinate axis with a step past the
+    # origin: the unit gradient is +-e_j, and the orbit bounces across the
+    # origin (and off the sphere) into a short cycle, or stops at theta = 0.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))),
+           st.floats(-1.0, 1.0), st.floats(1.0, 8.0), st.none() | st.floats(1.0, 10.0), st.integers(50, 400))
+    def test_ngd_run_on_an_overshooting_cycle(self, axis, start, eta, radius, iterations):
+        d, j = axis
+        theta1 = np.zeros(d)
+        theta1[j] = start
+        config = NgdConfig(eta, iterations, radius=radius, record_trace=True)
+        counted = CountingObjective(norm_objective)
+        result = ngd_run(counted, theta1, config)
+        best_theta, best_value, done, stop_reason, trace = slow_ngd_run(norm_objective, theta1, config)
+        assert counted.calls < 50
+        assert result.best_theta.tobytes() == best_theta.tobytes()
+        assert np.float64(result.best_value).tobytes() == np.float64(best_value).tobytes()
+        assert (result.iterations, result.stop_reason) == (done, stop_reason)
+        assert trace_bytes(result.trace) == trace_bytes(trace)
+
+
+class TestBallProjection:
+    """The loops' projection keeps ``project_ball``'s bits and calls it only
+    for a vector outside the ball."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=5),
+           st.floats(1e-100, 1e100), st.integers(-64, 64))
+    def test_bits_of_project_ball_at_the_sphere(self, direction, radius, ulps):
+        w = np.array(direction)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            w, norm = np.ones(len(direction)), math.sqrt(len(direction))
+        v = w * (radius / norm) * (1.0 + ulps * 2.0 ** -52)
+        calls = []
+
+        def counted(u, r):
+            calls.append(r)
+            return project_ball(u, r)
+
+        with mock.patch.object(alphaloss.ngd, "project_ball", counted):
+            got = _ball_projection(radius)(v)
+        want = project_ball(v, radius)
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) == (want is not v)  # project_ball returns a vector inside as it is
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_square_is_projected_without_a_warning(self):
+        # Each step lands near 1e200, whose square overflows; project_ball
+        # rescales it onto the sphere, with no overflow warning, and the
+        # third step is a fixed point.
+        def steep(theta):
+            return -1e200 * float(theta[0]), np.array([-1e200, 0.0])
+
+        counted = CountingObjective(steep)
+        theta, value = projected_gd_reference(counted, [0.5, 0.5], 50, 1.0, 2.0)
+        want_theta, want_value = slow_reference(steep, [0.5, 0.5], 50, 1.0, 2.0)
+        assert theta.tobytes() == want_theta.tobytes() and value == want_value
+        assert theta.tolist() == [2.0, 1e-200] and counted.calls == 3
 
 
 class TestTraceCsv:
