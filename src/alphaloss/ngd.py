@@ -67,29 +67,38 @@ class NgdResult:
     trace: list | None  # (t, theta, value, grad_norm) per visited iterate
 
 
+def _non_finite_output(t: int, theta: list) -> NumericError:
+    """The error for an objective output that is not finite at step t, at
+    theta (a list of floats)."""
+    return NumericError(f"objective returned non-finite output at iteration {t}, theta={theta!r}")
+
+
 def _check_objective_output(t: int, theta, value: float, grad: np.ndarray):
     if not math.isfinite(value) or not np.isfinite(grad).all():
-        raise NumericError(
-            f"objective returned non-finite output at iteration {t}, theta={list(map(float, theta))!r}"
-        )
+        raise _non_finite_output(t, list(map(float, theta)))
 
 
 class _Cycle:
     """Brent's cycle test on a loop's iterates, in O(1) memory: the anchor
-    is the bytes of the iterate at steps 1, 2, 4, 8, ..."""
+    is the bytes of the iterate at steps 1, 2, 4, 8, ..., and the bytes of
+    the last two iterates are kept too, so that a 2-cycle is seen two steps
+    in."""
 
-    __slots__ = ("anchor", "anchor_step")
+    __slots__ = ("anchor", "anchor_step", "last", "before_last")
 
     def __init__(self):
-        self.anchor = None
+        self.anchor = self.last = self.before_last = None
         self.anchor_step = 0
 
     def lag(self, t: int, theta: np.ndarray) -> int:
-        """The lag L > 0 if theta_t equals theta_{t-L} (the anchor) bit for
-        bit, else 0."""
+        """The lag L > 0 if theta_t equals theta_{t-L} bit for bit, for the
+        anchor or L = 2, else 0."""
         key = theta.tobytes()
         if key == self.anchor:
             return t - self.anchor_step
+        if key == self.before_last:
+            return 2
+        self.before_last, self.last = self.last, key
         if not t & (t - 1):
             self.anchor, self.anchor_step = key, t
         return 0
@@ -211,22 +220,29 @@ def projected_gd_reference(objective, theta1, steps: int, step_size: float,
     best_theta = theta.copy()
     best_value = math.inf
     cycle = _Cycle()
+    point = theta.tolist()  # theta's floats: the step and its tests run on these
     for t in range(1, steps + 1):
         if cycle.lag(t, theta):
             break
         value, grad = objective(theta)
         value = float(value)
-        grad = np.asarray(grad, dtype=float)
-        _check_objective_output(t, theta, value, grad)
+        grad = np.asarray(grad, dtype=float).tolist()
+        if not (math.isfinite(value) and all(map(math.isfinite, grad))):
+            raise _non_finite_output(t, point)
         if value < best_value:
             best_value = value
             best_theta = theta.copy()
-        nxt = theta - step_size * grad
+        # Each coordinate rounds as numpy's theta - step_size * grad does:
+        # a product, then a difference, each rounded once (no fused multiply-add).
+        nxt = [a - step_size * b for a, b in zip(point, grad, strict=True)]
+        theta = np.array(nxt)
         if project is not None:
-            nxt = project(nxt)
-        if (nxt == theta).all():
+            projected = project(theta)
+            if projected is not theta:  # outside the ball: project_ball rescaled it
+                theta, nxt = projected, projected.tolist()
+        if nxt == point:  # float ==, so -0.0 equals 0.0 as in numpy
             break
-        theta = nxt
+        point = nxt
     return best_theta, best_value
 
 

@@ -17,13 +17,21 @@ Oishi 2008, *Accurate floating-point summation part I*), in place on each
 block of terms (``_extract_sums``). One sigma, a power of two well above
 the block's largest entry, serves every row; (sigma + x) - sigma extracts
 each entry's high part exactly, the high parts add up exactly in any
-order, and the exact remainders feed the next, smaller sigma. After a few
-such folds one ``math.fsum`` over each row's fold sums rounds the exact
-total once; when two folds leave no remainder, the one float addition of
-the two fold sums does. A fold costs a fixed handful of numpy calls
-whatever the block's size, so a small block, such as the oracle's three
-rows of 1,000 terms, is bound by the number of calls, not by the
-elements. Rows holding non-finite entries or entries above 2^900 go
+order, and the exact remainders feed the next, smaller sigma. The folds
+stop as soon as the remainders can be summed exactly in floats, the
+stopping idea of AccSum (same paper): with no zero entry, every entry and
+every remainder is a multiple of delta = ulp(min |x|), and once the
+remainders are so small that n of them stay below 2^53 delta, every
+partial sum of them is a float, so one ``np.add.reduce`` gives their exact
+sum R. With c = ceil(log2(n + 2)), the first fold's remainders pass that
+test when the block's largest and smallest |x| lie at most 53 - 2c binades
+apart (33 at n = 1,000), as the oracle's blocks on the ``ngd`` benchmark
+workload do. One ``math.fsum`` over each row's fold sums and R rounds the
+exact total once; after one fold, the one float addition f0 + R does, and
+when two folds leave no remainder, f0 + f1. A fold costs a fixed handful
+of numpy calls whatever the block's size, so a small block, such as the
+oracle's three rows of 1,000 terms, is bound by the number of calls, not
+by the elements. Rows holding non-finite entries or entries above 2^900 go
 through ``math.fsum`` directly (``_fsum_row``), which also stays the
 tests' oracle; a finite mean whose sum passes the float range is taken in
 a scaled frame there.
@@ -125,7 +133,7 @@ MAX_GRID_NODES = 10_000_000
 _BLOCK_ELEMENTS = 200_000
 
 # Folds of error-free extraction per block before what remains of a row
-# joins its final fsum; loss and gradient rows settle in 2 or 3.
+# joins its final fsum; loss and gradient rows settle in 1 to 3.
 _MAX_FOLDS = 4
 # Most columns one fold sum adds up. A fold sum of W columns is exact while
 # W * 2^c <= 2^54, c = ceil(log2(W + 2)); W = 2^20 gives 2^41.
@@ -243,10 +251,11 @@ def _logp(pts: np.ndarray, data: Dataset, out: np.ndarray | None = None,
     return log_sigmoid_vec(margins, out=out, tmp=tmp)
 
 
-def _blocks(m: int, width: int) -> Iterator[slice]:
-    """Blocks of m points, max(2, _BLOCK_ELEMENTS // width) each; a one-point tail joins the last."""
-    rows = max(2, _BLOCK_ELEMENTS // width)
-    stops = [*range(rows, m - 1, rows), m] if m else []
+def _blocks(m: int, width: int, least: int = 2) -> Iterator[slice]:
+    """Blocks of m points, max(least, _BLOCK_ELEMENTS // width) each, for
+    ``least`` 1 or 2; with 2, a one-point tail joins the last."""
+    rows = max(least, _BLOCK_ELEMENTS // width)
+    stops = [*range(rows, m + 1 - least, rows), m] if m else []
     for start, stop in zip([0, *stops], stops):
         yield slice(start, stop)
 
@@ -270,6 +279,16 @@ def _fsum_row(row: np.ndarray, divisor: int = 1) -> float:
         raise NumericError(f"sample {'sum' if divisor == 1 else 'mean'} overflows") from None
 
 
+def _exact_fold(e_top: int, e_low: int, c: int) -> int:
+    """The first fold k (counted from 0) of ``_extract_sums`` after which
+    the remainders sum exactly in floats, for a block of nonzero entries
+    with |x| < 2^e_top, ulp(min |x|) = 2^(e_low - 53) and c as there: the
+    least k >= 0 with 2^c u sigma_k <= 2^53 delta = 2^e_low, where u =
+    2^-53 and sigma_k = 2^(e_top + c + k (c - 52)); that is, e_top - e_low
+    <= 53 - 2c + k (52 - c)."""
+    return max(0, -(-(e_top - e_low - 53 + 2 * c) // (52 - c)))
+
+
 def _extract_sums(block: np.ndarray, divisor: int = 1, scratch: np.ndarray | None = None) -> np.ndarray:
     """Exactly-rounded sum of each row of a 2-D float block, over
     ``divisor``. The block is overwritten (the remainders are left in it),
@@ -289,15 +308,28 @@ def _extract_sums(block: np.ndarray, divisor: int = 1, scratch: np.ndarray | Non
     float, so the fold sum is exact in any order. A row far below the
     block's largest entry has every |x| below 2^e too, so the argument
     holds for it; its first folds may just take nothing. The remainders are
-    at most u, so the next fold uses sigma * 2^(c + 1 - 53). Folds stop
-    when every remainder is zero (tested from the second fold on) or after
-    _MAX_FOLDS. One ``math.fsum`` over a row's fold sums, plus the nonzero
-    entries of any remainder left, then rounds the row's exact sum once:
-    ``math.fsum``'s bits. When the folds stop on a zero remainder after
-    exactly two, a row's exact sum is f0 + f1, two floats, and one IEEE
-    addition rounds it once, as ``math.fsum`` does; so those rows are
-    summed in floats. Rows with a non-finite entry or one above
-    _EXTRACT_MAX go to ``_fsum_row``.
+    at most u, so the next fold uses sigma * 2^(c + 1 - 53).
+
+    The folds stop at the first of three tests. (1) When no entry is zero,
+    the abs pass that gives sigma also gives low, the smallest |x|, and
+    every entry is a multiple of delta = ulp(low) = 2^(e_low - 53), e_low =
+    frexp(low)[1]. Every q of fold k is a multiple of u_k = 2^-53 sigma_k, so
+    each remainder stays a multiple of delta (or is zero, when u_k < delta)
+    and is at most u_k. A partial sum of the W remainders of a row is then
+    a multiple of delta below 2^c u_k; once 2^c u_k <= 2^53 delta it is a
+    float (also when delta is below the subnormal step 2^-1074), so one
+    ``np.add.reduce`` gives the remainders' exact sum R, in any order.
+    That holds from fold k = ``_exact_fold(e, e_low, c)`` on; for the
+    first fold the test is e - e_low <= 53 - 2c. (2) From the second fold on,
+    every remainder is zero. (3) _MAX_FOLDS folds are done. A row's exact
+    sum is its fold sums plus R (or plus its remainder's nonzero entries,
+    after (3)), and one ``math.fsum`` over those rounds it once:
+    ``math.fsum``'s bits. When that is two floats, f0 + R after (1) at the
+    first fold or f0 + f1 after (2) at the second, one IEEE addition
+    rounds it once, as ``math.fsum`` does; so those rows are summed in
+    floats. A block with a zero entry, a hard row or more than
+    _FOLD_COLUMNS columns skips test (1). Rows with a non-finite entry or
+    one above _EXTRACT_MAX go to ``_fsum_row``.
     """
     rows, n = block.shape
     if n == 0 or rows == 0:
@@ -305,30 +337,39 @@ def _extract_sums(block: np.ndarray, divisor: int = 1, scratch: np.ndarray | Non
     scratch = np.empty_like(block) if scratch is None else scratch[:block.size].reshape(block.shape)
     top = np.abs(block, out=scratch).max()  # nan stays nan
     hard = None
+    stop = _MAX_FOLDS  # the fold after which the remainders sum exactly in floats: none known
+    c = (min(n, _FOLD_COLUMNS) + 1).bit_length()
     if not top <= _EXTRACT_MAX:  # summed by _fsum_row; zeroed, they keep sigma and the folds finite
         tops = scratch.max(axis=1)
         hard = np.flatnonzero(~(tops <= _EXTRACT_MAX))
         fallback = [_fsum_row(block[i], divisor) for i in hard]
         block[hard] = tops[hard] = 0.0
         top = tops.max()
-    c = (min(n, _FOLD_COLUMNS) + 1).bit_length()
+    elif n <= _FOLD_COLUMNS:
+        low = np.minimum.reduce(scratch, axis=None)
+        if low:  # no zero entry: every entry is a multiple of ulp(low)
+            stop = _exact_fold(math.frexp(top)[1], math.frexp(low)[1], c)
     sigma = math.ldexp(1.0, math.frexp(top)[1] + c)
     starts = np.arange(0, n, _FOLD_COLUMNS) if n > _FOLD_COLUMNS else None  # fold sums of many column groups
-    folds, cleared = [], False
+    folds, left = [], True
     for i in range(_MAX_FOLDS):
         np.add(block, sigma, out=scratch)
         scratch -= sigma
         block -= scratch
         folds.append(np.add.reduce(scratch, axis=1) if starts is None else np.add.reduceat(scratch, starts, axis=1))
+        if i == stop:  # every partial sum of the remainders is a float: their sum R is exact
+            folds.append(np.add.reduce(block, axis=1))
+            left = False
+            break
         if i and not block.any():
-            cleared = True
+            left = False
             break
         sigma *= 2.0 ** (c + 1 - 53)
-    if cleared and len(folds) == 2 and starts is None:  # each exact sum is f0 + f1
+    if not left and len(folds) == 2 and starts is None:  # each exact sum is f0 + f1, or f0 + R
         out = (folds[0] + folds[1]) / divisor
     else:
         terms = np.column_stack(folds).tolist()
-        if not cleared:  # the remainder's nonzero entries join their rows' fsums
+        if left:  # the remainder's nonzero entries join their rows' fsums
             for i in np.flatnonzero(block.any(axis=1)):
                 terms[i] += block[i][block[i] != 0].tolist()
         out = np.array([math.fsum(row) for row in terms]) / divisor
@@ -429,7 +470,11 @@ def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True
     alone = np.ndim(thetas) == 1  # one point given alone: a matrix-vector product (``_logp``)
     n, rows = data.n, len(alphas) + (0 if grad_alpha is None else data.dim)
     out = np.empty((len(pts), rows + (0 if exact else 1)))
-    blocks = list(_blocks(len(pts), (1 + rows) * n))
+    # An exact block may hold one point: a row gets the same margins in
+    # every call (``_logp``), and its exact sums do not depend on the rest
+    # of its block. A float block keeps at least two, as before: the float
+    # pass's BLAS product is not made row by row.
+    blocks = list(_blocks(len(pts), (1 + rows) * n, 1 if exact else 2))
     # One buffer set per call, sized for the largest block and reused by
     # every block: log p, one temporary and, for exact sums, the terms and
     # the extraction scratch. Block-sized arrays made and freed per block
@@ -529,7 +574,7 @@ def value_and_grad(alpha: float, data: Dataset):
 
     def oracle(theta):
         point = np.asarray(theta, dtype=float)
-        if not (point.shape == (d,) and np.isfinite(point).all()):
+        if not (point.shape == (d,) and all(map(math.isfinite, point.tolist()))):
             point = _as_point(theta, data)[0]  # a (1, d) point, or the error that names what is wrong
         means = sums(_logp(point, data, out=logp, tmp=tmp), tmp)[0]
         return float(means[0]), means[1:]

@@ -1,5 +1,7 @@
+import collections
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -358,8 +360,8 @@ class TestCycleExit:
 
     def test_workload_ngd_run_with_trace(self):
         # The benchmark's ngd workload (fig2, n = 1000, seed 42, 3,000
-        # iterations at r = 5): its orbit enters a 2-cycle at step 73, and
-        # the anchor of step 128 sees it at step 130.
+        # iterations at r = 5): its orbit enters a 2-cycle at step 73, seen
+        # at step 75 by the comparison with the iterate two steps back.
         data, _ = normalize_features(sample_gmm(preset("fig2"), 1000, RngState(42)))
         objective = value_and_grad(1.0, data)
         theta1 = sample_ball(RngState(42).spawn(3), 2, 5.0)
@@ -367,7 +369,7 @@ class TestCycleExit:
         counted = CountingObjective(objective)
         result = ngd_run(counted, theta1, config)
         best_theta, best_value, done, stop_reason, trace = slow_ngd_run(objective, theta1, config)
-        assert counted.calls == 129
+        assert counted.calls == 74
         assert result.best_theta.tobytes() == best_theta.tobytes()
         assert np.float64(result.best_value).tobytes() == np.float64(best_value).tobytes()
         assert (result.iterations, result.stop_reason) == (done, stop_reason) == (3000, None)
@@ -377,6 +379,7 @@ class TestCycleExit:
     def test_reference_that_cycles_before_its_cap(self):
         # fig2, n = 200, seed 2, r = 1, step 1: from step 1,020 the reference
         # alternates between two points on the sphere; none is a fixed point.
+        # The loop sees the 2-cycle at step 1,022.
         data, _ = normalize_features(sample_gmm(preset("fig2"), 200, RngState(2)))
         objective = value_and_grad(1.0, data)
         steps = 4000
@@ -385,7 +388,7 @@ class TestCycleExit:
         counted = CountingObjective(objective)
         theta, value = projected_gd_reference(counted, np.zeros(2), steps, 1.0, 1.0)
         want_theta, want_value = slow_reference(objective, np.zeros(2), steps, 1.0, 1.0)
-        assert counted.calls == 1025
+        assert counted.calls == 1021
         assert theta.tobytes() == want_theta.tobytes() == theta_full.tobytes()
         assert np.float64(value).tobytes() == np.float64(want_value).tobytes() == np.float64(value_full).tobytes()
         assert float(np.linalg.norm(theta)) == pytest.approx(1.0, rel=1e-12)
@@ -422,6 +425,108 @@ class TestCycleExit:
         assert np.float64(result.best_value).tobytes() == np.float64(best_value).tobytes()
         assert (result.iterations, result.stop_reason) == (done, stop_reason)
         assert trace_bytes(result.trace) == trace_bytes(trace)
+
+
+class TestReferenceStepOnFloats:
+    """The reference steps on theta's and the gradient's Python floats and
+    keeps the bits of ``full_length_reference``, which steps in numpy."""
+
+    # A separable quadratic sum_j a_j (theta_j - b_j)^2 from a drawn start,
+    # with the ball (r = 1) active when b lies outside it.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+               st.lists(st.floats(1e-3, 10.0), min_size=d, max_size=d),
+               st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d),
+               st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))),
+           st.floats(1e-3, 0.2), st.none() | st.just(1.0), st.integers(1, 300))
+    def test_quadratic_bits(self, coefficients, step_size, radius, steps):
+        a, b, start = map(np.array, coefficients)
+
+        def bowl(theta):
+            return float(np.sum(a * (theta - b) ** 2)), 2.0 * a * (theta - b)
+
+        theta, value = projected_gd_reference(bowl, start, steps, step_size, radius)
+        want_theta, want_value, _ = full_length_reference(bowl, start, steps, step_size, radius)
+        assert theta.tobytes() == want_theta.tobytes()
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+
+    # fig2 at n = 300: at these orders the iterates stay inside r = 5 and
+    # end on the sphere of r = 1.
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("radius", [5.0, 1.0], ids=["interior", "ball-active"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_oracle_bits(self, alpha, radius, seed):
+        data, _ = normalize_features(sample_gmm(preset("fig2"), 300, RngState(seed)))
+        objective = value_and_grad(alpha, data)
+        theta1 = sample_ball(RngState(seed).spawn(1), 2, 0.5)
+        theta, value = projected_gd_reference(objective, theta1, 1500, 0.5, radius)
+        want_theta, want_value, _ = full_length_reference(objective, theta1, 1500, 0.5, radius)
+        assert theta.tobytes() == want_theta.tobytes()
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+        norm = float(np.linalg.norm(theta))
+        assert norm < 4.9 if radius == 5.0 else norm == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("output", [(math.nan, None), (math.inf, None), (None, math.nan), (None, -math.inf)],
+                             ids=["nan-value", "inf-value", "nan-grad", "inf-grad"])
+    @pytest.mark.parametrize("radius", [None, 1.0])
+    def test_non_finite_output_message(self, output, radius):
+        # The third call returns the bad value or gradient entry; the error
+        # names the iteration and theta's floats, as numpy's check did.
+        seen = []
+
+        def objective(theta):
+            seen.append(theta.copy())
+            value, grad = quadratic_first_coord(theta)
+            if len(seen) == 3:
+                value = value if output[0] is None else output[0]
+                grad[1] = grad[1] if output[1] is None else output[1]
+            return value, grad
+
+        with pytest.raises(NumericError) as error:
+            projected_gd_reference(objective, [0.7, -0.2], 10, 0.1, radius)
+        assert len(seen) == 3
+        assert str(error.value) == (
+            f"objective returned non-finite output at iteration 3, theta={list(map(float, seen[-1]))!r}")
+
+    @pytest.mark.parametrize("grad", [[-0.0, 0.0], [0.0, -0.0]])
+    @pytest.mark.parametrize("radius", [None, 2.0])
+    def test_signed_zero_fixed_point(self, grad, radius):
+        # -0.0 - s * -0.0 is +0.0: the next iterate differs from theta only
+        # in the sign of a zero, which == (as numpy's) calls a fixed point.
+        def flat(theta):
+            return 1.0, np.array(grad)
+
+        start = [-0.0, 1.0]
+        counted = CountingObjective(flat)
+        theta, value = projected_gd_reference(counted, start, 50, 0.5, radius)
+        want_theta, want_value, fixed_step = full_length_reference(flat, start, 50, 0.5, radius)
+        assert counted.calls == fixed_step == 1
+        assert theta.tobytes() == want_theta.tobytes() == np.array(start).tobytes()
+        assert value == want_value == 1.0
+
+    @pytest.mark.parametrize("radius", [None, 1.0])
+    def test_no_numpy_reduction_per_step(self, radius):
+        # The step, the finiteness check and the fixed-point test run on
+        # floats: 50 more steps make no more numpy method or ufunc method
+        # calls but the cycle test's tobytes and the floats' tolist.
+        grad = np.array([1e-3, -2e-3])
+
+        def numpy_calls(steps):
+            names = []
+
+            def profile(frame, event, arg):
+                if event == "c_call" and isinstance(getattr(arg, "__self__", None), (np.ndarray, np.ufunc)):
+                    names.append(arg.__name__)
+
+            sys.setprofile(profile)
+            try:
+                projected_gd_reference(lambda theta: (1.0, grad), [0.1, 0.2], steps, 0.5, radius)
+            finally:
+                sys.setprofile(None)
+            return collections.Counter(names)
+
+        more = numpy_calls(100) - numpy_calls(50)
+        assert more == collections.Counter({"tobytes": 50, "tolist": 50})
 
 
 class TestBallProjection:

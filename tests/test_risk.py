@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaloss import risk
+from alphaloss import cli, risk
 from alphaloss.data import GmmSpec, normalize_features, preset, sample_gmm
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
@@ -224,8 +224,9 @@ class TestExactRowSums:
     @settings(max_examples=150, deadline=None)
     @given(scaled_row_blocks(), st.sampled_from([1, 2, 4]), st.sampled_from([None, 7, 1000]))
     def test_one_sigma_for_rows_of_every_scale(self, block, folds, columns):
-        # A cap of one fold always leaves the remainder path; rows of one
-        # scale clear in two folds and take the float sum f0 + f1.
+        # A cap of one fold leaves the remainder path to any block that the
+        # stop rule does not settle after one fold; rows of one scale take
+        # the float sum f0 + R (no zero entry) or f0 + f1 (a zero row).
         expected = fsum_rows(block)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(risk, "_MAX_FOLDS", folds)
@@ -234,10 +235,11 @@ class TestExactRowSums:
             assert exact_row_sums(block).tobytes() == expected.tobytes()
 
     def test_two_clearing_folds_sum_in_floats(self, monkeypatch):
-        # Loss and gradient rows of one oracle call clear in two folds: their
-        # sums are f0 + f1, with no math.fsum call. A cap of two folds that
-        # leaves a remainder keeps it: without 2^-140, 1 + 2^-53 is a tie
-        # that rounds down to 1.
+        # Loss and gradient rows of one oracle call are settled by the stop
+        # rule after one fold: their sums are f0 + R, with no math.fsum
+        # call. A block with zeros, capped at two folds, that leaves a
+        # remainder keeps it: without 2^-140, 1 + 2^-53 is a tie that
+        # rounds down to 1.
         data, _ = normalize_features(sample_gmm(preset("fig2"), 1000, RngState(3)))
         block = terms_rows(risk._logp(np.array([[0.7, -1.2]]), data)[0], data, (1.0,), 1.0)
         rows = np.array([[1.0, 2.0 ** -53, 2.0 ** -140], [3.0, 0.0, 0.0]])
@@ -319,6 +321,137 @@ class TestExactRowSums:
         assert empirical_risk(1.0, [1e308, 0.0], data) == expected
         ulp = math.ulp(float(exact / 3))
         assert abs(Fraction(expected) - exact / 3) <= ulp
+
+
+def expected_stop(block: np.ndarray):
+    """The fold after which the remainders of ``block`` sum exactly in
+    floats, by the rule counted out one fold at a time, or None where the
+    rule does not apply (a zero entry, a hard row, rows wider than one
+    fold sum) or asks for more than _MAX_FOLDS folds."""
+    a = np.abs(block)
+    n = block.shape[1]
+    if not np.all(a <= 2.0 ** 900) or not np.all(a > 0.0) or n > risk._FOLD_COLUMNS:
+        return None
+    c = (n + 1).bit_length()
+    spread = math.frexp(float(a.max()))[1] - math.frexp(float(a.min()))[1]
+    k = 0
+    while spread > 53 - 2 * c + k * (52 - c):  # 2^c u sigma_k > 2^53 ulp(min |x|)
+        k += 1
+    return k if k < risk._MAX_FOLDS else None
+
+
+# The exponent spread max - min (of frexp) that makes each path of
+# ``_extract_sums`` run, for c = ceil(log2(n + 2)): test (1) after the
+# first or the second fold; the zero test (two folds clear any row of
+# spread below 52 - 2c); the fold cap (spread past what four folds take).
+STOP_SPREADS = {
+    "one fold": lambda c: (0, 53 - 2 * c),
+    "two folds": lambda c: (54 - 2 * c, 53 - 2 * c + 52 - c),
+    "zero test": lambda c: (0, 51 - 2 * c),
+    "fold cap": lambda c: (54 - 2 * c + 4 * (52 - c), 1970),
+}
+
+
+@st.composite
+def stop_rule_blocks(draw, kind):
+    """(block, divisor) for one path of ``_extract_sums``: 1-4 rows of n
+    columns, n near a power of two (2^c - 2, 2^c - 1 or 2^c, so c steps up
+    between the last two), entries of either sign with frexp exponents in
+    one window of the kind's spread, anywhere from the subnormals to 2^900,
+    with both ends of the window in the first row. The zero test and the
+    fold cap also take exact zeros (the zero test at least one) and may
+    take a hard row after the first (an inf, a NaN or an entry above
+    2^900); either turns test (1) off."""
+    rows = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([2 ** k + j for k in range(2, 12) for j in (-2, -1, 0) if 2 ** k + j >= 3]))
+    c = (n + 1).bit_length()
+    lo_spread, hi_spread = STOP_SPREADS[kind](c)
+    spread = draw(st.integers(lo_spread, hi_spread))
+    low = draw(st.integers(-1073, 900 - spread))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mant = rng.uniform(0.5, 1.0, (rows, n)) * rng.choice([-1.0, 1.0], (rows, n))
+    block = np.ldexp(mant, rng.integers(low, low + spread + 1, (rows, n)))
+    exps = np.frexp(block)[1]
+    block[(exps < low) | (exps > low + spread)] = math.ldexp(0.5, low)  # subnormals that rounded out
+    if kind in ("zero test", "fold cap"):
+        zeros = rng.random((rows, n)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+        block[zeros] = np.copysign(0.0, rng.choice([-1.0, 1.0], int(zeros.sum())))
+        if kind == "zero test":
+            block[0, 2] = 0.0
+        if rows > 1 and draw(st.booleans()):
+            block[rng.integers(1, rows), rng.integers(n)] = draw(st.sampled_from([math.inf, math.nan, 2.0 ** 950]))
+    block[0, :2] = math.ldexp(-0.75, low + spread), math.ldexp(0.5, low)
+    return block, draw(st.sampled_from([1, n]))
+
+
+class TestExtractionStopRule:
+    """``_extract_sums`` stops folding once the remainders sum exactly in
+    floats (test (1)), when two folds leave no remainder (the zero test) or
+    at the fold cap, and has ``math.fsum``'s bits on every path."""
+
+    @pytest.mark.parametrize("kind", list(STOP_SPREADS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_stop_is_bit_equal_to_fsum(self, kind, data):
+        block, divisor = data.draw(stop_rule_blocks(kind))
+        expected = fsum_rows(block) / divisor
+        stop = expected_stop(block)
+        fsum, lengths = math.fsum, []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk.math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+            got = risk._extract_sums(block.copy(), divisor)
+        assert got.tobytes() == expected.tobytes()
+        finite_rows = int(np.sum(np.all(np.abs(block) <= 2.0 ** 900, axis=1)))
+        if kind == "one fold":  # f0 + R, one float addition per row
+            assert stop == 0 and lengths == []
+        elif kind == "two folds":  # one fsum of f0, f1 and R per row
+            assert stop == 1 and lengths == [3] * len(block)
+        elif kind == "zero test":  # every remainder is zero after two folds: f0 + f1
+            assert stop is None and len(lengths) == len(block) - finite_rows
+        else:  # the rows with a bit past the fourth fold keep their remainders for fsum
+            assert stop is None and any(k > risk._MAX_FOLDS for k in lengths)
+
+    @pytest.mark.parametrize("n", [2 ** 10 - 2, 2 ** 10 - 1, 2 ** 10])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_the_first_fold_test_at_its_edge(self, n, extra):
+        # e - e_low = 53 - 2c is the widest spread that the rule settles
+        # after one fold; one binade more takes a second.
+        c = (n + 1).bit_length()
+        spread = 53 - 2 * c + extra
+        block = np.full((2, n), 1.5)
+        block[0, 0], block[1, -1] = math.ldexp(0.5, 1 - spread), -(2.0 ** -30)
+        assert risk._exact_fold(1, 1 - spread, c) == extra == expected_stop(block)
+        assert risk._extract_sums(block.copy(), n).tobytes() == (fsum_rows(block) / n).tobytes()
+
+    def test_ngd_workload_oracle_blocks_stop_after_one_fold(self, tmp_path):
+        # Every oracle block of the benchmark's ngd workload (fig2, n =
+        # 1000, seed 42: NGD and the reference) has all its |x| within 33
+        # binades, so one fold and one float addition give its sums.
+        stops, fsum_calls = [], []
+        exact_fold, fsum = risk._exact_fold, math.fsum
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk, "_exact_fold", lambda *args: stops.append(exact_fold(*args)) or stops[-1])
+            patch.setattr(risk.math, "fsum", lambda row: fsum_calls.append(row) or fsum(row))
+            calls = count_oracle_calls(patch)
+            assert cli.main(["ngd", "--preset", "fig2", "--n", "1000", "--iters", "3000",
+                             "--out", str(tmp_path)]) == 0
+        assert len(stops) == calls[0] > 26_000
+        assert set(stops) == {0} and fsum_calls == []
+
+
+def count_oracle_calls(patch) -> list:
+    """Count the calls of the ``value_and_grad`` oracles the CLI makes."""
+    calls, oracle = [0], cli.value_and_grad
+
+    def counted(alpha, data):
+        objective = oracle(alpha, data)
+
+        def call(theta):
+            calls[0] += 1
+            return objective(theta)
+        return call
+    patch.setattr(cli, "value_and_grad", counted)
+    return calls
 
 
 class TestEmpiricalRisk:
@@ -587,6 +720,41 @@ class TestEvaluationKernel:
             size = sl.stop - sl.start
             assert size <= rows + (k == len(blocks) - 1)  # a merged tail adds one row
             assert size >= 2 or m == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 60), st.integers(1, 400), st.integers(1, 2000))
+    def test_exact_blocks_may_hold_one_point(self, m, width, cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk, "_BLOCK_ELEMENTS", cap)
+            blocks = list(risk._blocks(m, width, 1))
+        assert [i for sl in blocks for i in range(sl.start, sl.stop)] == list(range(m))
+        rows = max(1, cap // width)
+        assert all(sl.stop - sl.start == rows for sl in blocks[:-1])
+        assert not blocks or 1 <= blocks[-1].stop - blocks[-1].start <= rows
+
+    def test_two_points_past_the_block_cap_are_summed_one_at_a_time(self):
+        # Five orders at n = 20,000, as on the saturation benchmark
+        # workload: two points' terms pass _BLOCK_ELEMENTS, so the exact
+        # pass makes its buffers for one point (log p, one temporary, the
+        # terms and the extraction scratch), plus one row's padded margin
+        # product, and keeps the bits of the one-block pass.
+        rng = np.random.default_rng(57)
+        n, orders = 20_000, [1.0, 2.0, 4.0, 10.0, INFINITY]
+        data = Dataset(rng.uniform(-0.7, 0.7, (n, 2)), rng.choice([-1, 1], n))
+        pts = rng.uniform(-5.0, 5.0, (2, 2))
+        assert 2 * (1 + len(orders)) * n > risk._BLOCK_ELEMENTS
+        one_point = 8 * n * (2 + 2 * len(orders)) + 8 * 2 * n
+        tracemalloc.start()
+        try:
+            values = risk.risk_values_multi(orders, pts, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= one_point + 64 * 1024 < 8 * 2 * n * (2 + 2 * len(orders))  # two points' buffers
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk, "_BLOCK_ELEMENTS", 2 * (1 + len(orders)) * n)
+            assert values.tobytes() == risk.risk_values_multi(orders, pts, data).tobytes()
+        assert values.tobytes() == np.vstack([risk.risk_values_multi(orders, p, data) for p in pts]).tobytes()
 
     def test_point_bits_do_not_depend_on_its_block(self, fig2_small, monkeypatch):
         # Two points per block: p ends [a, b, p] and shares a block with a
