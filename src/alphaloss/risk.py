@@ -18,23 +18,21 @@ block of terms (``_extract_sums``). One sigma, a power of two well above
 the block's largest entry, serves every row; (sigma + x) - sigma extracts
 each entry's high part exactly, the high parts add up exactly in any
 order, and the exact remainders feed the next, smaller sigma. The folds
-stop as soon as the remainders can be summed exactly in floats, the
-stopping idea of AccSum (same paper): with no zero entry, every entry and
-every remainder is a multiple of delta = ulp(min |x|), and once the
-remainders are so small that n of them stay below 2^53 delta, every
-partial sum of them is a float, so one ``np.add.reduce`` gives their exact
-sum R. With c = ceil(log2(n + 2)), the first fold's remainders pass that
-test when the block's largest and smallest |x| lie at most 53 - 2c binades
-apart (33 at n = 1,000), as the oracle's blocks on the ``ngd`` benchmark
-workload do. One ``math.fsum`` over each row's fold sums and R rounds the
-exact total once; after one fold, the one float addition f0 + R does, and
-when two folds leave no remainder, f0 + f1. A fold costs a fixed handful
-of numpy calls whatever the block's size, so a small block, such as the
-oracle's three rows of 1,000 terms, is bound by the number of calls, not
-by the elements. Rows holding non-finite entries or entries above 2^900 go
-through ``math.fsum`` directly (``_fsum_row``), which also stays the
-tests' oracle; a finite mean whose sum passes the float range is taken in
-a scaled frame there.
+end only on one of two proven stops: (1) AccSum's (same paper), once the
+remainders are so small that every partial sum of a column group's is a
+float, so one reduction gives their exact sum R (after the first fold when
+the block's |x| lie within 53 - 2c binades, c = ceil(log2(n + 2)): 33 at
+n = 1,000, as on the oracle's blocks in the ``ngd`` benchmark workload);
+(2) a fold after the first that leaves no remainder, the one stop of a
+block with a zero. One ``math.fsum`` (in ``_fsum_row``, its one caller) over
+each row's fold sums and Rs rounds the exact total once; after one fold,
+the one float addition f0 + R does, and when two folds leave no remainder,
+f0 + f1. A fold costs a fixed handful of numpy calls whatever the block's
+size, so a small block, such as the oracle's three rows of 1,000 terms, is
+bound by the number of calls, not by the elements. Rows holding non-finite
+entries or entries above 2^900 skip the folds for ``_fsum_row``;
+``math.fsum`` also stays the tests' oracle, and a finite mean whose sum
+passes the float range is taken in a scaled frame there.
 
 Every value, gradient and Hessian starts from one margin pass to log p
 (``_logp``). Values and gradients come from one block driver (``_means``),
@@ -106,6 +104,7 @@ bounds; the points a caller cannot settle are kept for its one exact call.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -132,9 +131,6 @@ MAX_GRID_NODES = 10_000_000
 # 1.6 MB of terms, so a block and its extraction scratch fit in cache.
 _BLOCK_ELEMENTS = 200_000
 
-# Folds of error-free extraction per block before what remains of a row
-# joins its final fsum; loss and gradient rows settle in 1 to 3.
-_MAX_FOLDS = 4
 # Most columns one fold sum adds up. A fold sum of W columns is exact while
 # W * 2^c <= 2^54, c = ceil(log2(W + 2)); W = 2^20 gives 2^41.
 _FOLD_COLUMNS = 1 << 20
@@ -310,34 +306,35 @@ def _extract_sums(block: np.ndarray, divisor: int = 1, scratch: np.ndarray | Non
     holds for it; its first folds may just take nothing. The remainders are
     at most u, so the next fold uses sigma * 2^(c + 1 - 53).
 
-    The folds stop at the first of three tests. (1) When no entry is zero,
+    The folds end only on one of two proven tests. (1) With no zero entry,
     the abs pass that gives sigma also gives low, the smallest |x|, and
     every entry is a multiple of delta = ulp(low) = 2^(e_low - 53), e_low =
     frexp(low)[1]. Every q of fold k is a multiple of u_k = 2^-53 sigma_k, so
     each remainder stays a multiple of delta (or is zero, when u_k < delta)
-    and is at most u_k. A partial sum of the W remainders of a row is then
-    a multiple of delta below 2^c u_k; once 2^c u_k <= 2^53 delta it is a
-    float (also when delta is below the subnormal step 2^-1074), so one
-    ``np.add.reduce`` gives the remainders' exact sum R, in any order.
-    That holds from fold k = ``_exact_fold(e, e_low, c)`` on; for the
-    first fold the test is e - e_low <= 53 - 2c. (2) From the second fold on,
-    every remainder is zero. (3) _MAX_FOLDS folds are done. A row's exact
-    sum is its fold sums plus R (or plus its remainder's nonzero entries,
-    after (3)), and one ``math.fsum`` over those rounds it once:
-    ``math.fsum``'s bits. When that is two floats, f0 + R after (1) at the
-    first fold or f0 + f1 after (2) at the second, one IEEE addition
-    rounds it once, as ``math.fsum`` does; so those rows are summed in
-    floats. A block with a zero entry, a hard row or more than
-    _FOLD_COLUMNS columns skips test (1). Rows with a non-finite entry or
-    one above _EXTRACT_MAX go to ``_fsum_row``.
+    and is at most u_k. A partial sum of one column group's remainders in a
+    row is then a multiple of delta below 2^c u_k; once 2^c u_k <= 2^53
+    delta it is a float (also when delta is below the subnormal step
+    2^-1074), so a reduction per group gives their exact sum R, in any
+    order. That holds from fold k = ``_exact_fold(e, e_low, c)`` on; for the
+    first fold the test is e - e_low <= 53 - 2c. (2) From the second fold
+    on, every remainder is zero. That always comes: once sigma <= 2^-1022,
+    each remainder r (|r| < sigma / 2) makes sigma + r a multiple of 2^-1074
+    below 2^-1021, a float, so that fold takes every r exactly, and (2)
+    ends the folds there (one fold later if it is the first). A block with
+    a zero entry or a hard row has only test (2). A row's exact sum is its
+    fold sums plus its Rs, and one ``math.fsum`` over those (``_fsum_row``)
+    rounds it once: ``math.fsum``'s bits. When that is two floats, f0 + R
+    after (1) at the first fold or f0 + f1 after (2) at the second, one
+    IEEE addition rounds it once, as ``math.fsum`` does; so those rows are
+    summed in floats. Rows with a non-finite entry or one above
+    _EXTRACT_MAX go to ``_fsum_row`` without folding.
     """
     rows, n = block.shape
     if n == 0 or rows == 0:
         return np.zeros(rows)
     scratch = np.empty_like(block) if scratch is None else scratch[:block.size].reshape(block.shape)
     top = np.abs(block, out=scratch).max()  # nan stays nan
-    hard = None
-    stop = _MAX_FOLDS  # the fold after which the remainders sum exactly in floats: none known
+    hard = stop = None  # stop: the fold of test (1), when the block has no zero entry
     c = (min(n, _FOLD_COLUMNS) + 1).bit_length()
     if not top <= _EXTRACT_MAX:  # summed by _fsum_row; zeroed, they keep sigma and the folds finite
         tops = scratch.max(axis=1)
@@ -345,34 +342,28 @@ def _extract_sums(block: np.ndarray, divisor: int = 1, scratch: np.ndarray | Non
         fallback = [_fsum_row(block[i], divisor) for i in hard]
         block[hard] = tops[hard] = 0.0
         top = tops.max()
-    elif n <= _FOLD_COLUMNS:
+    else:
         low = np.minimum.reduce(scratch, axis=None)
         if low:  # no zero entry: every entry is a multiple of ulp(low)
             stop = _exact_fold(math.frexp(top)[1], math.frexp(low)[1], c)
     sigma = math.ldexp(1.0, math.frexp(top)[1] + c)
-    starts = np.arange(0, n, _FOLD_COLUMNS) if n > _FOLD_COLUMNS else None  # fold sums of many column groups
-    folds, left = [], True
-    for i in range(_MAX_FOLDS):
+    starts = np.arange(0, n, _FOLD_COLUMNS) if n > _FOLD_COLUMNS else None  # fold sums and R per column group
+    folds = []
+    for i in itertools.count():
         np.add(block, sigma, out=scratch)
         scratch -= sigma
         block -= scratch
         folds.append(np.add.reduce(scratch, axis=1) if starts is None else np.add.reduceat(scratch, starts, axis=1))
-        if i == stop:  # every partial sum of the remainders is a float: their sum R is exact
-            folds.append(np.add.reduce(block, axis=1))
-            left = False
+        if i == stop:  # (1): every partial sum of a group's remainders is a float, so their sum R is exact
+            folds.append(np.add.reduce(block, axis=1) if starts is None else np.add.reduceat(block, starts, axis=1))
             break
-        if i and not block.any():
-            left = False
+        if i and not block.any():  # (2)
             break
         sigma *= 2.0 ** (c + 1 - 53)
-    if not left and len(folds) == 2 and starts is None:  # each exact sum is f0 + f1, or f0 + R
+    if len(folds) == 2 and starts is None:  # each exact sum is f0 + R or f0 + f1
         out = (folds[0] + folds[1]) / divisor
     else:
-        terms = np.column_stack(folds).tolist()
-        if left:  # the remainder's nonzero entries join their rows' fsums
-            for i in np.flatnonzero(block.any(axis=1)):
-                terms[i] += block[i][block[i] != 0].tolist()
-        out = np.array([math.fsum(row) for row in terms]) / divisor
+        out = np.array([_fsum_row(row, divisor) for row in np.column_stack(folds)])
     if hard is not None:
         out[hard] = fallback
     return out
@@ -383,9 +374,12 @@ def exact_row_sums(block) -> np.ndarray:
     ``math.fsum(row.tolist())``, by error-free extraction on a copy of the
     block (``_extract_sums``). A row with both +inf and -inf has no sum and
     raises NumericError; a row with infinities of one sign sums to that
-    infinity, and a finite sum past the float range raises NumericError.
-    """
-    return _extract_sums(np.array(block, dtype=float))
+    infinity, a finite sum past the float range raises NumericError and a
+    block that is not 2-D UsageError."""
+    block = np.array(block, dtype=float)
+    if block.ndim != 2:
+        raise UsageError(f"expected a 2-D block of rows, got shape {block.shape}")
+    return _extract_sums(block)
 
 
 def _second_moment(xs: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -161,8 +162,7 @@ def sum_blocks(draw):
 def extraction_blocks(draw):
     """Blocks of 1-5 rows and up to 2^17 columns whose exponent window may
     span the whole range the extraction takes, subnormals to 2^900: wide
-    windows exhaust the fold cap, so the remainder path runs. Entries as in
-    ``sum_blocks``."""
+    windows take dozens of folds. Entries as in ``sum_blocks``."""
     rows = draw(st.integers(1, 5))
     cols = draw(st.one_of(st.integers(1, 40), st.sampled_from([65_537, 1 << 17]), st.integers(1, 1 << 17)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -204,10 +204,9 @@ class TestExactRowSums:
         assert exact_row_sums(block).tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(extraction_blocks(), st.sampled_from([None, 1, 2]), st.sampled_from([None, 1, 7, 1000]))
-    def test_extraction_bit_equal_to_fsum(self, block, folds, columns):
-        # A cap of one or two folds leaves a remainder in most rows; narrow
-        # fold widths sum each fold in many column groups.
+    @given(extraction_blocks(), st.sampled_from([None, 1, 7, 1000]))
+    def test_extraction_bit_equal_to_fsum(self, block, columns):
+        # Narrow fold widths sum each fold, and R, in many column groups.
         try:
             expected = fsum_rows(block)
         except ValueError:
@@ -215,21 +214,17 @@ class TestExactRowSums:
                 exact_row_sums(block)
             return
         with pytest.MonkeyPatch.context() as patch:
-            if folds:
-                patch.setattr(risk, "_MAX_FOLDS", folds)
             if columns:
                 patch.setattr(risk, "_FOLD_COLUMNS", columns)
             assert exact_row_sums(block).tobytes() == expected.tobytes()
 
     @settings(max_examples=150, deadline=None)
-    @given(scaled_row_blocks(), st.sampled_from([1, 2, 4]), st.sampled_from([None, 7, 1000]))
-    def test_one_sigma_for_rows_of_every_scale(self, block, folds, columns):
-        # A cap of one fold leaves the remainder path to any block that the
-        # stop rule does not settle after one fold; rows of one scale take
-        # the float sum f0 + R (no zero entry) or f0 + f1 (a zero row).
+    @given(scaled_row_blocks(), st.sampled_from([None, 7, 1000]))
+    def test_one_sigma_for_rows_of_every_scale(self, block, columns):
+        # Rows of one scale take the float sum f0 + R (no zero entry) or
+        # f0 + f1 (a zero row); rows far apart fold on to test (1) or (2).
         expected = fsum_rows(block)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(risk, "_MAX_FOLDS", folds)
             if columns:
                 patch.setattr(risk, "_FOLD_COLUMNS", columns)
             assert exact_row_sums(block).tobytes() == expected.tobytes()
@@ -237,9 +232,9 @@ class TestExactRowSums:
     def test_two_clearing_folds_sum_in_floats(self, monkeypatch):
         # Loss and gradient rows of one oracle call are settled by the stop
         # rule after one fold: their sums are f0 + R, with no math.fsum
-        # call. A block with zeros, capped at two folds, that leaves a
-        # remainder keeps it: without 2^-140, 1 + 2^-53 is a tie that
-        # rounds down to 1.
+        # call. A block with zeros whose remainders take three folds to
+        # clear sums each row with one fsum of its three fold sums: without
+        # 2^-140, 1 + 2^-53 is a tie that rounds down to 1.
         data, _ = normalize_features(sample_gmm(preset("fig2"), 1000, RngState(3)))
         block = terms_rows(risk._logp(np.array([[0.7, -1.2]]), data)[0], data, (1.0,), 1.0)
         rows = np.array([[1.0, 2.0 ** -53, 2.0 ** -140], [3.0, 0.0, 0.0]])
@@ -248,9 +243,8 @@ class TestExactRowSums:
         monkeypatch.setattr(risk.math, "fsum", lambda row: fsum_calls.append(row) or fsum(row))
         assert exact_row_sums(block).tobytes() == expected.tobytes()
         assert fsum_calls == []
-        monkeypatch.setattr(risk, "_MAX_FOLDS", 2)
         assert exact_row_sums(rows).tobytes() == expected_rows.tobytes()
-        assert len(fsum_calls) == 2
+        assert [len(row) for row in fsum_calls] == [3, 3]
 
     @pytest.mark.parametrize("shape", [(1, 65_536), (1, 65_537), (2, 32_768), (3, 32_769), (2, 140_000)])
     def test_chunk_boundaries(self, shape):
@@ -267,13 +261,42 @@ class TestExactRowSums:
         block[1] *= 2.0 ** -40
         assert exact_row_sums(block).tobytes() == fsum_rows(block).tobytes()
 
-    def test_rows_past_the_fold_cap(self):
+    def test_rows_that_fold_down_to_the_subnormals(self, monkeypatch):
         # A fold takes 52 - c bits (c = 3 for 6 columns): the first two rows
-        # span 2^1000 to 2^-1074 and need about 42 folds.
-        row = [2.0 ** 1000, 3.0, -(2.0 ** -600), 5e-324, -(2.0 ** 1000), 2.0 ** -1000]
+        # span 2^900 to 2^-1074, and the zeros of the last leave the zero
+        # test to end the folds. Fold i has u_i = 2^(904 - 53 - 49 i), and
+        # fold 40 is the first whose u_i (and 2 u_i) divides 2^-1074, so
+        # it clears every remainder: 41 fold sums per row.
+        row = [2.0 ** 900, 3.0, -(2.0 ** -600), 5e-324, -(2.0 ** 900), 2.0 ** -1000]
         block = np.array([row, row[::-1], [1.0, 2.0 ** -60, 2.0 ** -1074, 0.0, 0.0, 0.0]])
-        assert (1000 + 1074) // (52 - 3) > risk._MAX_FOLDS
-        assert exact_row_sums(block).tobytes() == fsum_rows(block).tobytes()
+        expected = fsum_rows(block)
+        fsum, lengths = math.fsum, []
+        monkeypatch.setattr(risk.math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+        assert exact_row_sums(block).tobytes() == expected.tobytes()
+        assert lengths == [41] * 3
+
+    def test_wide_rows_stop_by_test_one(self, monkeypatch):
+        # No zero entry and a spread of 53 - 2c = 33 binades (c = 10 for
+        # 1000-column groups): one fold and R per group settle every row,
+        # one fsum of 140 fold sums and 140 Rs. With sigma = 2^11 the pairs
+        # h + 2^-44 and 2^-44 - h leave remainders of +2^-44 each, which two
+        # entries cancel, and 2^-33 + 2^-85 leaves 2^-85: the first row sums
+        # to 2^-85. A group's remainders sum in floats; a whole row's pass
+        # 2^53 delta = 2^-32, so no float holds their sum.
+        monkeypatch.setattr(risk, "_FOLD_COLUMNS", 1000)
+        rng = np.random.default_rng(140)
+        high = 1.0 + np.ldexp(rng.integers(0, 2 ** 40, 69_998).astype(float), -41)
+        rest = [-17_499 * 2.0 ** -42, -17_500 * 2.0 ** -42, 2.0 ** -33 + 2.0 ** -85, -(2.0 ** -33)]
+        row = rng.permutation(np.concatenate([high + 2.0 ** -44, 2.0 ** -44 - high, rest]))
+        block = np.stack([row, -row[::-1]])
+        expected = fsum_rows(block)
+        assert expected.tolist() == [2.0 ** -85, -(2.0 ** -85)]
+        stops, lengths = [], []
+        exact_fold, fsum = risk._exact_fold, math.fsum
+        monkeypatch.setattr(risk, "_exact_fold", lambda *args: stops.append(exact_fold(*args)) or stops[-1])
+        monkeypatch.setattr(risk.math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+        assert exact_row_sums(block).tobytes() == expected.tobytes()
+        assert stops == [0] and lengths == [2 * 140] * 2
 
     def test_input_is_not_modified(self):
         block = np.array([[0.1, 0.2, 0.3], [1e-30, 1.0, -1.0]])
@@ -304,6 +327,11 @@ class TestExactRowSums:
         with pytest.raises(NumericError, match="undefined: -inf \\+ inf"):
             exact_row_sums(np.array([[1e308, 1e308, math.inf, -math.inf]]))
 
+    @pytest.mark.parametrize("block", [[1.0, 2.0], 3.0, np.ones((2, 2, 2))])
+    def test_block_that_is_not_2d_is_usage_error(self, block):
+        with pytest.raises(UsageError, match=re.escape(f"2-D block of rows, got shape {np.shape(block)}")):
+            exact_row_sums(block)
+
     def test_empty_rows_sum_to_zero(self):
         assert exact_row_sums(np.empty((2, 0))).tobytes() == fsum_rows(np.empty((2, 0))).tobytes()
 
@@ -326,29 +354,52 @@ class TestExactRowSums:
 def expected_stop(block: np.ndarray):
     """The fold after which the remainders of ``block`` sum exactly in
     floats, by the rule counted out one fold at a time, or None where the
-    rule does not apply (a zero entry, a hard row, rows wider than one
-    fold sum) or asks for more than _MAX_FOLDS folds."""
+    rule does not apply (a zero entry or a hard row)."""
     a = np.abs(block)
-    n = block.shape[1]
-    if not np.all(a <= 2.0 ** 900) or not np.all(a > 0.0) or n > risk._FOLD_COLUMNS:
+    if not np.all(a <= 2.0 ** 900) or not np.all(a > 0.0):
         return None
-    c = (n + 1).bit_length()
+    c = (min(block.shape[1], risk._FOLD_COLUMNS) + 1).bit_length()
     spread = math.frexp(float(a.max()))[1] - math.frexp(float(a.min()))[1]
     k = 0
     while spread > 53 - 2 * c + k * (52 - c):  # 2^c u sigma_k > 2^53 ulp(min |x|)
         k += 1
-    return k if k < risk._MAX_FOLDS else None
+    return k
+
+
+def expected_fold_counts(block: np.ndarray) -> set:
+    """The fold sums per row that ``_extract_sums`` may take on ``block``
+    (of one column group), plus one for R: stop + 2 when test (1) ends the
+    folds, else i + 1 for the fold i >= 1 at which the zero test does. With
+    u_i = 2^-53 sigma_i, every fold sum up to fold i is a multiple of u_i,
+    so no remainder is zero before every entry is a multiple of u_i; once
+    every entry is a multiple of 2 u_i, fold i takes every remainder
+    exactly ((sigma_i + r) - sigma_i is exact for r a multiple of 2 u_i and
+    |r| < sigma_i / 2). Hard rows are left out."""
+    finite = block[np.all(np.abs(block) <= 2.0 ** 900, axis=1)]
+    nonzero = finite[finite != 0]
+    c = (min(block.shape[1], risk._FOLD_COLUMNS) + 1).bit_length()
+    mant, exps = np.frexp(nonzero)
+    ints = np.ldexp(mant, 53).astype(np.int64)
+    low_bit = int(np.min(exps - 53 + np.log2(ints & -ints).astype(int)))  # the least bit set in any entry
+    u0 = math.frexp(float(np.abs(finite).max()))[1] + c - 53  # log2 u_0
+
+    def first_fold(exponent):  # the first i >= 1 with exponent + log2 u_i <= low_bit
+        return max(1, -(-(u0 + exponent - low_bit) // (52 - c)))
+    stop = expected_stop(block)
+    counts = {i + 1 for i in range(first_fold(0), first_fold(1) + 1) if stop is None or i < stop}
+    return counts if stop is None or first_fold(1) < stop else counts | {stop + 2}
 
 
 # The exponent spread max - min (of frexp) that makes each path of
 # ``_extract_sums`` run, for c = ceil(log2(n + 2)): test (1) after the
 # first or the second fold; the zero test (two folds clear any row of
-# spread below 52 - 2c); the fold cap (spread past what four folds take).
+# spread below 52 - 2c); more than four folds (spread past what four take),
+# to test (1) or to the zero test.
 STOP_SPREADS = {
     "one fold": lambda c: (0, 53 - 2 * c),
     "two folds": lambda c: (54 - 2 * c, 53 - 2 * c + 52 - c),
     "zero test": lambda c: (0, 51 - 2 * c),
-    "fold cap": lambda c: (54 - 2 * c + 4 * (52 - c), 1970),
+    "past four folds": lambda c: (54 - 2 * c + 4 * (52 - c), 1970),
 }
 
 
@@ -359,8 +410,8 @@ def stop_rule_blocks(draw, kind):
     between the last two), entries of either sign with frexp exponents in
     one window of the kind's spread, anywhere from the subnormals to 2^900,
     with both ends of the window in the first row. The zero test and the
-    fold cap also take exact zeros (the zero test at least one) and may
-    take a hard row after the first (an inf, a NaN or an entry above
+    folds past four also take exact zeros (the zero test at least one) and
+    may take a hard row after the first (an inf, a NaN or an entry above
     2^900); either turns test (1) off."""
     rows = draw(st.integers(1, 4))
     n = draw(st.sampled_from([2 ** k + j for k in range(2, 12) for j in (-2, -1, 0) if 2 ** k + j >= 3]))
@@ -373,7 +424,7 @@ def stop_rule_blocks(draw, kind):
     block = np.ldexp(mant, rng.integers(low, low + spread + 1, (rows, n)))
     exps = np.frexp(block)[1]
     block[(exps < low) | (exps > low + spread)] = math.ldexp(0.5, low)  # subnormals that rounded out
-    if kind in ("zero test", "fold cap"):
+    if kind in ("zero test", "past four folds"):
         zeros = rng.random((rows, n)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
         block[zeros] = np.copysign(0.0, rng.choice([-1.0, 1.0], int(zeros.sum())))
         if kind == "zero test":
@@ -386,8 +437,8 @@ def stop_rule_blocks(draw, kind):
 
 class TestExtractionStopRule:
     """``_extract_sums`` stops folding once the remainders sum exactly in
-    floats (test (1)), when two folds leave no remainder (the zero test) or
-    at the fold cap, and has ``math.fsum``'s bits on every path."""
+    floats (test (1)) or when a fold after the first leaves no remainder
+    (the zero test), and has ``math.fsum``'s bits on every path."""
 
     @pytest.mark.parametrize("kind", list(STOP_SPREADS))
     @settings(max_examples=150, deadline=None)
@@ -408,8 +459,10 @@ class TestExtractionStopRule:
             assert stop == 1 and lengths == [3] * len(block)
         elif kind == "zero test":  # every remainder is zero after two folds: f0 + f1
             assert stop is None and len(lengths) == len(block) - finite_rows
-        else:  # the rows with a bit past the fourth fold keep their remainders for fsum
-            assert stop is None and any(k > risk._MAX_FOLDS for k in lengths)
+        else:  # each hard row's fsum, then one per row (a hard row zeroed) of its fold sums, and R after test (1)
+            hard = len(block) - finite_rows
+            assert lengths == [block.shape[1]] * hard + [lengths[-1]] * len(block)
+            assert lengths[-1] in expected_fold_counts(block) and lengths[-1] > 4
 
     @pytest.mark.parametrize("n", [2 ** 10 - 2, 2 ** 10 - 1, 2 ** 10])
     @pytest.mark.parametrize("extra", [0, 1])
