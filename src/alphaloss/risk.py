@@ -39,12 +39,16 @@ Every value, gradient and Hessian starts from one margin pass to log p
 whose blocks of about 200,000 elements stay in cache, and one block map
 per pass, which chooses its orders' maps once per call: ``_exact_sums``
 writes the terms and sums them exactly, ``_float_sums`` sums them in
-floats. A batched call makes one buffer set, sized for its largest block:
-the margins (overwritten by log p), one temporary and, for exact sums, the
-terms and the extraction scratch. Every block reuses it: the margin pass,
-the maps and the extraction run in place, and the buffers go with the
-call. The ``value_and_grad`` oracle is the exact map of one point, made
-with its buffers when it is built. A row of an (m, d) array gets the same
+floats. An exact call makes one buffer set, sized for its largest block:
+the margins (overwritten by log p), one temporary, the terms and the
+extraction scratch. A float call of two blocks or more runs its blocks on
+one thread per CPU in the process's affinity mask, the calling one among
+them, and makes one buffer set per thread: the margins and one temporary.
+Every block reuses its thread's set: the margin pass, the maps and the
+extraction run in place, and the buffers go with the call. Each block
+writes only its own rows of the result, so the bits do not depend on the
+worker count. The ``value_and_grad`` oracle is the exact map of one
+point, made with its buffers when it is built. A row of an (m, d) array gets the same
 margins, so the same bits, in every call, whatever its size or blocks
 (``_logp``). Grid scans take every order they need from one pass over the
 grid.
@@ -103,9 +107,12 @@ bounds; the points a caller cannot settle are kept for its one exact call.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -321,31 +328,33 @@ def _extract_sums(block: np.ndarray, divisor: int = 1, scratch: np.ndarray | Non
     each remainder r (|r| < sigma / 2) makes sigma + r a multiple of 2^-1074
     below 2^-1021, a float, so that fold takes every r exactly, and (2)
     ends the folds there (one fold later if it is the first). A block with
-    a zero entry or a hard row has only test (2). A row's exact sum is its
-    fold sums plus its Rs, and one ``math.fsum`` over those (``_fsum_row``)
-    rounds it once: ``math.fsum``'s bits. When that is two floats, f0 + R
-    after (1) at the first fold or f0 + f1 after (2) at the second, one
-    IEEE addition rounds it once, as ``math.fsum`` does; so those rows are
-    summed in floats. Rows with a non-finite entry or one above
-    _EXTRACT_MAX go to ``_fsum_row`` without folding.
+    a zero entry outside its hard rows has only test (2). A row's exact sum
+    is its fold sums plus its Rs, and one ``math.fsum`` over those
+    (``_fsum_row``) rounds it once: ``math.fsum``'s bits. When that is two
+    floats, f0 + R after (1) at the first fold or f0 + f1 after (2) at the
+    second, one IEEE addition rounds it once, as ``math.fsum`` does; so
+    those rows are summed in floats. Hard rows, with a non-finite entry or
+    one above _EXTRACT_MAX, go to ``_fsum_row`` without folding; zeroed,
+    they fold as rows of zeros, which are multiples of any delta, so low
+    and test (1) come from the other rows.
     """
     rows, n = block.shape
     if n == 0 or rows == 0:
         return np.zeros(rows)
     scratch = np.empty_like(block) if scratch is None else scratch[:block.size].reshape(block.shape)
-    top = np.abs(block, out=scratch).max()  # nan stays nan
-    hard = stop = None  # stop: the fold of test (1), when the block has no zero entry
+    top = np.maximum.reduce(np.abs(block, out=scratch), axis=None)  # nan stays nan
+    hard = stop = None  # stop: the fold of test (1), when the rows that fold have no zero entry
     c = (min(n, _FOLD_COLUMNS) + 1).bit_length()
     if not top <= _EXTRACT_MAX:  # summed by _fsum_row; zeroed, they keep sigma and the folds finite
-        tops = scratch.max(axis=1)
-        hard = np.flatnonzero(~(tops <= _EXTRACT_MAX))
-        fallback = [_fsum_row(block[i], divisor) for i in hard]
+        tops = np.maximum.reduce(scratch, axis=1)
+        hard = ~(tops <= _EXTRACT_MAX)
+        fallback = [_fsum_row(row, divisor) for row in block[hard]]
         block[hard] = tops[hard] = 0.0
-        top = tops.max()
-    else:
-        low = np.minimum.reduce(scratch, axis=None)
-        if low:  # no zero entry: every entry is a multiple of ulp(low)
-            stop = _exact_fold(math.frexp(top)[1], math.frexp(low)[1], c)
+        top = np.maximum.reduce(tops)
+        scratch[hard] = top  # out of the other rows' low; a zeroed entry stays a multiple of ulp(low)
+    low = np.minimum.reduce(scratch, axis=None)
+    if low:  # no zero entry outside the hard rows: every entry is a multiple of ulp(low)
+        stop = _exact_fold(math.frexp(top)[1], math.frexp(low)[1], c)
     sigma = math.ldexp(1.0, math.frexp(top)[1] + c)
     starts = np.arange(0, n, _FOLD_COLUMNS) if n > _FOLD_COLUMNS else None  # fold sums and R per column group
     folds = []
@@ -363,7 +372,10 @@ def _extract_sums(block: np.ndarray, divisor: int = 1, scratch: np.ndarray | Non
     if len(folds) == 2 and starts is None:  # each exact sum is f0 + R or f0 + f1
         out = (folds[0] + folds[1]) / divisor
     else:
-        out = np.array([_fsum_row(row, divisor) for row in np.column_stack(folds)])
+        parts = np.column_stack(folds)
+        out = np.zeros(rows)
+        for i in range(rows) if hard is None else np.flatnonzero(~hard):
+            out[i] = _fsum_row(parts[i], divisor)
     if hard is not None:
         out[hard] = fallback
     return out
@@ -453,11 +465,21 @@ def _float_sums(data: Dataset, alphas, grad_alpha):
     return sums
 
 
-def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True) -> np.ndarray:
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True,
+           workers: int | None = None) -> np.ndarray:
     """(points, rows) means of the ``_exact_sums`` rows: one margin pass and
     one block map per block, exactly rounded. With ``exact`` False the rows
     are summed in floats instead (``_float_sums``), and one more column holds
-    each point's mean gradient weight (0.0 without ``grad_alpha``)."""
+    each point's mean gradient weight (0.0 without ``grad_alpha``); such a
+    pass of two blocks or more runs its blocks on ``workers`` threads (the
+    calling one among them; by default one per CPU of ``_cpus``, at most
+    one per block). A block's rows do not depend on which thread computes
+    it, so the result has the same bits for any worker count."""
     alphas = [check_alpha(a) for a in alphas]
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
     pts = _as_points(thetas, data)
@@ -469,17 +491,44 @@ def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True
     # of its block. A float block keeps at least two, as before: the float
     # pass's BLAS product is not made row by row.
     blocks = list(_blocks(len(pts), (1 + rows) * n, 1 if exact else 2))
-    # One buffer set per call, sized for the largest block and reused by
-    # every block: log p, one temporary and, for exact sums, the terms and
-    # the extraction scratch. Block-sized arrays made and freed per block
-    # would have the allocator return their pages and fault them in again.
+    # One buffer set per worker, sized for the largest block and reused by
+    # each block it takes: log p and one temporary, and, for the exact
+    # pass's one worker, the terms and the extraction scratch. Block-sized
+    # arrays made and freed per block would have the allocator return their
+    # pages and fault them in again.
     largest = max((sl.stop - sl.start for sl in blocks), default=0)
-    logp_buf, tmp_buf = np.empty(largest * n), np.empty(largest * n)
-    sums = _exact_sums(data, alphas, grad_alpha, largest) if exact else _float_sums(data, alphas, grad_alpha)
-    for sl in blocks:
-        k = sl.stop - sl.start
-        tmp = tmp_buf[:k * n].reshape(k, n)
-        out[sl] = sums(_logp(pts[0] if alone else pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp), tmp)
+    if exact:
+        sums, workers = _exact_sums(data, alphas, grad_alpha, largest), 1
+    else:
+        sums, workers = _float_sums(data, alphas, grad_alpha), max(1, min(len(blocks), workers or _cpus()))
+    buffers = [(np.empty(largest * n), np.empty(largest * n)) for _ in range(workers)]
+    claims, failed = itertools.count(), []  # next() on a count is atomic
+
+    def work(logp_buf, tmp_buf):
+        try:
+            for i in claims:
+                if i >= len(blocks) or failed:  # the first error stops the claims
+                    return
+                sl = blocks[i]
+                k = sl.stop - sl.start
+                tmp = tmp_buf[:k * n].reshape(k, n)
+                out[sl] = sums(_logp(pts[0] if alone else pts[sl], data, out=logp_buf[:k * n].reshape(k, n),
+                                     tmp=tmp), tmp)
+        except BaseException as exc:  # re-raised by the caller after the join
+            failed.append(exc)
+
+    # A thread starts with numpy's default errstate; each runs in a copy of
+    # the caller's context, which holds the caller's (numpy 2 keeps errstate
+    # in a context variable).
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, *bufs))
+               for bufs in buffers[1:]]
+    for thread in threads:
+        thread.start()
+    work(*buffers[0])
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
     return out
 
 

@@ -1,6 +1,11 @@
 import dataclasses
+import functools
+import itertools
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -10,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaloss import cli, risk
+from alphaloss import cli, risk, slqc
 from alphaloss.data import GmmSpec, normalize_features, preset, sample_gmm
 from alphaloss.errors import DomainError, NumericError, UsageError
 from alphaloss.loss import (
@@ -42,6 +47,7 @@ from alphaloss.risk import (
     saturation_sups,
     value_and_grad,
 )
+from alphaloss.slqc import SlqcParams
 
 from conftest import fd_grad, fd_jacobian, oracle_loss, rel_err
 
@@ -354,9 +360,11 @@ class TestExactRowSums:
 def expected_stop(block: np.ndarray):
     """The fold after which the remainders of ``block`` sum exactly in
     floats, by the rule counted out one fold at a time, or None where the
-    rule does not apply (a zero entry or a hard row)."""
+    rule does not apply (a zero entry outside the hard rows, or only hard
+    rows). Hard rows are left out: ``_extract_sums`` zeroes them."""
     a = np.abs(block)
-    if not np.all(a <= 2.0 ** 900) or not np.all(a > 0.0):
+    a = a[np.all(a <= 2.0 ** 900, axis=1)]
+    if not a.size or not np.all(a > 0.0):
         return None
     c = (min(block.shape[1], risk._FOLD_COLUMNS) + 1).bit_length()
     spread = math.frexp(float(a.max()))[1] - math.frexp(float(a.min()))[1]
@@ -459,10 +467,39 @@ class TestExtractionStopRule:
             assert stop == 1 and lengths == [3] * len(block)
         elif kind == "zero test":  # every remainder is zero after two folds: f0 + f1
             assert stop is None and len(lengths) == len(block) - finite_rows
-        else:  # each hard row's fsum, then one per row (a hard row zeroed) of its fold sums, and R after test (1)
+        else:  # each hard row's fsum, then one per other row of its fold sums, and R after test (1)
             hard = len(block) - finite_rows
-            assert lengths == [block.shape[1]] * hard + [lengths[-1]] * len(block)
+            assert lengths == [block.shape[1]] * hard + [lengths[-1]] * finite_rows
             assert lengths[-1] in expected_fold_counts(block) and lengths[-1] > 4
+
+    @pytest.mark.parametrize("kind", ["one fold", "two folds"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_hard_rows_leave_test_1_to_the_others(self, kind, data):
+        # Hard rows (an inf, a NaN or an entry above 2^900), with a zero and
+        # the smallest subnormal besides, go to math.fsum once each. The
+        # other rows keep test (1), with low taken from them alone: after
+        # one fold their sums are f0 + R, with no math.fsum; after two, one
+        # math.fsum of f0, f1 and R per row that is not hard.
+        block, divisor = data.draw(stop_rule_blocks(kind))
+        rows, n = block.shape
+        hard = data.draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 2.0 ** 950]), min_size=1,
+                                  max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        extra = block[rng.integers(rows, size=len(hard))]
+        extra[:, 0], extra[:, 1] = 0.0, math.ldexp(1.0, -1074)
+        extra[np.arange(len(hard)), rng.integers(2, n, size=len(hard))] = hard
+        block = np.insert(block, rng.integers(rows + 1, size=len(hard)), extra, axis=0)
+        expected = fsum_rows(block) / divisor
+        fsum, lengths, stops = math.fsum, [], []
+        exact_fold = risk._exact_fold
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk.math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+            patch.setattr(risk, "_exact_fold", lambda *args: stops.append(exact_fold(*args)) or stops[-1])
+            got = risk._extract_sums(block.copy(), divisor)
+        assert got.tobytes() == expected.tobytes()
+        assert stops == [expected_stop(block)] == [0 if kind == "one fold" else 1]
+        assert lengths == [n] * len(hard) + ([] if kind == "one fold" else [3] * rows)
 
     @pytest.mark.parametrize("n", [2 ** 10 - 2, 2 ** 10 - 1, 2 ** 10])
     @pytest.mark.parametrize("extra", [0, 1])
@@ -901,18 +938,21 @@ class TestEvaluationKernel:
             tracemalloc.stop()
         assert peak <= buffers + output + 64 * 1024
 
-    def test_float_pass_holds_no_terms_block(self, fig2_n5000):
-        # The float pass makes log p, one temporary and the (n, d + 1)
-        # features of its product; it never makes the terms block.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_float_pass_holds_no_terms_block(self, fig2_n5000, workers):
+        # The float pass makes log p and one temporary per worker, and the
+        # (n, d + 1) features of its product; it never makes the terms block.
         data = fig2_n5000
         pts = np.random.default_rng(16).uniform(-3.0, 3.0, size=(400, 2))
         blocks = list(risk._blocks(len(pts), (2 + data.dim) * data.n))
         largest = max(sl.stop - sl.start for sl in blocks)
-        buffers = 8 * largest * data.n * 2 + 8 * data.n * (data.dim + 1)
+        buffers = workers * 8 * largest * data.n * 2 + 8 * data.n * (data.dim + 1)
         output = 8 * len(pts) * (2 + data.dim) * 2
         tracemalloc.start()
         try:
-            risk.float_means(pts, data, (1.0,), 1.0)
+            with pytest.MonkeyPatch.context() as patch:
+                with_workers(patch, workers)
+                risk.float_means(pts, data, (1.0,), 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -961,6 +1001,126 @@ class TestEvaluationKernel:
         assert multi.tobytes() == np.column_stack([risk_values(a, pts, data) for a in orders]).tobytes()
         approx, bounds = risk.float_means(pts, data, orders)
         assert np.all(np.abs(approx - multi) <= bounds)
+
+
+def with_workers(patch, workers: int, points_per_block: int | None = None, width: int = 0):
+    """Run every ``risk._means`` call on ``workers`` threads, with blocks of
+    ``points_per_block`` points of ``width`` elements each when given."""
+    patch.setattr(risk, "_means", functools.partial(risk._means, workers=workers))
+    if points_per_block is not None:
+        patch.setattr(risk, "_BLOCK_ELEMENTS", points_per_block * width)
+
+
+class TestFloatPassWorkers:
+    """A float pass of two blocks or more runs them on several threads,
+    each block's rows written by whichever thread claims it, with the same
+    bits for any worker count; exact passes and one-block calls stay on
+    the calling thread."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3),
+           st.builds(lambda q, r: 8 * q + r, st.integers(0, 40), st.integers(1, 7)), st.integers(2, 40),
+           st.integers(2, 5), st.lists(st.sampled_from([0.5, 1.0, 2.0, INFINITY]), max_size=3),
+           st.sampled_from([None, 0.5, 1.0, 2.0, INFINITY]))
+    def test_float_means_bits_do_not_depend_on_workers(self, seed, d, n, m, per_block, alphas, grad_alpha):
+        # m points in blocks of 2 to 5 (the last takes a one-point tail),
+        # at n mod 8 != 0, where every block makes its margins in a new
+        # array: means and bounds have the same bits on 1, 2 and 3 workers.
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, n, d)
+        pts = rng.uniform(-5.0, 5.0, (m, d))
+        rows = len(alphas) + (0 if grad_alpha is None else d)
+        got = set()
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                with_workers(patch, workers, per_block, (1 + rows) * n)
+                means, bounds = risk.float_means(pts, data, alphas, grad_alpha)
+            got.add((means.tobytes(), bounds.tobytes()))
+        assert len(got) == 1
+
+    def test_saturation_and_sweep_verdicts_do_not_depend_on_workers(self, fig2_small):
+        grid = GridSpec(((-3.0, 3.0, 15), (-3.0, 3.0, 15)), mask_radius=3.0)
+        params = SlqcParams(0.05, 0.5, np.array([0.5, -0.25]))
+        points = np.random.default_rng(32).uniform(-2.0, 2.0, (301, 2))
+        results = []
+        for workers in (1, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                with_workers(patch, workers, 10, 5 * fig2_small.n)  # 10 nodes or 12 points a block
+                sups = saturation_sups([1.0, 2.0, 4.0], grid, fig2_small)
+                verdicts = slqc._verdicts(2.0, params, points, fig2_small)
+            results.append((sups, [np.asarray(v).tobytes() for v in verdicts]))
+        assert results[0] == results[1]
+
+    def test_overflow_warns_in_no_worker(self, fig2_small):
+        # numpy keeps errstate in a context variable, which a new thread
+        # does not inherit: each worker runs in a copy of the caller's
+        # context, so float_means' errstate holds in every block.
+        pts = np.random.default_rng(5).uniform(-3.0, 3.0, (40, 2))
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with_workers(patch, 2, 2, 4 * fig2_small.n)
+            means, bounds = risk.float_means(pts, fig2_small, (0.0016,), 0.0016)
+        assert np.isinf(means).any() and np.isnan(bounds).any()
+
+    def test_an_error_in_a_block_reaches_the_caller(self, fig2_small, monkeypatch):
+        # The third block map call raises; the claims stop, and the error
+        # is raised in the caller once every worker has ended.
+        float_sums, calls = risk._float_sums, itertools.count()
+        threads = threading.active_count()
+
+        def failing(*args):
+            sums = float_sums(*args)
+
+            def third_fails(logp, tmp):
+                if next(calls) == 2:
+                    raise NumericError("third block")
+                return sums(logp, tmp)
+            return third_fails
+        monkeypatch.setattr(risk, "_float_sums", failing)
+        monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 1)  # blocks of two points
+        pts = np.random.default_rng(6).uniform(-3.0, 3.0, (40, 2))
+        with pytest.raises(NumericError, match="third block"):
+            risk._means(pts, fig2_small, (1.0,), exact=False, workers=2)
+        assert 3 <= next(calls) < 20
+        assert threading.active_count() == threads
+
+    def test_one_block_starts_no_thread(self, fig2_small, monkeypatch):
+        started, thread = [], threading.Thread
+
+        class Counted(thread):
+            def start(self):
+                started.append(self)
+                super().start()
+        monkeypatch.setattr(threading, "Thread", Counted)
+        pts = np.random.default_rng(7).uniform(-3.0, 3.0, (10, 2))
+        risk._means(pts, fig2_small, (1.0,), 1.0, exact=False, workers=3)  # one block
+        risk._means(pts, fig2_small, (1.0,), 1.0, workers=3)  # exact
+        assert started == []
+        monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 1)  # five blocks of two points
+        risk._means(pts, fig2_small, (1.0,), 1.0, exact=False, workers=3)
+        assert len(started) == 2 and not any(t.is_alive() for t in started)
+        risk._means(pts, fig2_small, (1.0,), 1.0, workers=3)
+        assert len(started) == 2
+
+    def test_many_small_blocks_on_more_workers_than_cpus(self, fig2_small, monkeypatch):
+        # 150 blocks of two points on 8 workers, switching threads every
+        # microsecond: a lost claim or a row written twice would change a row.
+        pts = np.random.default_rng(8).uniform(-3.0, 3.0, (301, 2))
+        monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 1)
+        serial = risk._means(pts, fig2_small, (1.0, 2.0), 1.0, exact=False, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert risk._means(pts, fig2_small, (1.0, 2.0), 1.0, exact=False, workers=8).tobytes() \
+                    == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_default_worker_count(self, monkeypatch):
+        assert risk._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert risk._cpus() == (os.cpu_count() or 1)
 
 
 class TestOrderOneWeightMap:
