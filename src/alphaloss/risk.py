@@ -470,16 +470,15 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True,
-           workers: int | None = None) -> np.ndarray:
+def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True) -> np.ndarray:
     """(points, rows) means of the ``_exact_sums`` rows: one margin pass and
     one block map per block, exactly rounded. With ``exact`` False the rows
     are summed in floats instead (``_float_sums``), and one more column holds
     each point's mean gradient weight (0.0 without ``grad_alpha``); such a
-    pass of two blocks or more runs its blocks on ``workers`` threads (the
-    calling one among them; by default one per CPU of ``_cpus``, at most
-    one per block). A block's rows do not depend on which thread computes
-    it, so the result has the same bits for any worker count."""
+    pass of two blocks or more runs its blocks on one thread per CPU of
+    ``_cpus`` (``_on_threads``, at most one per block). A block's rows do
+    not depend on which thread computes it, so the result has the same bits
+    for any worker count."""
     alphas = [check_alpha(a) for a in alphas]
     grad_alpha = None if grad_alpha is None else check_alpha(grad_alpha)
     pts = _as_points(thetas, data)
@@ -500,21 +499,36 @@ def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True
     if exact:
         sums, workers = _exact_sums(data, alphas, grad_alpha, largest), 1
     else:
-        sums, workers = _float_sums(data, alphas, grad_alpha), max(1, min(len(blocks), workers or _cpus()))
+        sums, workers = _float_sums(data, alphas, grad_alpha), max(1, min(len(blocks), _cpus()))
     buffers = [(np.empty(largest * n), np.empty(largest * n)) for _ in range(workers)]
+
+    def run(sl, logp_buf, tmp_buf):
+        k = sl.stop - sl.start
+        tmp = tmp_buf[:k * n].reshape(k, n)
+        out[sl] = sums(_logp(pts[0] if alone else pts[sl], data, out=logp_buf[:k * n].reshape(k, n), tmp=tmp), tmp)
+
+    if workers == 1:
+        for sl in blocks:
+            run(sl, *buffers[0])
+    else:
+        _on_threads(blocks, run, buffers)
+    return out
+
+
+def _on_threads(blocks: list, run, buffers: list) -> None:
+    """``run(block, *bufs)`` for every block, on one thread per buffer set
+    ``bufs``, the calling one among them. Each thread claims the next block
+    from one shared counter. The first error stops the claims and is raised
+    here once every thread has ended."""
     claims, failed = itertools.count(), []  # next() on a count is atomic
 
-    def work(logp_buf, tmp_buf):
+    def work(*bufs):
         try:
             for i in claims:
-                if i >= len(blocks) or failed:  # the first error stops the claims
+                if i >= len(blocks) or failed:
                     return
-                sl = blocks[i]
-                k = sl.stop - sl.start
-                tmp = tmp_buf[:k * n].reshape(k, n)
-                out[sl] = sums(_logp(pts[0] if alone else pts[sl], data, out=logp_buf[:k * n].reshape(k, n),
-                                     tmp=tmp), tmp)
-        except BaseException as exc:  # re-raised by the caller after the join
+                run(blocks[i], *bufs)
+        except BaseException as exc:
             failed.append(exc)
 
     # A thread starts with numpy's default errstate; each runs in a copy of
@@ -529,7 +543,6 @@ def _means(thetas, data: Dataset, alphas=(), grad_alpha=None, exact: bool = True
         thread.join()
     if failed:
         raise failed[0]
-    return out
 
 
 def _approx_mean_error(means: np.ndarray, n: int) -> np.ndarray:

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -1004,9 +1003,10 @@ class TestEvaluationKernel:
 
 
 def with_workers(patch, workers: int, points_per_block: int | None = None, width: int = 0):
-    """Run every ``risk._means`` call on ``workers`` threads, with blocks of
-    ``points_per_block`` points of ``width`` elements each when given."""
-    patch.setattr(risk, "_means", functools.partial(risk._means, workers=workers))
+    """Run every ``risk._means`` float pass on ``workers`` threads (as on
+    that many CPUs), with blocks of ``points_per_block`` points of ``width``
+    elements each when given."""
+    patch.setattr(risk, "_cpus", lambda: workers)
     if points_per_block is not None:
         patch.setattr(risk, "_BLOCK_ELEMENTS", points_per_block * width)
 
@@ -1079,8 +1079,9 @@ class TestFloatPassWorkers:
         monkeypatch.setattr(risk, "_float_sums", failing)
         monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 1)  # blocks of two points
         pts = np.random.default_rng(6).uniform(-3.0, 3.0, (40, 2))
+        with_workers(monkeypatch, 2)
         with pytest.raises(NumericError, match="third block"):
-            risk._means(pts, fig2_small, (1.0,), exact=False, workers=2)
+            risk._means(pts, fig2_small, (1.0,), exact=False)
         assert 3 <= next(calls) < 20
         assert threading.active_count() == threads
 
@@ -1092,14 +1093,15 @@ class TestFloatPassWorkers:
                 started.append(self)
                 super().start()
         monkeypatch.setattr(threading, "Thread", Counted)
+        with_workers(monkeypatch, 3)
         pts = np.random.default_rng(7).uniform(-3.0, 3.0, (10, 2))
-        risk._means(pts, fig2_small, (1.0,), 1.0, exact=False, workers=3)  # one block
-        risk._means(pts, fig2_small, (1.0,), 1.0, workers=3)  # exact
+        risk._means(pts, fig2_small, (1.0,), 1.0, exact=False)  # one block
+        risk._means(pts, fig2_small, (1.0,), 1.0)  # exact
         assert started == []
         monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 1)  # five blocks of two points
-        risk._means(pts, fig2_small, (1.0,), 1.0, exact=False, workers=3)
+        risk._means(pts, fig2_small, (1.0,), 1.0, exact=False)
         assert len(started) == 2 and not any(t.is_alive() for t in started)
-        risk._means(pts, fig2_small, (1.0,), 1.0, workers=3)
+        risk._means(pts, fig2_small, (1.0,), 1.0)
         assert len(started) == 2
 
     def test_many_small_blocks_on_more_workers_than_cpus(self, fig2_small, monkeypatch):
@@ -1107,13 +1109,14 @@ class TestFloatPassWorkers:
         # microsecond: a lost claim or a row written twice would change a row.
         pts = np.random.default_rng(8).uniform(-3.0, 3.0, (301, 2))
         monkeypatch.setattr(risk, "_BLOCK_ELEMENTS", 1)
-        serial = risk._means(pts, fig2_small, (1.0, 2.0), 1.0, exact=False, workers=1)
+        with_workers(monkeypatch, 1)
+        serial = risk._means(pts, fig2_small, (1.0, 2.0), 1.0, exact=False)
+        with_workers(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                assert risk._means(pts, fig2_small, (1.0, 2.0), 1.0, exact=False, workers=8).tobytes() \
-                    == serial.tobytes()
+                assert risk._means(pts, fig2_small, (1.0, 2.0), 1.0, exact=False).tobytes() == serial.tobytes()
         finally:
             sys.setswitchinterval(interval)
 
